@@ -10,7 +10,7 @@ from .data import (DigitDataset, FormatError, LabeledDataset, LocationInstance,
                    filter_binary, load_digit_images, make_location_instance,
                    make_synthetic_logistic, read_csv_dataset, read_idx, write_idx)
 from .federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, ClientPartition, CostModel,
-                         partition_data, simulate_round_time, uniform_costs)
+                         partition_data, round_time, uniform_costs)
 from .instances import location_problem, logistic_problem, selection_1d_problem
 from .metrics import (RateDiagnosticUnavailable, RoundRow, RunRecord, accuracy,
                       rate_diagnostic, write_rows_csv, write_rows_jsonl, write_run_json)
@@ -18,28 +18,27 @@ from .oracles import (EvalResult, Oracle, ball_dist_eval, ball_oracle, l1_quad_o
                       logistic_eval, logistic_oracle, outer_l1_quad_eval,
                       outer_quad_anchor_eval, project_box, quad_anchor_oracle)
 from .problem import (BoundEstimates, BoxConstraint, ProblemSpec, StepSchedule,
-                      estimate_bounds, make_schedule, schedule_at)
+                      estimate_bounds, make_schedule)
 from .rng import PRNG_ID, make_rng
-from .solvers import (ClientResult, RoundState, client_local_pass, fism_round,
-                      irig_round, reference_solve, run_solver, stopping_criterion,
-                      weighted_average)
+from .solvers import (RoundState, client_local_pass, fism_round, irig_round,
+                      reference_solve, run_solver, stopping_criterion, weighted_average)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEstimates", "BoxConstraint", "ClientPartition", "ClientResult",
-    "CostModel", "CONTIGUOUS", "DigitDataset", "EvalResult", "FISM",
-    "FormatError", "IRIG", "LabeledDataset", "LocationInstance", "Oracle",
-    "PRNG_ID", "ProblemSpec", "RateDiagnosticUnavailable", "RoundRow",
-    "RoundState", "RunRecord", "SHUFFLED", "StepSchedule", "accuracy",
-    "ball_dist_eval", "ball_oracle", "client_local_pass", "estimate_bounds",
-    "filter_binary", "fism_round", "irig_round", "l1_quad_oracle",
-    "load_digit_images", "location_problem", "logistic_eval", "logistic_oracle",
-    "logistic_problem", "make_location_instance", "make_rng", "make_schedule",
+    "BoundEstimates", "BoxConstraint", "ClientPartition", "CostModel", "CONTIGUOUS",
+    "DigitDataset", "EvalResult", "FISM", "FormatError", "IRIG", "LabeledDataset",
+    "LocationInstance", "Oracle", "PRNG_ID", "ProblemSpec",
+    "RateDiagnosticUnavailable", "RoundRow", "RoundState", "RunRecord", "SHUFFLED",
+    "StepSchedule", "accuracy", "ball_dist_eval", "ball_oracle",
+    "client_local_pass", "estimate_bounds", "filter_binary", "fism_round",
+    "irig_round", "l1_quad_oracle", "load_digit_images", "location_problem",
+    "logistic_eval", "logistic_oracle", "logistic_problem",
+    "make_location_instance", "make_rng", "make_schedule",
     "make_synthetic_logistic", "outer_l1_quad_eval", "outer_quad_anchor_eval",
     "partition_data", "project_box", "quad_anchor_oracle", "rate_diagnostic",
-    "read_csv_dataset", "read_idx", "reference_solve", "run_solver",
-    "schedule_at", "selection_1d_problem", "simulate_round_time",
-    "stopping_criterion", "uniform_costs", "weighted_average", "write_idx",
-    "write_rows_csv", "write_rows_jsonl", "write_run_json",
+    "read_csv_dataset", "read_idx", "reference_solve", "round_time", "run_solver",
+    "selection_1d_problem", "stopping_criterion", "uniform_costs",
+    "weighted_average", "write_idx", "write_rows_csv", "write_rows_jsonl",
+    "write_run_json",
 ]

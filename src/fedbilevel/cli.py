@@ -81,21 +81,12 @@ def _build_problem(cfg: ExperimentConfig, ctx: dict, n_clients: int,
                    run_seed: int) -> ProblemSpec:
     if cfg.problem == "selection-1d":
         part = partition_data(cfg.m, n_clients, cfg.partition, seed=run_seed)
-        return _selection_with_sizes(part.sizes)
+        return selection_1d_problem(part.sizes)
     if cfg.problem == "location":
         part = partition_data(cfg.m, n_clients, cfg.partition, seed=run_seed)
         return location_problem(ctx["instance"], part)
     part = partition_data(len(ctx["train"]), n_clients, cfg.partition, seed=run_seed)
     return logistic_problem(ctx["train"], part)
-
-
-def _selection_with_sizes(sizes: tuple[int, ...]) -> ProblemSpec:
-    # selection-1d with the ball replicas split per the partition sizes
-    base = selection_1d_problem(n_clients=1, balls_per_client=1)
-    ball = base.clients[0][0]
-    clients = tuple(tuple(ball for _ in range(size)) for size in sizes)
-    return ProblemSpec(dimension=1, clients=clients, outer=base.outer,
-                       constraint=base.constraint, mu_H=base.mu_H, name=base.name)
 
 
 def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
@@ -107,14 +98,10 @@ def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
     if len(comm) not in (1, len(sizes)):
         raise ConfigError("comm_cost must hold one value or one per client",
                           key="comm_cost")
-    per = {}
-    for i, size in enumerate(sizes):
-        s = cfg.unit_cost * (scale[i] if scale is not None else 1.0)
-        for j in range(size):
-            per[(i, j)] = s
-    eps = {i: float(comm[i % len(comm)] if len(comm) > 1 else comm[0])
-           for i in range(len(sizes))}
-    return CostModel(per, eps)
+    if scale is None:
+        scale = (1.0,) * len(sizes)
+    per = tuple(np.full(size, cfg.unit_cost * s) for size, s in zip(sizes, scale))
+    return CostModel(per, np.full(len(sizes), comm[0]) if len(comm) == 1 else comm)
 
 
 def execute(cfg: ExperimentConfig, grid: bool, threads: int = 1,

@@ -1,14 +1,18 @@
 """Client partitioning and the simulated per-round timing model.
 
-The timing model is pure accounting attached to run records: the federated
-method pays the slowest client's summed local update costs plus the slowest
-communication link, the incremental baseline pays the full sequential sweep.
+The timing model is pure accounting attached to run records. A cost model
+holds one array of update costs per client plus one link cost per client;
+client sizes are the array lengths. The federated method pays the slowest
+client's summed local update costs plus the slowest communication link, the
+incremental baseline pays the full sequential sweep.
 Wall-clock time is measured separately and never enters acceptance checks.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -66,51 +70,50 @@ def partition_data(m: int, n_clients: int, strategy: str = CONTIGUOUS,
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-update compute costs s[(client, local_index)] and per-client
-    communication costs eps[client], in abstract time units."""
+    """Per-update compute costs and per-client communication costs, in
+    abstract time units: ``per_update[i]`` holds one cost per inner function
+    of client i in local order, ``comm[i]`` is client i's link cost."""
 
-    per_update: Mapping[tuple[int, int], float]
-    comm: Mapping[int, float]
+    per_update: tuple[np.ndarray, ...]
+    comm: np.ndarray
 
     def __post_init__(self):
-        if any(v < 0 for v in self.per_update.values()):
+        per = tuple(np.asarray(c, dtype=float) for c in self.per_update)
+        comm = np.asarray(self.comm, dtype=float)
+        if any(c.ndim != 1 for c in per) or comm.ndim != 1:
+            raise ValueError("costs must be 1-d arrays")
+        if any(np.any(c < 0) for c in per):
             raise ValueError("per-update costs must be nonnegative")
-        if any(v < 0 for v in self.comm.values()):
+        if np.any(comm < 0):
             raise ValueError("communication costs must be nonnegative")
+        if comm.shape[0] != len(per):
+            raise ValueError(f"need one communication cost per client, "
+                             f"got {comm.shape[0]} for {len(per)} clients")
+        object.__setattr__(self, "per_update", per)
+        object.__setattr__(self, "comm", comm)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Number of priced updates per client."""
+        return tuple(len(c) for c in self.per_update)
 
 
 def uniform_costs(sizes: Sequence[int], per_update: float = 1.0,
                   comm: float = 0.0) -> CostModel:
-    per = {(i, j): float(per_update) for i, size in enumerate(sizes) for j in range(size)}
-    eps = {i: float(comm) for i in range(len(sizes))}
-    return CostModel(per, eps)
+    return CostModel(tuple(np.full(size, float(per_update)) for size in sizes),
+                     np.full(len(sizes), float(comm)))
 
 
-def round_time_from_sizes(sizes: Sequence[int], costs: CostModel, method: str) -> float:
-    """Simulated time of one round for clients holding ``sizes`` updates."""
+def round_time(costs: CostModel, method: str) -> float:
+    """Simulated time of one round under ``costs``.
+
+    Each client's update costs are summed left to right in local order;
+    neither numpy's pairwise summation nor the compensated builtin ``sum`` of
+    Python 3.12+ is used, so simulated times do not depend on either.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    sums = []
-    for i, size in enumerate(sizes):
-        total = 0.0
-        for j in range(size):
-            try:
-                total += costs.per_update[(i, j)]
-            except KeyError:
-                raise ValueError(
-                    f"cost model is missing the update cost for client {i}, local index {j}"
-                ) from None
-        sums.append(total)
+    sums = [reduce(operator.add, c.tolist(), 0.0) for c in costs.per_update]
     if method == IRIG:
         return float(sum(sums))
-    comms = []
-    for i in range(len(sizes)):
-        try:
-            comms.append(costs.comm[i])
-        except KeyError:
-            raise ValueError(f"cost model is missing the communication cost for client {i}") from None
-    return float(max(sums) + max(comms))
-
-
-def simulate_round_time(partition: ClientPartition, costs: CostModel, method: str) -> float:
-    return round_time_from_sizes(partition.sizes, costs, method)
+    return float(max(sums) + max(costs.comm.tolist()))

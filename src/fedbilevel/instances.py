@@ -1,6 +1,8 @@
 """Ready-made problem builders for the shipped experiment families."""
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .data import LabeledDataset, LocationInstance
@@ -9,23 +11,20 @@ from .oracles import ball_oracle, l1_quad_oracle, logistic_oracle, quad_anchor_o
 from .problem import BoxConstraint, ProblemSpec
 
 
-def selection_1d_problem(n_clients: int = 1, balls_per_client: int = 1) -> ProblemSpec:
+def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
     """Tiny selection instance with a closed-form solution.
 
     Inner objective: distance to the interval [0, 1] (a 1-d ball of center
-    0.5 and radius 0.5, optionally replicated across clients); outer
-    objective: 0.5 (y - 2)^2 on the box [-10, 10]. The bilevel optimum is
-    the interval endpoint nearest the anchor, y = 1.
+    0.5 and radius 0.5), replicated so that client i holds ``sizes[i]``
+    copies; outer objective: 0.5 (y - 2)^2 on the box [-10, 10]. The bilevel
+    optimum is the interval endpoint nearest the anchor, y = 1.
     """
-    if n_clients < 1 or balls_per_client < 1:
-        raise ValueError("n_clients and balls_per_client must be positive")
-    clients = tuple(
-        tuple(ball_oracle(np.array([0.5]), 0.5) for _ in range(balls_per_client))
-        for _ in range(n_clients)
-    )
+    if len(sizes) < 1 or min(sizes) < 1:
+        raise ValueError("need at least one client and at least one ball per client")
+    ball = ball_oracle(np.array([0.5]), 0.5)
     return ProblemSpec(
         dimension=1,
-        clients=clients,
+        clients=tuple((ball,) * size for size in sizes),
         outer=quad_anchor_oracle(np.array([2.0])),
         constraint=BoxConstraint.symmetric(1, 10.0),
         mu_H=1.0,

@@ -67,7 +67,6 @@ class RunRecord:
     prng: str = PRNG_ID
     test_accuracy: float | None = None
     config: dict | None = None
-    iterates: list[np.ndarray] | None = None
 
     @property
     def rounds(self) -> int:

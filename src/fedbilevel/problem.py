@@ -138,10 +138,6 @@ def make_schedule(gamma1: float, a: float, lambda1: float, b: float,
     return StepSchedule(float(gamma1), float(a), float(lambda1), float(b), feasible)
 
 
-def schedule_at(sched: StepSchedule, k: int) -> tuple[float, float]:
-    return sched.at(k)
-
-
 @dataclass(frozen=True)
 class BoundEstimates:
     """Sampled upper estimates of the inner subgradient-norm bound (Cf) and

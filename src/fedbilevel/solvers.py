@@ -11,17 +11,22 @@ bitwise when one client holds one function.
 Client passes within a round read only shared immutable inputs and are
 aggregated in ascending client index, so results are bitwise independent of
 the execution interleaving and of the thread count.
+
+``run_solver`` reports progress through one optional hook, ``observe``,
+called with the projected initial state and then with the state after every
+round; a client's local path is recovered by chaining ``client_local_pass``
+calls over one function at a time.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .federation import FISM, METHODS, CostModel, round_time_from_sizes, uniform_costs
+from .federation import FISM, METHODS, CostModel, round_time, uniform_costs
 from .metrics import RoundRow, RunRecord
 from .oracles import Oracle, project_box
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
@@ -48,16 +53,6 @@ class RoundState:
                    inner_evals=0, outer_evals=0)
 
 
-@dataclass
-class ClientResult:
-    """One client's returned iterate plus its simulated local cost; ``path``
-    holds the within-round local iterates when recording was requested."""
-
-    x_out: np.ndarray
-    local_cost_units: float
-    path: list[np.ndarray] | None = None
-
-
 def _local_step(x: np.ndarray, g: np.ndarray, outer_subgrad: np.ndarray,
                 gamma: float, coef: float, box: BoxConstraint) -> np.ndarray:
     # Shared by both methods so their single-function iterates agree bitwise.
@@ -66,14 +61,12 @@ def _local_step(x: np.ndarray, g: np.ndarray, outer_subgrad: np.ndarray,
 
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
                       gamma: float, lam: float, m_total: int,
-                      local_fns: Sequence[Oracle], box: BoxConstraint,
-                      costs: Sequence[float] | None = None,
-                      record_path: bool = False) -> ClientResult:
+                      local_fns: Sequence[Oracle], box: BoxConstraint) -> np.ndarray:
     """One client's in-round pass: an incremental projected subgradient step
     per local function, reusing the frozen outer subgradient throughout.
 
-    Performs exactly ``len(local_fns)`` inner subgradient evaluations and no
-    outer ones. ``costs`` overrides the default unit cost per local update.
+    Returns the client's final local iterate. Performs exactly
+    ``len(local_fns)`` inner subgradient evaluations and no outer ones.
     """
     if len(local_fns) == 0:
         raise ValueError("client holds no inner functions")
@@ -81,43 +74,33 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
         raise ValueError("outer subgradient dimension does not match the iterate")
     coef = gamma * lam / m_total
     x = x_start
-    path = [x] if record_path else None
     for fn in local_fns:
         x = _local_step(x, fn(x).subgrad, outer_subgrad, gamma, coef, box)
-        if record_path:
-            path.append(x)
-    cost = float(len(local_fns)) if costs is None else float(sum(costs))
-    return ClientResult(x_out=x, local_cost_units=cost, path=path)
+    return x
 
 
 def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec,
-               executor: ThreadPoolExecutor | None = None,
-               path_sink: list | None = None) -> RoundState:
+               executor: ThreadPoolExecutor | None = None) -> RoundState:
     """One federated round: freeze the outer subgradient at the current
     iterate, run every client's local pass on it, average the results in
     ascending client index.
 
     The weighted-average accumulators pick up the round's starting iterate
     before the update. Counters grow by (total inner functions, 1).
-    When ``path_sink`` is a list, the per-client local iterate paths of this
-    round are appended to it.
     """
     gamma, lam = sched.at(state.k)
     outer_subgrad = problem.outer(state.x).subgrad
     m = problem.n_inner
-    record = path_sink is not None
     args = [(state.x, outer_subgrad, gamma, lam, m, group, problem.constraint)
             for group in problem.clients]
     if executor is None:
-        results = [client_local_pass(*a, record_path=record) for a in args]
+        outs = [client_local_pass(*a) for a in args]
     else:
-        futures = [executor.submit(client_local_pass, *a, record_path=record) for a in args]
-        results = [f.result() for f in futures]
-    if record:
-        path_sink.append([r.path for r in results])
-    acc = results[0].x_out
-    for r in results[1:]:
-        acc = acc + r.x_out
+        futures = [executor.submit(client_local_pass, *a) for a in args]
+        outs = [f.result() for f in futures]
+    acc = outs[0]
+    for x_out in outs[1:]:
+        acc = acc + x_out
     x_next = acc / problem.n_clients
     return RoundState(
         x=x_next,
@@ -161,21 +144,23 @@ def weighted_average(state: RoundState) -> np.ndarray:
 def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
                        f_prev: float, f_next: float,
                        h_prev: float, h_next: float, tol: float) -> bool:
-    """Composite relative-change test with +1-shifted denominators.
+    """Composite relative-change test with denominators |previous| + 1.
 
-    Applied verbatim (no absolute values in the denominators); intended for
-    nonnegative objectives.
+    Fires when max(||dx|| / (||x_prev|| + 1), |dh| / (|h_prev| + 1),
+    |df| / (|f_prev| + 1)) <= tol. The absolute values keep every denominator
+    at least 1 for signed objectives; for nonnegative objectives they change
+    nothing.
     """
     rx = float(np.linalg.norm(x_next - x_prev)) / (float(np.linalg.norm(x_prev)) + 1.0)
-    rh = abs(h_next - h_prev) / (h_prev + 1.0)
-    rf = abs(f_next - f_prev) / (f_prev + 1.0)
+    rh = abs(h_next - h_prev) / (abs(h_prev) + 1.0)
+    rf = abs(f_next - f_prev) / (abs(f_prev) + 1.0)
     return max(rx, rh, rf) <= tol
 
 
 def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                x_init: np.ndarray, max_rounds: int, tol: float | None = None,
                seed: int = 0, costs: CostModel | None = None, threads: int = 1,
-               keep_iterates: bool = False) -> RunRecord:
+               observe: Callable[[RoundState], None] | None = None) -> RunRecord:
     """Drive rounds of the chosen method and record per-round metrics.
 
     Deterministic given its arguments (and bitwise independent of
@@ -183,18 +168,26 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     so every logged iterate is feasible. With ``tol`` set, the composite
     relative-change test is evaluated on the full inner/outer objectives
     after every round; otherwise the round budget alone stops the run.
+    ``costs`` must price exactly ``problem.client_sizes`` updates (default:
+    unit costs, no communication). ``observe``, when given, is called with
+    the projected initial state and then with the state after every round.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x0 = project_box(np.asarray(x_init, dtype=float), problem.constraint)
+    if costs is None:
+        costs = uniform_costs(problem.client_sizes)
+    if costs.sizes != problem.client_sizes:
+        raise ValueError(f"cost model prices client sizes {costs.sizes}, "
+                         f"problem has {problem.client_sizes}")
+    t_round = round_time(costs, method)
     state = RoundState.initial(x0)
-    cost_model = costs if costs is not None else uniform_costs(problem.client_sizes)
-    round_time = round_time_from_sizes(problem.client_sizes, cost_model, method)
+    if observe is not None:
+        observe(state)
     executor = ThreadPoolExecutor(max_workers=threads) if (threads > 1 and method == FISM) else None
     rows: list[RoundRow] = []
-    iterates: list[np.ndarray] | None = [x0] if keep_iterates else None
     m = problem.n_inner
     f_cur = problem.inner_objective(state.x)
     h_cur = problem.outer_objective(state.x)
@@ -212,7 +205,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
             f_next = problem.inner_objective(state.x)
             h_next = problem.outer_objective(state.x)
             f_avg = problem.inner_objective(weighted_average(state))
-            cum_time += round_time
+            cum_time += t_round
             rows.append(RoundRow(
                 k=prev.k,
                 inner_value=f_cur,
@@ -220,14 +213,14 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                 inner_value_avg_iterate=f_avg,
                 outer_value=h_cur,
                 step_norm=float(np.linalg.norm(state.x - prev.x)),
-                round_time_units=round_time,
+                round_time_units=t_round,
                 total_time_units=cum_time,
                 inner_subgrad_evals=state.inner_evals,
                 outer_subgrad_evals=state.outer_evals,
                 wall_clock_sec=wall,
             ))
-            if keep_iterates:
-                iterates.append(state.x)
+            if observe is not None:
+                observe(state)
             stop = tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
                                                           h_cur, h_next, tol)
             f_cur, h_cur = f_next, h_next
@@ -249,7 +242,6 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         final_inner_value=f_cur,
         final_outer_value=h_cur,
         stop_reason=stop_reason,
-        iterates=iterates,
     )
 
 

@@ -16,7 +16,7 @@ from fedbilevel import cli
 from fedbilevel.config import ExperimentConfig
 from fedbilevel.data import make_location_instance
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, CostModel, partition_data,
-                                   simulate_round_time, uniform_costs)
+                                   round_time, uniform_costs)
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.metrics import rate_diagnostic
 from fedbilevel.oracles import ball_oracle, quad_anchor_oracle
@@ -25,7 +25,8 @@ from fedbilevel.problem import (BoxConstraint, ProblemSpec, estimate_bounds,
 from fedbilevel.rng import make_rng
 from fedbilevel.selfcheck import (finite_difference_failures, projection_failures,
                                   subgradient_inequality_failures)
-from fedbilevel.solvers import RoundState, fism_round, reference_solve, run_solver
+from fedbilevel.solvers import (RoundState, client_local_pass, fism_round, reference_solve,
+                                run_solver)
 
 
 def _check(name: str, condition: bool, detail: str = ""):
@@ -42,10 +43,10 @@ def _sched_eps01(m: int):
 def test_c01_bilevel_correctness_1d():
     t0 = time.perf_counter()
     finals = {}
-    prob1 = selection_1d_problem(n_clients=1, balls_per_client=1)
+    prob1 = selection_1d_problem((1,))
     rec = run_solver(prob1, _sched_eps01(1), FISM, np.array([-8.0]), 20_000)
     finals["fism S=1"] = rec.final_x[0]
-    prob2 = selection_1d_problem(n_clients=2, balls_per_client=1)
+    prob2 = selection_1d_problem((1, 1))
     rec = run_solver(prob2, _sched_eps01(2), FISM, np.array([-8.0]), 20_000)
     finals["fism S=2"] = rec.final_x[0]
     rec = run_solver(prob1, _sched_eps01(1), IRIG, np.array([-8.0]), 20_000)
@@ -110,10 +111,11 @@ def test_c05_equivalence_oracle():
     prob = selection_1d_problem()
     sched = _sched_eps01(1)
     x0 = np.array([-8.0])
-    a = run_solver(prob, sched, FISM, x0, 100, keep_iterates=True)
-    b = run_solver(prob, sched, IRIG, x0, 100, keep_iterates=True)
-    same = (len(a.iterates) == len(b.iterates) == 101 and
-            all(x.tobytes() == y.tobytes() for x, y in zip(a.iterates, b.iterates)))
+    a, b = [], []
+    run_solver(prob, sched, FISM, x0, 100, observe=lambda s: a.append(s.x))
+    run_solver(prob, sched, IRIG, x0, 100, observe=lambda s: b.append(s.x))
+    same = (len(a) == len(b) == 101 and
+            all(x.tobytes() == y.tobytes() for x, y in zip(a, b)))
     _check("C5 equivalence oracle", same, "100 rounds bitwise identical at S=1, m=1")
 
 
@@ -127,28 +129,43 @@ def test_c06_drift_bound():
     violations = 0
     checked = 0
     worst = 0.0
+    chains_match = True
     for _ in range(10):
         gamma, lam = sched.at(state.k)
         unit = gamma * (bounds.Cf + lam * bounds.CH / 50) * 1.01
-        sink = []
-        new_state = fism_round(state, sched, prob, path_sink=sink)
-        for client_paths in sink:
-            for path in client_paths:
-                for t, x_t in enumerate(path):
-                    # path[t] is the local iterate after t steps (index t+1)
-                    drift = float(np.linalg.norm(x_t - state.x))
-                    allowed = (t + 1) * unit
-                    checked += 1
-                    worst = max(worst, drift / allowed)
-                    if drift > allowed:
-                        violations += 1
+        outer_subgrad = prob.outer(state.x).subgrad
+        new_state = fism_round(state, sched, prob)
+        ends = []
+        for group in prob.clients:
+            # the client's local path, one single-function pass at a time
+            path = [state.x]
+            for fn in group:
+                path.append(client_local_pass(path[-1], outer_subgrad, gamma, lam, 50,
+                                              (fn,), prob.constraint))
+            full = client_local_pass(state.x, outer_subgrad, gamma, lam, 50, group,
+                                     prob.constraint)
+            chains_match = chains_match and path[-1].tobytes() == full.tobytes()
+            ends.append(path[-1])
+            for t, x_t in enumerate(path):
+                # path[t] is the local iterate after t steps (index t+1)
+                drift = float(np.linalg.norm(x_t - state.x))
+                allowed = (t + 1) * unit
+                checked += 1
+                worst = max(worst, drift / allowed)
+                if drift > allowed:
+                    violations += 1
+        acc = ends[0]
+        for x_end in ends[1:]:
+            acc = acc + x_end
+        chains_match = chains_match and (acc / len(ends)).tobytes() == new_state.x.tobytes()
         state = new_state
-    _check("C6 drift bound", violations == 0,
-           f"{checked} local iterates checked, worst drift/bound = {worst:.3f}")
+    _check("C6 drift bound", violations == 0 and chains_match,
+           f"{checked} local iterates checked, worst drift/bound = {worst:.3f}, "
+           f"chained paths reproduce the round bitwise: {chains_match}")
 
 
 def test_c07_subgradient_counts():
-    prob = selection_1d_problem(n_clients=4, balls_per_client=6)  # m = 24
+    prob = selection_1d_problem((6, 6, 6, 6))  # m = 24
     sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=24)
     fism = run_solver(prob, sched, FISM, np.array([3.0]), 200)
     irig = run_solver(prob, sched, IRIG, np.array([3.0]), 200)
@@ -167,9 +184,9 @@ def test_c08_timing_model():
     times = {}
     for s, want in expected.items():
         part = partition_data(500, s, CONTIGUOUS)
-        times[s] = simulate_round_time(part, uniform_costs(part.sizes), FISM)
+        times[s] = round_time(uniform_costs(part.sizes), FISM)
     part1 = partition_data(500, 1, CONTIGUOUS)
-    equal_at_one = simulate_round_time(part1, uniform_costs(part1.sizes), IRIG) == times[1]
+    equal_at_one = round_time(uniform_costs(part1.sizes), IRIG) == times[1]
 
     rng = make_rng(41)
     eps = 0.7
@@ -178,15 +195,17 @@ def test_c08_timing_model():
         m = int(rng.integers(4, 60))
         s = int(rng.integers(1, m + 1))
         part = partition_data(m, s, CONTIGUOUS)
-        slow = {}
-        fast = {}
-        for i, size in enumerate(part.sizes):
-            for j in range(size):
+        slow = []
+        fast = []
+        for size in part.sizes:
+            fast.append([])
+            slow.append([])
+            for _ in range(size):
                 base = float(rng.uniform(0.2, 2.0))
-                fast[(i, j)] = base
-                slow[(i, j)] = base + float(rng.uniform(0.0, 1.5))
-        t_fism = simulate_round_time(part, CostModel(fast, {i: eps for i in range(s)}), FISM)
-        t_irig = simulate_round_time(part, CostModel(slow, {i: 0.0 for i in range(s)}), IRIG)
+                fast[-1].append(base)
+                slow[-1].append(base + float(rng.uniform(0.0, 1.5)))
+        t_fism = round_time(CostModel(tuple(fast), [eps] * s), FISM)
+        t_irig = round_time(CostModel(tuple(slow), [0.0] * s), IRIG)
         if t_fism > t_irig + eps + 1e-12:
             bound_ok = False
     ok = times == expected and equal_at_one and bound_ok

@@ -1,8 +1,8 @@
+import numpy as np
 import pytest
 
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, CostModel,
-                                   partition_data, round_time_from_sizes,
-                                   simulate_round_time, uniform_costs)
+                                   partition_data, round_time, uniform_costs)
 from fedbilevel.rng import make_rng
 
 
@@ -52,40 +52,48 @@ class TestPartitionData:
 class TestCostModel:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            CostModel({(0, 0): -1.0}, {0: 0.0})
+            CostModel((np.array([1.0, -1.0]),), np.array([0.0]))
         with pytest.raises(ValueError):
-            CostModel({(0, 0): 1.0}, {0: -0.5})
+            CostModel((np.array([1.0]),), np.array([-0.5]))
+
+    def test_sizes_are_array_lengths(self):
+        costs = uniform_costs((3, 1, 2), per_update=0.5, comm=2.0)
+        assert costs.sizes == (3, 1, 2)
+        assert all(np.array_equal(c, [0.5] * n) for c, n in zip(costs.per_update, (3, 1, 2)))
+        assert np.array_equal(costs.comm, [2.0, 2.0, 2.0])
 
 
 class TestSimulateRoundTime:
     def test_uniform_balanced(self):
-        part = partition_data(8, 4, CONTIGUOUS)
-        costs = uniform_costs(part.sizes)
-        assert simulate_round_time(part, costs, FISM) == 2.0
-        assert simulate_round_time(part, costs, IRIG) == 8.0
+        costs = uniform_costs(partition_data(8, 4, CONTIGUOUS).sizes)
+        assert round_time(costs, FISM) == 2.0
+        assert round_time(costs, IRIG) == 8.0
 
     def test_single_client_degeneracy(self):
-        part = partition_data(8, 1, CONTIGUOUS)
-        costs = uniform_costs(part.sizes)
-        assert simulate_round_time(part, costs, FISM) == simulate_round_time(part, costs, IRIG) == 8.0
+        costs = uniform_costs(partition_data(8, 1, CONTIGUOUS).sizes)
+        assert round_time(costs, FISM) == round_time(costs, IRIG) == 8.0
 
     def test_comm_term_additive(self):
-        part = partition_data(8, 4, CONTIGUOUS)
-        costs = uniform_costs(part.sizes, comm=3.0)
-        assert simulate_round_time(part, costs, FISM) == 5.0
+        costs = uniform_costs(partition_data(8, 4, CONTIGUOUS).sizes, comm=3.0)
+        assert round_time(costs, FISM) == 5.0
 
     def test_missing_entry(self):
-        part = partition_data(4, 2, CONTIGUOUS)
-        costs = CostModel({(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0}, {0: 0.0, 1: 0.0})
+        # a client without a link cost, and a link cost without a client
         with pytest.raises(ValueError):
-            simulate_round_time(part, costs, IRIG)
+            CostModel((np.ones(2), np.ones(2)), np.zeros(1))
         with pytest.raises(ValueError):
-            round_time_from_sizes((2, 2), uniform_costs((2,)), FISM)
+            CostModel((np.ones(2),), np.zeros(2))
 
     def test_unknown_method(self):
-        part = partition_data(4, 2, CONTIGUOUS)
         with pytest.raises(ValueError):
-            simulate_round_time(part, uniform_costs(part.sizes), "sgd")
+            round_time(uniform_costs((2, 2)), "sgd")
+
+    def test_left_to_right_summation(self):
+        # 0.1 + 0.1 + ... (ten terms, left to right) = 0.9999999999999999;
+        # pairwise or compensated summation would give 1.0
+        costs = uniform_costs((10,), per_update=0.1)
+        assert round_time(costs, IRIG) == 0.9999999999999999
+        assert round_time(costs, FISM) == 0.9999999999999999
 
     def test_federated_bounded_by_sequential(self):
         # with slower sequential per-update costs t >= s, the federated round
@@ -95,23 +103,24 @@ class TestSimulateRoundTime:
             m = int(rng.integers(2, 40))
             n_clients = int(rng.integers(1, m + 1))
             part = partition_data(m, n_clients, CONTIGUOUS)
-            s = {}
-            t = {}
-            for i, size in enumerate(part.sizes):
-                for j in range(size):
+            s = []
+            t = []
+            for size in part.sizes:
+                s.append([])
+                t.append([])
+                for _ in range(size):
                     base = float(rng.uniform(0.1, 2.0))
-                    s[(i, j)] = base
-                    t[(i, j)] = base + float(rng.uniform(0.0, 1.0))
-            eps = {i: float(rng.uniform(0.0, 2.0)) for i in range(n_clients)}
-            fism_time = simulate_round_time(part, CostModel(s, eps), FISM)
-            irig_time = simulate_round_time(part, CostModel(t, {i: 0.0 for i in eps}), IRIG)
-            assert fism_time <= irig_time + max(eps.values()) + 1e-12
+                    s[-1].append(base)
+                    t[-1].append(base + float(rng.uniform(0.0, 1.0)))
+            eps = [float(rng.uniform(0.0, 2.0)) for _ in range(n_clients)]
+            fism_time = round_time(CostModel(tuple(s), eps), FISM)
+            irig_time = round_time(CostModel(tuple(t), [0.0] * n_clients), IRIG)
+            assert fism_time <= irig_time + max(eps) + 1e-12
 
     def test_uniform_speedup_ratio(self):
         # equal costs, zero comm, balanced: T_fism = ceil(m / S) / m * T_irig
         for m, n_clients in [(500, 1), (500, 2), (500, 4), (500, 8), (10, 3)]:
-            part = partition_data(m, n_clients, CONTIGUOUS)
-            costs = uniform_costs(part.sizes)
-            fism_time = simulate_round_time(part, costs, FISM)
-            irig_time = simulate_round_time(part, costs, IRIG)
+            costs = uniform_costs(partition_data(m, n_clients, CONTIGUOUS).sizes)
+            fism_time = round_time(costs, FISM)
+            irig_time = round_time(costs, IRIG)
             assert fism_time == pytest.approx(-(-m // n_clients) / m * irig_time)

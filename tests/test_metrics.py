@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedbilevel.data import LabeledDataset, make_synthetic_logistic
-from fedbilevel.federation import uniform_costs, round_time_from_sizes
+from fedbilevel.federation import round_time, uniform_costs
 from fedbilevel.instances import selection_1d_problem
 from fedbilevel.metrics import (RateDiagnosticUnavailable, RoundRow, RunRecord, accuracy,
                                 rate_diagnostic, write_rows_csv, write_rows_jsonl,
@@ -74,7 +74,7 @@ class TestRecordOutputs:
 
     def test_cumulative_time_matches_round_model(self):
         rec = self._record()
-        per_round = round_time_from_sizes((1,), uniform_costs((1,)), "fism")
+        per_round = round_time(uniform_costs((1,)), "fism")
         for i, row in enumerate(rec.rows, start=1):
             assert row.round_time_units == per_round
             assert row.total_time_units == pytest.approx(i * per_round)

@@ -5,7 +5,7 @@ from fedbilevel.federation import CONTIGUOUS, partition_data
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.data import make_location_instance
 from fedbilevel.problem import (BoundEstimates, BoxConstraint, ProblemSpec,
-                                estimate_bounds, make_schedule, schedule_at)
+                                estimate_bounds, make_schedule)
 from fedbilevel.rng import make_rng
 
 
@@ -28,10 +28,15 @@ class TestBoxConstraint:
 
 class TestProblemSpec:
     def test_counts(self):
-        prob = selection_1d_problem(n_clients=2, balls_per_client=3)
+        prob = selection_1d_problem((3, 3))
         assert prob.n_clients == 2
         assert prob.n_inner == 6
         assert prob.client_sizes == (3, 3)
+
+    def test_selection_sizes_validated(self):
+        for sizes in [(), (2, 0)]:
+            with pytest.raises(ValueError):
+                selection_1d_problem(sizes)
 
     def test_rejects_empty_client(self):
         base = selection_1d_problem()
@@ -46,7 +51,7 @@ class TestProblemSpec:
                         constraint=base.constraint, mu_H=0.0)
 
     def test_objectives(self):
-        prob = selection_1d_problem(balls_per_client=2)
+        prob = selection_1d_problem((2,))
         x = np.array([3.0])
         assert prob.inner_objective(x) == pytest.approx(2 * 2.0)  # two copies of dist
         assert prob.outer_objective(x) == pytest.approx(0.5)
@@ -76,22 +81,22 @@ class TestMakeSchedule:
 class TestScheduleAt:
     def test_first_round(self):
         sched = make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=11000)
-        assert schedule_at(sched, 1) == (10.0, 1.0)
+        assert sched.at(1) == (10.0, 1.0)
 
     def test_k32(self):
         sched = make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=11000)
-        gamma, lam = schedule_at(sched, 32)
+        gamma, lam = sched.at(32)
         assert gamma == pytest.approx(0.625, abs=1e-12)
         assert lam == pytest.approx(2 ** -0.5, abs=1e-12)
 
     def test_constant(self):
         sched = make_schedule(1, 0, 1, 0, mu_H=1, m=1)
-        assert schedule_at(sched, 999) == (1.0, 1.0)
+        assert sched.at(999) == (1.0, 1.0)
 
     def test_rejects_zero_round(self):
         sched = make_schedule(1, 0, 1, 0, mu_H=1, m=1)
         with pytest.raises(ValueError):
-            schedule_at(sched, 0)
+            sched.at(0)
 
     def test_monotone_nonincreasing(self):
         rng = make_rng(17)

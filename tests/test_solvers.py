@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, counting,
                      grid_min_selection_composite, zero_oracle)
 
 from fedbilevel.data import make_location_instance
-from fedbilevel.federation import CONTIGUOUS, partition_data
+from fedbilevel.federation import CONTIGUOUS, FISM, IRIG, partition_data, uniform_costs
 from fedbilevel.instances import location_problem, selection_1d_problem
-from fedbilevel.oracles import quad_anchor_oracle
+from fedbilevel.oracles import ball_oracle, quad_anchor_oracle
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
 from fedbilevel.solvers import (RoundState, client_local_pass, fism_round, irig_round,
                                 reference_solve, run_solver, stopping_criterion,
@@ -18,27 +20,32 @@ def _schedule_1d():
     return make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=1)
 
 
+def _observed_iterates(*args, **kwargs):
+    xs = []
+    run_solver(*args, observe=lambda state: xs.append(state.x), **kwargs)
+    return xs
+
+
 class TestClientLocalPass:
     def test_single_step_hand_computed(self):
         # P[1 - 0.5*1 - (0.5*1/1)*1] = P[0] = 0 on the box [-1, 1]
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.5, lam=1.0,
                                 m_total=1, local_fns=[abs_oracle()], box=box)
-        assert np.array_equal(res.x_out, [0.0])
-        assert res.local_cost_units == 1.0
+        assert np.array_equal(res, [0.0])
 
     def test_zero_stepsize_is_identity(self):
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.0, lam=1.0,
                                 m_total=1, local_fns=[abs_oracle()], box=box)
-        assert np.array_equal(res.x_out, [1.0])
+        assert np.array_equal(res, [1.0])
 
     def test_only_frozen_term_acts(self):
         # two zero inner functions: 1 - 2 * (0.25 * 1 / 2) * 1 = 0.75
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.25, lam=1.0,
                                 m_total=2, local_fns=[zero_oracle(), zero_oracle()], box=box)
-        assert res.x_out == pytest.approx([0.75], abs=1e-15)
+        assert res == pytest.approx([0.75], abs=1e-15)
 
     def test_rejects_empty_client(self):
         box = BoxConstraint.symmetric(1, 1.0)
@@ -59,21 +66,6 @@ class TestClientLocalPass:
                           m_total=3, local_fns=[fn, fn, fn], box=box)
         assert calls["n"] == 3
 
-    def test_recorded_path(self):
-        box = BoxConstraint.symmetric(1, 1.0)
-        res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.25, lam=1.0,
-                                m_total=2, local_fns=[zero_oracle(), zero_oracle()],
-                                box=box, record_path=True)
-        assert len(res.path) == 3
-        assert np.array_equal(res.path[0], [1.0])
-        assert np.array_equal(res.path[-1], res.x_out)
-
-    def test_custom_costs(self):
-        box = BoxConstraint.symmetric(1, 1.0)
-        res = client_local_pass(np.array([0.0]), np.array([0.0]), gamma=0.1, lam=1.0,
-                                m_total=2, local_fns=[zero_oracle(), zero_oracle()],
-                                box=box, costs=[2.0, 3.5])
-        assert res.local_cost_units == 5.5
 
 
 class TestFismRound:
@@ -85,22 +77,22 @@ class TestFismRound:
         gamma, lam = sched.at(1)
         direct = client_local_pass(x0, prob.outer(x0).subgrad, gamma, lam, 1,
                                    prob.clients[0], prob.constraint)
-        assert np.array_equal(state.x, direct.x_out)
+        assert np.array_equal(state.x, direct)
         assert state.k == 2
         assert (state.inner_evals, state.outer_evals) == (1, 1)
 
     def test_identical_clients_average_to_member(self):
-        prob = selection_1d_problem(n_clients=2, balls_per_client=1)
+        prob = selection_1d_problem((1, 1))
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=2)
         x0 = np.array([4.0])
         state = fism_round(RoundState.initial(x0), sched, prob)
         gamma, lam = sched.at(1)
         direct = client_local_pass(x0, prob.outer(x0).subgrad, gamma, lam, 2,
                                    prob.clients[0], prob.constraint)
-        assert state.x == pytest.approx(direct.x_out, abs=1e-15)
+        assert state.x == pytest.approx(direct, abs=1e-15)
 
     def test_frozen_outer_subgradient_once_per_round(self):
-        base = selection_1d_problem(n_clients=2, balls_per_client=2)
+        base = selection_1d_problem((2, 2))
         outer, outer_calls = counting(base.outer)
         wrapped_clients = []
         inner_counters = []
@@ -143,14 +135,14 @@ class TestIrigRound:
         assert (b.inner_evals, b.outer_evals) == (1, 1)
 
     def test_zero_stepsize_is_identity(self):
-        prob = selection_1d_problem(balls_per_client=3)
+        prob = selection_1d_problem((3,))
         sched = StepSchedule(gamma1=0.0, a=0.0, lambda1=1.0, b=0.0)  # degenerate, test-only
         x0 = np.array([4.0])
         state = irig_round(RoundState.initial(x0), sched, prob)
         assert np.array_equal(state.x, x0)
 
     def test_global_order_and_counts(self):
-        prob = selection_1d_problem(n_clients=2, balls_per_client=2)
+        prob = selection_1d_problem((2, 2))
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
         state = irig_round(RoundState.initial(np.array([3.0])), sched, prob)
         assert (state.inner_evals, state.outer_evals) == (4, 4)
@@ -194,6 +186,27 @@ class TestStoppingCriterion:
         # crafted so each ratio is ~1e-6
         assert stopping_criterion(x, y, 1.0, 1.0 + 2e-6, 1.0, 1.0 + 2e-6, tol=1e-5)
 
+    def test_outer_value_minus_one(self):
+        # |h| + 1 = 2, so the h-ratio is |-1 + 1e-5 - (-1)| / 2 = 5e-6 <= 1e-5,
+        # while a shift of 3e-5 gives 1.5e-5 > 1e-5 (h + 1 = 0 would divide by zero)
+        x = np.array([1.0])
+        assert stopping_criterion(x, x, 1.0, 1.0, -1.0, -1.0 + 1e-5, tol=1e-5)
+        assert not stopping_criterion(x, x, 1.0, 1.0, -1.0, -1.0 + 3e-5, tol=1e-5)
+
+    def test_outer_value_minus_three(self):
+        # |5 - (-3)| / (|-3| + 1) = 8 / 4 = 2 > 1e-5 (h + 1 = -2 made it -4 and passed)
+        x = np.array([1.0])
+        assert not stopping_criterion(x, x, 1.0, 1.0, -3.0, 5.0, tol=1e-5)
+        # |-3 + 2e-5 - (-3)| / 4 = 5e-6 <= 1e-5
+        assert stopping_criterion(x, x, 1.0, 1.0, -3.0, -3.0 + 2e-5, tol=1e-5)
+
+    def test_negative_inner_value(self):
+        # |f| + 1 = 4 at f = -3: the ratio 8 / 4 = 2 keeps the test from firing
+        x = np.array([1.0])
+        assert not stopping_criterion(x, x, -3.0, 5.0, 1.0, 1.0, tol=1e-5)
+        assert not stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.4)  # 1 / 2 = 0.5
+        assert stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.5)
+
 
 class TestRunSolver:
     def test_single_round_logged(self):
@@ -214,27 +227,30 @@ class TestRunSolver:
         prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=4))
         sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12)
         x0 = np.array([1.0, -2.0, 3.0])
-        a = run_solver(prob, sched, "fism", x0, 50, seed=1, keep_iterates=True)
-        b = run_solver(prob, sched, "fism", x0, 50, seed=1, keep_iterates=True)
-        assert a.final_x.tobytes() == b.final_x.tobytes()
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.iterates, b.iterates))
-        assert [r.inner_value for r in a.rows] == [r.inner_value for r in b.rows]
+        a = _observed_iterates(prob, sched, "fism", x0, 50, seed=1)
+        b = _observed_iterates(prob, sched, "fism", x0, 50, seed=1)
+        assert len(a) == len(b) == 51
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        rows_a = run_solver(prob, sched, "fism", x0, 50, seed=1).rows
+        rows_b = run_solver(prob, sched, "fism", x0, 50, seed=1).rows
+        assert [r.inner_value for r in rows_a] == [r.inner_value for r in rows_b]
 
     def test_iterates_feasible_from_round_two(self):
         inst = make_location_instance(3, 9, seed=6)
         prob = location_problem(inst, partition_data(9, 3, CONTIGUOUS))
         sched = make_schedule(5, 0.6, 1, 0.2, mu_H=1, m=9)
-        rec = run_solver(prob, sched, "fism", np.array([40.0, -40.0, 0.0]), 30,
-                         keep_iterates=True)
-        for x in rec.iterates:  # includes the projected initial point
+        xs = _observed_iterates(prob, sched, "fism", np.array([40.0, -40.0, 0.0]), 30)
+        assert len(xs) == 31
+        for x in xs:  # includes the projected initial point
             assert prob.constraint.contains(x)
 
     def test_average_recurrence(self):
         prob = selection_1d_problem()
         sched = _schedule_1d()
-        rec = run_solver(prob, sched, "fism", np.array([4.0]), 200, keep_iterates=True)
+        states = []
+        rec = run_solver(prob, sched, "fism", np.array([4.0]), 200, observe=states.append)
         gammas = np.array([sched.at(k)[0] for k in range(1, rec.rounds + 1)])
-        xs = np.array([x[0] for x in rec.iterates[:-1]])  # starting iterates x_1..x_K
+        xs = np.array([s.x[0] for s in states[:-1]])  # starting iterates x_1..x_K
         direct = float(np.sum(gammas * xs) / np.sum(gammas))
         assert rec.final_avg_x[0] == pytest.approx(direct, rel=1e-12)
 
@@ -246,7 +262,7 @@ class TestRunSolver:
         assert rec.rounds < 100_000
 
     def test_counter_accounting(self):
-        prob = selection_1d_problem(n_clients=2, balls_per_client=3)  # m = 6
+        prob = selection_1d_problem((3, 3))  # m = 6
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=6)
         fism = run_solver(prob, sched, "fism", np.array([2.0]), 40)
         irig = run_solver(prob, sched, "irig", np.array([2.0]), 40)
@@ -261,6 +277,45 @@ class TestRunSolver:
             run_solver(prob, _schedule_1d(), "fism", np.array([0.0]), 0)
         with pytest.raises(ValueError):
             run_solver(prob, _schedule_1d(), "sgd", np.array([0.0]), 1)
+
+    def test_observe_sees_initial_state_and_every_round(self):
+        prob = selection_1d_problem()
+        states = []
+        rec = run_solver(prob, _schedule_1d(), "irig", np.array([40.0]), 5,
+                         observe=states.append)
+        assert [s.k for s in states] == [1, 2, 3, 4, 5, 6]
+        assert np.array_equal(states[0].x, [10.0])  # projected onto the box
+        assert states[-1].x.tobytes() == rec.final_x.tobytes()
+
+    def test_rejects_costs_for_other_client_sizes(self):
+        prob = selection_1d_problem((2, 2))
+        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
+        for sizes in [(2,), (2, 1), (2, 2, 1)]:
+            with pytest.raises(ValueError):
+                run_solver(prob, sched, "fism", np.array([0.0]), 1,
+                           costs=uniform_costs(sizes))
+
+
+class TestEquivalenceProperty:
+    """C5 on random instances: at S = m = 1 the two methods coincide bitwise."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]),
+           gamma1=st.floats(0.05, 5.0), a=st.floats(0.0, 1.0),
+           lambda1=st.floats(0.05, 5.0), b=st.floats(0.0, 1.0))
+    def test_fism_equals_irig_at_one_function(self, data, dim, gamma1, a, lambda1, b):
+        coord = st.floats(-12.0, 12.0)
+        vec = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
+        center, anchor, x0 = data.draw(vec), data.draw(vec), data.draw(vec)
+        radius = data.draw(st.floats(0.1, 5.0))
+        prob = ProblemSpec(dimension=dim, clients=((ball_oracle(center, radius),),),
+                           outer=quad_anchor_oracle(anchor),
+                           constraint=BoxConstraint.symmetric(dim, 10.0), mu_H=1.0)
+        sched = StepSchedule(gamma1, a, lambda1, b)
+        fism = _observed_iterates(prob, sched, FISM, x0, 50)
+        irig = _observed_iterates(prob, sched, IRIG, x0, 50)
+        assert len(fism) == len(irig) == 51
+        assert [x.tobytes() for x in fism] == [x.tobytes() for x in irig]
 
 
 class TestReferenceSolve:
