@@ -14,9 +14,10 @@ from .federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, ClientPartition, Cost
 from .instances import location_problem, logistic_problem, selection_1d_problem
 from .metrics import (RateDiagnosticUnavailable, RoundRow, RunRecord, accuracy,
                       rate_diagnostic, write_rows_csv, write_rows_jsonl, write_run_json)
-from .oracles import (EvalResult, Oracle, ball_dist_eval, ball_oracle, l1_quad_oracle,
-                      logistic_eval, logistic_oracle, outer_l1_quad_eval,
-                      outer_quad_anchor_eval, project_box, quad_anchor_oracle)
+from .oracles import (BallDistances, EvalResult, InnerFamily, L1Quad, LogisticLosses,
+                      Oracle, OracleFamily, OracleObjective, OuterObjective, QuadAnchor,
+                      ball_dist_eval, logistic_eval, outer_l1_quad_eval,
+                      outer_quad_anchor_eval, project_box)
 from .problem import (BoundEstimates, BoxConstraint, ProblemSpec, StepSchedule,
                       estimate_bounds, make_schedule)
 from .rng import PRNG_ID, make_rng
@@ -26,17 +27,18 @@ from .solvers import (RoundState, client_local_pass, fism_round, irig_round,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundEstimates", "BoxConstraint", "ClientPartition", "CostModel", "CONTIGUOUS",
-    "DigitDataset", "EvalResult", "FISM", "FormatError", "IRIG", "LabeledDataset",
-    "LocationInstance", "Oracle", "PRNG_ID", "ProblemSpec",
-    "RateDiagnosticUnavailable", "RoundRow", "RoundState", "RunRecord", "SHUFFLED",
-    "StepSchedule", "accuracy", "ball_dist_eval", "ball_oracle",
+    "BallDistances", "BoundEstimates", "BoxConstraint", "ClientPartition", "CostModel",
+    "CONTIGUOUS", "DigitDataset", "EvalResult", "FISM", "FormatError", "IRIG",
+    "InnerFamily", "L1Quad", "LabeledDataset", "LocationInstance", "LogisticLosses",
+    "Oracle", "OracleFamily", "OracleObjective", "OuterObjective", "PRNG_ID",
+    "ProblemSpec", "QuadAnchor", "RateDiagnosticUnavailable", "RoundRow", "RoundState",
+    "RunRecord", "SHUFFLED", "StepSchedule", "accuracy", "ball_dist_eval",
     "client_local_pass", "estimate_bounds", "filter_binary", "fism_round",
-    "irig_round", "l1_quad_oracle", "load_digit_images", "location_problem",
-    "logistic_eval", "logistic_oracle", "logistic_problem",
+    "irig_round", "load_digit_images", "location_problem",
+    "logistic_eval", "logistic_problem",
     "make_location_instance", "make_rng", "make_schedule",
     "make_synthetic_logistic", "outer_l1_quad_eval", "outer_quad_anchor_eval",
-    "partition_data", "project_box", "quad_anchor_oracle", "rate_diagnostic",
+    "partition_data", "project_box", "rate_diagnostic",
     "read_csv_dataset", "read_idx", "reference_solve", "round_time", "run_solver",
     "selection_1d_problem", "stopping_criterion", "uniform_costs",
     "weighted_average", "write_idx", "write_rows_csv", "write_rows_jsonl",

@@ -8,9 +8,10 @@ Subcommands:
   inspect <file>    print a saved run summary
 
 Every run writes a JSON summary and a JSONL stream of per-round rows
-(optionally a CSV of the same rows) into the output directory. Exit codes:
-0 all runs complete, 1 partial run failures, 2 invalid configuration,
-3 data errors.
+(optionally a CSV of the same rows) into the output directory; a run that
+stops on a non-finite objective value writes its files too and counts as a
+failure. Exit codes: 0 all runs complete, 1 partial run failures, 2 invalid
+configuration, 3 data errors.
 """
 from __future__ import annotations
 
@@ -129,6 +130,9 @@ def execute(cfg: ExperimentConfig, grid: bool, threads: int = 1,
                 progress(f"{run_id}: {record.rounds} rounds, stop={record.stop_reason}, "
                          f"final inner={record.final_inner_value:.6g}, "
                          f"outer={record.final_outer_value:.6g}")
+                if record.stop_reason == "non-finite":
+                    failures.append((run_id, f"non-finite objective value in round "
+                                             f"{record.rounds}"))
     return records, failures
 
 

@@ -28,6 +28,10 @@ _PROBLEM_PRESET = {
     "logistic-mnist": "classification",
 }
 
+# Problems whose inner-function count is the ``m`` key; logistic-mnist takes
+# it from the data, so its client counts are checked per run.
+_M_FROM_CONFIG = ("selection-1d", "location", "logistic-synthetic")
+
 _PROBLEM_DEFAULTS = {
     # problem: (n, m, max_rounds, tol)
     "selection-1d": (1, 1, 20_000, None),
@@ -190,6 +194,9 @@ class ExperimentConfig:
             raise ConfigError("s_values must be positive integers", key="s_values")
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be positive", key="n")
+        if self.problem in _M_FROM_CONFIG and max(self.s_values) > self.m:
+            raise ConfigError(f"s_values must not exceed m = {self.m} (each client needs "
+                              f"at least one inner function)", key="s_values")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1", key="repeats")
         if self.max_rounds < 1:

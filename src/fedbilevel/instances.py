@@ -1,4 +1,8 @@
-"""Ready-made problem builders for the shipped experiment families."""
+"""Ready-made problem builders for the shipped experiment families.
+
+Each builder wraps the instance's arrays in one inner family (no per-sample
+objects) and takes the clients' index tuples from the partition.
+"""
 from __future__ import annotations
 
 from typing import Sequence
@@ -7,8 +11,8 @@ import numpy as np
 
 from .data import LabeledDataset, LocationInstance
 from .federation import ClientPartition
-from .oracles import ball_oracle, l1_quad_oracle, logistic_oracle, quad_anchor_oracle
-from .problem import BoxConstraint, ProblemSpec
+from .oracles import BallDistances, L1Quad, LogisticLosses, QuadAnchor
+from .problem import BoxConstraint, ProblemSpec, contiguous_clients
 
 
 def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
@@ -21,35 +25,26 @@ def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
     """
     if len(sizes) < 1 or min(sizes) < 1:
         raise ValueError("need at least one client and at least one ball per client")
-    ball = ball_oracle(np.array([0.5]), 0.5)
+    m = sum(sizes)
     return ProblemSpec(
         dimension=1,
-        clients=tuple((ball,) * size for size in sizes),
-        outer=quad_anchor_oracle(np.array([2.0])),
+        inner=BallDistances(np.full((m, 1), 0.5), np.full(m, 0.5)),
+        outer=QuadAnchor(np.array([2.0])),
+        clients=contiguous_clients(sizes),
         constraint=BoxConstraint.symmetric(1, 10.0),
         mu_H=1.0,
         name="selection-1d",
     )
 
 
-def _check_partition(partition: ClientPartition, pool_size: int) -> None:
-    used = [g for group in partition.assignments for g in group]
-    if used and (min(used) < 0 or max(used) >= pool_size):
-        raise ValueError("partition indexes outside the data pool")
-
-
 def location_problem(instance: LocationInstance, partition: ClientPartition) -> ProblemSpec:
     """Sum-of-ball-distances inner objective with an anchored quadratic
     selector, grouped by the given partition."""
-    _check_partition(partition, instance.centers.shape[0])
-    clients = tuple(
-        tuple(ball_oracle(instance.centers[g], float(instance.radii[g])) for g in group)
-        for group in partition.assignments
-    )
     return ProblemSpec(
         dimension=instance.centers.shape[1],
-        clients=clients,
-        outer=quad_anchor_oracle(instance.anchor),
+        inner=BallDistances(instance.centers, instance.radii),
+        outer=QuadAnchor(instance.anchor),
+        clients=partition.assignments,
         constraint=instance.box,
         mu_H=1.0,
         name="location",
@@ -60,16 +55,12 @@ def logistic_problem(ds: LabeledDataset, partition: ClientPartition,
                      half_width: float = 100.0) -> ProblemSpec:
     """Per-sample logistic losses with the sparsity-plus-norm selector on
     the box [-half_width, half_width]^n."""
-    _check_partition(partition, len(ds))
-    clients = tuple(
-        tuple(logistic_oracle(ds.features[g], int(ds.labels[g])) for g in group)
-        for group in partition.assignments
-    )
     n = ds.features.shape[1]
     return ProblemSpec(
         dimension=n,
-        clients=clients,
-        outer=l1_quad_oracle(),
+        inner=LogisticLosses(ds.features, ds.labels),
+        outer=L1Quad(),
+        clients=partition.assignments,
         constraint=BoxConstraint.symmetric(n, half_width),
         mu_H=1.0,
         name=ds.name or "logistic",

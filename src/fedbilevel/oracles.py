@@ -1,19 +1,30 @@
-"""Value/subgradient oracles for the shipped objectives, plus box projection.
+"""Inner families, outer objectives, reference oracles and box projection.
 
-Every oracle maps a query point to an :class:`EvalResult` holding the
-objective value and one valid subgradient. At nondifferentiable points the
-minimum-norm subgradient is returned (sign(0) = 0 for the L1 term, the zero
-vector inside closed balls), which keeps norm bounds small and updates
-stable. Custom objectives plug into the solvers through the same
-``x -> EvalResult`` callable interface.
+The inner objective is a *family* of m convex per-sample functions. A family
+answers two questions: ``subgrad(i, x)``, one subgradient of sample i (all
+the solvers' step kernel needs), and ``values(X)``, the inner totals at every
+row of a (k, n) stack of points in one vectorized call (all the per-round
+metrics need). The built-in families hold the problem arrays:
+:class:`LogisticLosses` (features and labels) and :class:`BallDistances`
+(centers and radii). :class:`OracleFamily` adapts custom ``x -> EvalResult``
+closures.
 
-All oracles are pure functions of their inputs and safe to call from
-concurrent client passes.
+Outer objectives expose ``value(x)`` and ``subgrad(x)``: :class:`L1Quad`,
+:class:`QuadAnchor`, and the :class:`OracleObjective` adapter.
+
+The ``*_eval`` functions compute the value and subgradient of one sample
+from its data. They are the reference the families are checked against
+bitwise, and the oracles the self-check suite probes.
+
+At nondifferentiable points the minimum-norm subgradient is returned
+(sign(0) = 0 for the L1 term, the zero vector inside closed balls), which
+keeps norm bounds small and updates stable. Every method is a pure function
+of its inputs and safe to call from concurrent client passes.
 """
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -29,11 +40,29 @@ class EvalResult(NamedTuple):
 Oracle = Callable[[np.ndarray], EvalResult]
 
 
+class InnerFamily(Protocol):
+    """m per-sample inner functions, indexed 0..m-1."""
+
+    def __len__(self) -> int: ...
+
+    def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
+        """One subgradient of sample i at x."""
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """The k inner totals (sums over all m samples) at the rows of X."""
+
+
+class OuterObjective(Protocol):
+    def value(self, x: np.ndarray) -> float: ...
+
+    def subgrad(self, x: np.ndarray) -> np.ndarray: ...
+
+
 def project_box(x: np.ndarray, box: "BoxConstraint") -> np.ndarray:
-    """Componentwise clamp of ``x`` onto ``[box.lo, box.hi]``."""
+    """Componentwise clamp of ``x`` onto ``[box.lo, box.hi]``; NaN propagates."""
     if x.shape != box.lo.shape:
         raise ValueError(f"point has shape {x.shape}, box has shape {box.lo.shape}")
-    return np.clip(x, box.lo, box.hi)
+    return np.minimum(np.maximum(x, box.lo), box.hi)
 
 
 def _sigmoid(z: float) -> float:
@@ -84,28 +113,127 @@ def outer_quad_anchor_eval(x: np.ndarray, anchor: np.ndarray) -> EvalResult:
     return EvalResult(0.5 * float(np.dot(d, d)), d)
 
 
-# Factories binding data to the oracle interface consumed by ProblemSpec.
+# Inner families. ``subgrad`` repeats the arithmetic of the matching
+# ``*_eval`` reference exactly, so iterates do not depend on which one ran;
+# ``values`` sums in numpy's order and may differ from per-sample sums at
+# ulp level.
 
-def logistic_oracle(a: Sequence[float] | np.ndarray, b: float) -> Oracle:
-    a = np.asarray(a, dtype=float)
-    if b != 1 and b != -1:
-        raise ValueError(f"label must be -1 or +1, got {b!r}")
-    bf = float(b)
-    return lambda x: logistic_eval(a, bf, x)
+class LogisticLosses:
+    """Per-sample logistic losses log(1 + exp(-b_i <a_i, x>)) over the rows
+    a_i of ``features`` with labels b_i in {-1, +1}. Holds the arrays
+    without copying float64 features."""
+
+    def __init__(self, features: np.ndarray, labels: Sequence[float] | np.ndarray):
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise ValueError("need an (m, n) feature array and m labels")
+        if not np.all((labels == 1.0) | (labels == -1.0)):
+            raise ValueError("labels must be -1 or +1")
+        self.features = features
+        self.labels = labels
+        self._signs = labels.tolist()  # Python floats: cheaper per-step lookups
+
+    def __len__(self) -> int:
+        return len(self._signs)
+
+    def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
+        a = self.features[i]
+        bf = self._signs[i]
+        z = -bf * float(np.dot(a, x))
+        return (-bf * _sigmoid(z)) * a
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.logaddexp(0.0, -self.labels * (X @ self.features.T)).sum(axis=1)
 
 
-def ball_oracle(center: Sequence[float] | np.ndarray, radius: float) -> Oracle:
-    center = np.asarray(center, dtype=float)
-    if radius <= 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    r = float(radius)
-    return lambda x: ball_dist_eval(x, center, r)
+class BallDistances:
+    """Per-sample Euclidean distances to closed balls with the rows of
+    ``centers`` as centers and positive ``radii``."""
+
+    def __init__(self, centers: np.ndarray, radii: Sequence[float] | np.ndarray):
+        centers = np.asarray(centers, dtype=float)
+        radii = np.asarray(radii, dtype=float)
+        if centers.ndim != 2 or radii.shape != centers.shape[:1]:
+            raise ValueError("need an (m, n) center array and m radii")
+        if not np.all(radii > 0):
+            raise ValueError("ball radii must be positive")
+        self.centers = centers
+        self.radii = radii
+        self._radii = radii.tolist()  # Python floats: cheaper per-step lookups
+
+    def __len__(self) -> int:
+        return len(self._radii)
+
+    def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
+        d = x - self.centers[i]
+        # sqrt(d . d) is what np.linalg.norm computes for a 1-d float array
+        dist = math.sqrt(float(np.dot(d, d)))
+        if dist > self._radii[i]:
+            return d / dist
+        return np.zeros_like(d)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        d = X[:, None, :] - self.centers
+        dist = np.sqrt(np.einsum("kmn,kmn->km", d, d))
+        return np.maximum(dist - self.radii, 0.0).sum(axis=1)
 
 
-def l1_quad_oracle() -> Oracle:
-    return outer_l1_quad_eval
+class OracleFamily:
+    """Adapter for custom inner functions given as ``x -> EvalResult``
+    closures. ``values`` sums the closures' values left to right."""
+
+    def __init__(self, oracles: Sequence[Oracle]):
+        self.oracles = tuple(oracles)
+
+    def __len__(self) -> int:
+        return len(self.oracles)
+
+    def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
+        return self.oracles[i](x).subgrad
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.array([float(sum(fn(x).value for fn in self.oracles)) for x in X])
 
 
-def quad_anchor_oracle(anchor: Sequence[float] | np.ndarray) -> Oracle:
-    anchor = np.asarray(anchor, dtype=float)
-    return lambda x: outer_quad_anchor_eval(x, anchor)
+# Outer objectives.
+
+class L1Quad:
+    """Sparsity-plus-norm selection objective: sum |x_d| + 0.5 sum x_d^2."""
+
+    def value(self, x: np.ndarray) -> float:
+        return float(np.sum(np.abs(x)) + 0.5 * np.dot(x, x))
+
+    def subgrad(self, x: np.ndarray) -> np.ndarray:
+        return np.sign(x) + x
+
+
+class QuadAnchor:
+    """Anchored squared-distance selection objective: 0.5 ||x - anchor||^2."""
+
+    def __init__(self, anchor: Sequence[float] | np.ndarray):
+        self.anchor = np.asarray(anchor, dtype=float)
+
+    def value(self, x: np.ndarray) -> float:
+        d = self.subgrad(x)
+        return 0.5 * float(np.dot(d, d))
+
+    def subgrad(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.anchor.shape:
+            raise ValueError(f"point has shape {x.shape}, anchor has shape "
+                             f"{self.anchor.shape}")
+        return x - self.anchor
+
+
+class OracleObjective:
+    """Adapter for a custom outer objective given as an ``x -> EvalResult``
+    closure."""
+
+    def __init__(self, fn: Oracle):
+        self.fn = fn
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self.fn(x).value)
+
+    def subgrad(self, x: np.ndarray) -> np.ndarray:
+        return self.fn(x).subgrad

@@ -1,19 +1,23 @@
 """Bilevel problem structure shared by every solver.
 
-A problem is an inner objective given as a finite sum of convex per-sample
-functions partitioned across clients, an outer strongly convex selection
-objective, and a box constraint. Stepsize schedules and sampled norm bounds
-live here too. All types are immutable after construction and safe to share
-across concurrent client evaluations.
+A problem is an inner family of m convex per-sample functions (see
+``oracles``), the clients' shares of it as ordered index tuples, an outer
+strongly convex selection objective, and a box constraint. The solvers step
+through ``inner.subgrad(i, x)`` in each client's local order; the metrics
+read ``inner.values`` on stacked points. Stepsize schedules and sampled norm
+bounds live here too. All types are immutable after construction and safe to
+share across concurrent client evaluations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
-from .oracles import Oracle, project_box
+from .oracles import (InnerFamily, Oracle, OracleFamily, OracleObjective, OuterObjective,
+                      project_box)
 from .rng import STREAM_BOUNDS, make_rng
 
 
@@ -52,15 +56,26 @@ class BoxConstraint:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
 
+def contiguous_clients(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Index tuples giving client i the next ``sizes[i]`` indices in order."""
+    bounds = list(accumulate(sizes, initial=0))
+    return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One bilevel instance: client-partitioned inner sum, outer selector,
-    box constraint, and the outer strong-convexity modulus (known
-    analytically for the shipped objectives, never estimated)."""
+    """One bilevel instance: an inner family, its split across clients,
+    outer selector, box constraint, and the outer strong-convexity modulus
+    (known analytically for the shipped objectives, never estimated).
+
+    ``clients[c]`` lists the family indices client c holds, in local order;
+    together the clients hold every index exactly once.
+    """
 
     dimension: int
-    clients: tuple[tuple[Oracle, ...], ...]
-    outer: Oracle
+    inner: InnerFamily
+    outer: OuterObjective
+    clients: tuple[tuple[int, ...], ...]
     constraint: BoxConstraint
     mu_H: float
     name: str = ""
@@ -72,10 +87,24 @@ class ProblemSpec:
             raise ValueError("need at least one client")
         if any(len(group) == 0 for group in clients):
             raise ValueError("every client needs at least one inner function")
+        if sorted(i for group in clients for i in group) != list(range(len(self.inner))):
+            raise ValueError("clients must hold every inner index exactly once")
         if self.mu_H <= 0:
             raise ValueError("outer strong-convexity modulus must be positive")
         if self.constraint.dimension != self.dimension:
             raise ValueError("constraint dimension does not match problem dimension")
+
+    @classmethod
+    def from_oracles(cls, dimension: int, clients: Sequence[Sequence[Oracle]],
+                     outer: Oracle, constraint: BoxConstraint, mu_H: float,
+                     name: str = "") -> "ProblemSpec":
+        """A problem over custom ``x -> EvalResult`` closures: client c holds
+        the closures ``clients[c]`` in the given order."""
+        return cls(dimension=dimension,
+                   inner=OracleFamily([fn for group in clients for fn in group]),
+                   outer=OracleObjective(outer),
+                   clients=contiguous_clients([len(group) for group in clients]),
+                   constraint=constraint, mu_H=mu_H, name=name)
 
     @property
     def n_clients(self) -> int:
@@ -84,22 +113,17 @@ class ProblemSpec:
     @property
     def n_inner(self) -> int:
         """Total number of inner functions across all clients."""
-        return sum(len(group) for group in self.clients)
+        return len(self.inner)
 
     @property
     def client_sizes(self) -> tuple[int, ...]:
         return tuple(len(group) for group in self.clients)
 
-    def inner_functions(self) -> Iterator[Oracle]:
-        """All inner functions in global order (client 0 first)."""
-        for group in self.clients:
-            yield from group
-
     def inner_objective(self, x: np.ndarray) -> float:
-        return float(sum(fn(x).value for fn in self.inner_functions()))
+        return float(self.inner.values(np.reshape(x, (1, -1)))[0])
 
     def outer_objective(self, x: np.ndarray) -> float:
-        return float(self.outer(x).value)
+        return float(self.outer.value(x))
 
 
 @dataclass(frozen=True)
@@ -167,15 +191,13 @@ def estimate_bounds(problem: ProblemSpec, samples: int = 1000, seed: int = 0) ->
     half = (box.hi - box.lo) / 2.0
     cf = 0.0
     ch = 0.0
-    inner = tuple(problem.inner_functions())
+    inner, outer = problem.inner, problem.outer
     for _ in range(samples):
         raw = center + rng.uniform(-1.5, 1.5, box.dimension) * half
         x = project_box(raw, box)
-        for fn in inner:
-            res = fn(x)
-            g = float(np.linalg.norm(res.subgrad))
+        for i in range(len(inner)):
+            g = float(np.linalg.norm(inner.subgrad(i, x)))
             if g > cf:
                 cf = g
-        res = problem.outer(x)
-        ch = max(ch, float(np.linalg.norm(res.subgrad)), abs(res.value))
+        ch = max(ch, float(np.linalg.norm(outer.subgrad(x))), abs(outer.value(x)))
     return BoundEstimates(cf, ch)

@@ -2,11 +2,17 @@
 
 The federated round picks one outer subgradient per round, broadcasts it,
 lets every client run an incremental projected-subgradient pass over its own
-inner functions (in parallel if an executor is given), and averages the
-returned iterates. The incremental baseline sweeps all inner functions
-sequentially, refreshing the outer subgradient at every local step. Both
-share the identical single-step arithmetic so the two methods coincide
-bitwise when one client holds one function.
+share of the inner family (in parallel if an executor is given), and
+averages the returned iterates. The incremental baseline sweeps all inner
+functions sequentially, refreshing the outer subgradient at every local
+step. Both share one step kernel, ``_local_step``, which takes only
+subgradients: the scaled outer term is formed once per client pass (FISM) or
+once per step (IRIG), and no function value is computed on the solver path.
+So the two methods coincide bitwise when one client holds one function.
+
+The per-round metrics come from one vectorized ``inner.values`` call on the
+new iterate and the running average, plus one outer value. A non-finite
+objective value stops a run with ``stop_reason="non-finite"``.
 
 Client passes within a round read only shared immutable inputs and are
 aggregated in ascending client index, so results are bitwise independent of
@@ -19,16 +25,18 @@ calls over one function at a time.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .federation import FISM, METHODS, CostModel, round_time, uniform_costs
 from .metrics import RoundRow, RunRecord
-from .oracles import Oracle, project_box
+from .oracles import InnerFamily, project_box
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
 from .rng import STREAM_INIT, make_rng, open_uniform
 
@@ -53,29 +61,32 @@ class RoundState:
                    inner_evals=0, outer_evals=0)
 
 
-def _local_step(x: np.ndarray, g: np.ndarray, outer_subgrad: np.ndarray,
-                gamma: float, coef: float, box: BoxConstraint) -> np.ndarray:
-    # Shared by both methods so their single-function iterates agree bitwise.
-    return project_box(x - gamma * g - coef * outer_subgrad, box)
+def _local_step(x: np.ndarray, g: np.ndarray, co: np.ndarray, gamma: float,
+                box: BoxConstraint) -> np.ndarray:
+    # Shared by both methods so their single-function iterates agree bitwise;
+    # co = (gamma * lam / m) * outer subgradient.
+    return project_box(x - gamma * g - co, box)
 
 
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
-                      gamma: float, lam: float, m_total: int,
-                      local_fns: Sequence[Oracle], box: BoxConstraint) -> np.ndarray:
+                      gamma: float, lam: float, m_total: int, inner: InnerFamily,
+                      indices: Sequence[int], box: BoxConstraint) -> np.ndarray:
     """One client's in-round pass: an incremental projected subgradient step
-    per local function, reusing the frozen outer subgradient throughout.
+    per local index of ``inner``, in the given order, reusing the frozen outer
+    subgradient throughout.
 
     Returns the client's final local iterate. Performs exactly
-    ``len(local_fns)`` inner subgradient evaluations and no outer ones.
+    ``len(indices)`` inner subgradient evaluations and no outer ones.
     """
-    if len(local_fns) == 0:
+    if len(indices) == 0:
         raise ValueError("client holds no inner functions")
     if x_start.shape != outer_subgrad.shape:
         raise ValueError("outer subgradient dimension does not match the iterate")
-    coef = gamma * lam / m_total
+    co = (gamma * lam / m_total) * outer_subgrad
+    subgrad = inner.subgrad
     x = x_start
-    for fn in local_fns:
-        x = _local_step(x, fn(x).subgrad, outer_subgrad, gamma, coef, box)
+    for i in indices:
+        x = _local_step(x, subgrad(i, x), co, gamma, box)
     return x
 
 
@@ -89,9 +100,9 @@ def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec,
     before the update. Counters grow by (total inner functions, 1).
     """
     gamma, lam = sched.at(state.k)
-    outer_subgrad = problem.outer(state.x).subgrad
+    outer_subgrad = problem.outer.subgrad(state.x)
     m = problem.n_inner
-    args = [(state.x, outer_subgrad, gamma, lam, m, group, problem.constraint)
+    args = [(state.x, outer_subgrad, gamma, lam, m, problem.inner, group, problem.constraint)
             for group in problem.clients]
     if executor is None:
         outs = [client_local_pass(*a) for a in args]
@@ -120,10 +131,10 @@ def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     m = problem.n_inner
     coef = gamma * lam / m
     box = problem.constraint
+    subgrad, outer_subgrad = problem.inner.subgrad, problem.outer.subgrad
     x = state.x
-    for fn in problem.inner_functions():
-        outer_subgrad = problem.outer(x).subgrad
-        x = _local_step(x, fn(x).subgrad, outer_subgrad, gamma, coef, box)
+    for i in chain.from_iterable(problem.clients):
+        x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, box)
     return RoundState(
         x=x,
         k=state.k + 1,
@@ -132,6 +143,11 @@ def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
         inner_evals=state.inner_evals + m,
         outer_evals=state.outer_evals + m,
     )
+
+
+def _norm(v: np.ndarray) -> float:
+    # Bitwise what np.linalg.norm computes for a 1-d float array.
+    return math.sqrt(float(np.dot(v, v)))
 
 
 def weighted_average(state: RoundState) -> np.ndarray:
@@ -167,7 +183,10 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     ``threads``). The initial point is projected onto the box before round 1
     so every logged iterate is feasible. With ``tol`` set, the composite
     relative-change test is evaluated on the full inner/outer objectives
-    after every round; otherwise the round budget alone stops the run.
+    after every round; otherwise the round budget alone stops the run. A
+    non-finite inner or outer value (at the new iterate or the running
+    average) ends the run after logging that round, with stop reason
+    ``"non-finite"``.
     ``costs`` must price exactly ``problem.client_sizes`` updates (default:
     unit costs, no communication). ``observe``, when given, is called with
     the projected initial state and then with the state after every round.
@@ -202,9 +221,9 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
             else:
                 state = irig_round(state, sched, problem)
             wall = time.perf_counter() - wall0
-            f_next = problem.inner_objective(state.x)
+            f_next, f_avg = problem.inner.values(
+                np.stack([state.x, weighted_average(state)])).tolist()
             h_next = problem.outer_objective(state.x)
-            f_avg = problem.inner_objective(weighted_average(state))
             cum_time += t_round
             rows.append(RoundRow(
                 k=prev.k,
@@ -212,7 +231,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                 inner_value_mean=f_cur / m,
                 inner_value_avg_iterate=f_avg,
                 outer_value=h_cur,
-                step_norm=float(np.linalg.norm(state.x - prev.x)),
+                step_norm=_norm(state.x - prev.x),
                 round_time_units=t_round,
                 total_time_units=cum_time,
                 inner_subgrad_evals=state.inner_evals,
@@ -221,11 +240,14 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
             ))
             if observe is not None:
                 observe(state)
-            stop = tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
-                                                          h_cur, h_next, tol)
-            f_cur, h_cur = f_next, h_next
-            if stop:
+            if not (math.isfinite(f_next) and math.isfinite(h_next)
+                    and math.isfinite(f_avg)):
+                stop_reason = "non-finite"
+            elif tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
+                                                        h_cur, h_next, tol):
                 stop_reason = "tolerance"
+            f_cur, h_cur = f_next, h_next
+            if stop_reason != "max_rounds":
                 break
     finally:
         if executor is not None:
@@ -260,14 +282,15 @@ def reference_solve(problem: ProblemSpec, lam: float, iters: int, seed: int = 0)
     rng = make_rng(seed, STREAM_INIT)
     x = open_uniform(rng, box.lo, box.hi, box.dimension)
     c = 2.0 / (lam * problem.mu_H)
-    inner = tuple(problem.inner_functions())
+    order = tuple(chain.from_iterable(problem.clients))
+    subgrad = problem.inner.subgrad
     acc = np.zeros_like(x)
     count = 0
     half = iters // 2
     for k in range(1, iters + 1):
-        g = lam * problem.outer(x).subgrad
-        for fn in inner:
-            g = g + fn(x).subgrad
+        g = lam * problem.outer.subgrad(x)
+        for i in order:
+            g = g + subgrad(i, x)
         x = project_box(x - (c / k) * g, box)
         if k > half:
             acc += x

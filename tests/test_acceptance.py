@@ -19,7 +19,7 @@ from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, CostModel, partition_
                                    round_time, uniform_costs)
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.metrics import rate_diagnostic
-from fedbilevel.oracles import ball_oracle, quad_anchor_oracle
+from fedbilevel.oracles import BallDistances, QuadAnchor
 from fedbilevel.problem import (BoxConstraint, ProblemSpec, estimate_bounds,
                                 make_schedule)
 from fedbilevel.rng import make_rng
@@ -65,9 +65,8 @@ def test_c02_bilevel_correctness_2d():
     anchor = np.array([6.0, 4.0])  # outside both balls
     x_grid = grid_bilevel_2d(centers, radii, anchor)
     prob = ProblemSpec(
-        dimension=2,
-        clients=((ball_oracle(centers[0], radii[0]),), (ball_oracle(centers[1], radii[1]),)),
-        outer=quad_anchor_oracle(anchor),
+        dimension=2, inner=BallDistances(np.array(centers), radii),
+        outer=QuadAnchor(anchor), clients=((0,), (1,)),
         constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0, name="lens")
     rec = run_solver(prob, _sched_eps01(2), FISM, np.array([9.0, -9.0]), 20_000)
     err = float(np.linalg.norm(rec.final_x - x_grid))
@@ -133,17 +132,17 @@ def test_c06_drift_bound():
     for _ in range(10):
         gamma, lam = sched.at(state.k)
         unit = gamma * (bounds.Cf + lam * bounds.CH / 50) * 1.01
-        outer_subgrad = prob.outer(state.x).subgrad
+        outer_subgrad = prob.outer.subgrad(state.x)
         new_state = fism_round(state, sched, prob)
         ends = []
         for group in prob.clients:
             # the client's local path, one single-function pass at a time
             path = [state.x]
-            for fn in group:
+            for i in group:
                 path.append(client_local_pass(path[-1], outer_subgrad, gamma, lam, 50,
-                                              (fn,), prob.constraint))
-            full = client_local_pass(state.x, outer_subgrad, gamma, lam, 50, group,
-                                     prob.constraint)
+                                              prob.inner, (i,), prob.constraint))
+            full = client_local_pass(state.x, outer_subgrad, gamma, lam, 50, prob.inner,
+                                     group, prob.constraint)
             chains_match = chains_match and path[-1].tobytes() == full.tobytes()
             ends.append(path[-1])
             for t, x_t in enumerate(path):

@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 
-
+import numpy as np
 from helpers import SELECTION_1D_OPTIMUM
 
 from fedbilevel import cli
 from fedbilevel.config import ExperimentConfig
+from fedbilevel.oracles import EvalResult, ball_dist_eval, outer_quad_anchor_eval
+from fedbilevel.problem import BoxConstraint, ProblemSpec
 
 
 def _config(tmp_path, text):
@@ -56,10 +59,10 @@ class TestExecute:
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
     def test_failed_run_is_isolated(self):
-        # S > m makes the partition impossible for that run only
-        cfg = _make_cfg([("problem", "selection-1d"), ("m", "2"),
+        # two cost multipliers price the S=2 run only; the S=4 run fails alone
+        cfg = _make_cfg([("problem", "selection-1d"), ("m", "4"),
                          ("s_values", "2,4"), ("methods", "fism"),
-                         ("max_rounds", "10")])
+                         ("client_cost_scale", "1,1"), ("max_rounds", "10")])
         records, failures = cli.execute(cfg, grid=True, progress=_quiet)
         assert len(records) == 1
         assert len(failures) == 1
@@ -99,10 +102,39 @@ class TestMain:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
 
     def test_partial_failure_exit_code(self, tmp_path):
-        path = _config(tmp_path, "problem = selection-1d\nm = 2\n"
+        path = _config(tmp_path, "problem = selection-1d\nm = 4\nclient_cost_scale = 1,1\n"
                                  "s_values = 2,4\nmethods = fism\nmax_rounds = 10\n")
         out = tmp_path / "out"
         assert cli.main(["sweep", str(path), "--out", str(out)]) == 1
+
+    def test_s_values_above_m_is_config_error(self, tmp_path):
+        path = _config(tmp_path, "problem = selection-1d\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out), "--set", "s_values=1,2"]) == 2
+        assert not out.exists()  # rejected before any run
+
+    def test_non_finite_run_is_written_and_fails(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+
+        def inner(x):  # NaN from the fifth call on, i.e. inside round 2
+            calls["n"] += 1
+            if calls["n"] >= 5:
+                return EvalResult(math.nan, np.full_like(x, math.nan))
+            return ball_dist_eval(x, np.array([0.5]), 0.5)
+
+        prob = ProblemSpec.from_oracles(
+            dimension=1, clients=[[inner]],
+            outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
+            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0, name="selection-1d")
+        monkeypatch.setattr(cli, "_build_problem", lambda *args: prob)
+        path = _config(tmp_path, "problem = selection-1d\nmethods = fism\nmax_rounds = 50\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 1
+        summary = json.loads((out / "selection-1d_fism_S1_rep0.json").read_text())
+        assert summary["stop_reason"] == "non-finite"
+        assert summary["rounds"] == 2
+        assert (out / "selection-1d_fism_S1_rep0.jsonl").exists()
+        assert (out / "summary.csv").exists()
 
     def test_threads_flag_does_not_change_results(self, tmp_path):
         path = _config(tmp_path, "problem = location\nn = 3\nm = 12\n"

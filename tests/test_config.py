@@ -86,6 +86,22 @@ class TestResolve:
         with pytest.raises(ConfigError):
             cfg.resolve()
 
+    @pytest.mark.parametrize("problem", ["selection-1d", "location", "logistic-synthetic"])
+    def test_rejects_s_values_above_m(self, problem):
+        cfg = ExperimentConfig()
+        for key, value in [("problem", problem), ("m", "4"), ("s_values", "1,5")]:
+            cfg.set_key(key, value)
+        with pytest.raises(ConfigError) as info:
+            cfg.resolve()
+        assert info.value.key == "s_values"
+
+    def test_mnist_client_counts_not_checked_against_m(self):
+        # logistic-mnist takes m from the data, not from the m key
+        cfg = ExperimentConfig()
+        for key, value in [("problem", "logistic-mnist"), ("m", "4"), ("s_values", "8")]:
+            cfg.set_key(key, value)
+        assert cfg.resolve().s_values == (8,)
+
     def test_rejects_odd_synthetic_m(self):
         cfg = ExperimentConfig()
         cfg.set_key("problem", "logistic-synthetic")

@@ -1,0 +1,142 @@
+"""Properties of the data-backed inner families and of box projection.
+
+The per-sample ``*_eval`` oracles are the reference: a family's subgradient
+must match them bitwise (the solvers' iterates depend on it), its vectorized
+totals must match their per-sample sums up to summation-order rounding.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fedbilevel.oracles import (BallDistances, LogisticLosses, OracleFamily, ball_dist_eval,
+                                logistic_eval, project_box)
+from fedbilevel.problem import BoxConstraint
+
+# Rounding allowance for vectorized totals, relative to the per-sample sum
+# plus the magnitudes the per-sample terms are computed from: a term near a
+# kink (a point on a ball's boundary, a large negative logistic margin) can
+# be tiny while its inputs are not.
+REL = 1e-12
+
+coord = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def logistic_case(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    features = draw(arrays(np.float64, (m, n), elements=coord))
+    labels = draw(arrays(np.int64, m, elements=st.sampled_from([-1, 1])))
+    points = draw(arrays(np.float64, (draw(st.integers(1, 3)), n), elements=coord))
+    return features, labels, points
+
+
+@st.composite
+def ball_case(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    centers = draw(arrays(np.float64, (m, n), elements=coord))
+    radii = draw(arrays(np.float64, m, elements=st.floats(0.01, 5.0)))
+    points = draw(arrays(np.float64, (draw(st.integers(1, 3)), n), elements=coord))
+    # put one point exactly on a center, where the subgradient switches to zero
+    if draw(st.booleans()):
+        points[0] = centers[0]
+    return centers, radii, points
+
+
+class TestLogisticLosses:
+    @settings(max_examples=100, deadline=None)
+    @given(logistic_case())
+    def test_subgrad_bitwise_equals_reference(self, case):
+        features, labels, points = case
+        fam = LogisticLosses(features, labels)
+        for x in points:
+            for i in range(len(fam)):
+                ref = logistic_eval(features[i], int(labels[i]), x).subgrad
+                assert fam.subgrad(i, x).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(logistic_case())
+    def test_values_match_per_sample_sums(self, case):
+        features, labels, points = case
+        fam = LogisticLosses(features, labels)
+        totals = fam.values(points)
+        assert totals.shape == (len(points),)
+        for x, total in zip(points, totals):
+            terms = [logistic_eval(features[i], int(labels[i]), x).value
+                     for i in range(len(fam))]
+            scale = sum(terms) + float(np.sum(np.abs(features) @ np.abs(x)))
+            assert abs(total - sum(terms)) <= REL * scale
+
+    @pytest.mark.parametrize("features, labels", [(np.zeros(3), [1]),
+                                                  (np.zeros((2, 3)), [1]),
+                                                  (np.zeros((2, 3)), [1, 0])])
+    def test_rejects_bad_data(self, features, labels):
+        with pytest.raises(ValueError):
+            LogisticLosses(features, labels)
+
+
+class TestBallDistances:
+    @settings(max_examples=100, deadline=None)
+    @given(ball_case())
+    def test_subgrad_bitwise_equals_reference(self, case):
+        centers, radii, points = case
+        fam = BallDistances(centers, radii)
+        for x in points:
+            for i in range(len(fam)):
+                ref = ball_dist_eval(x, centers[i], float(radii[i])).subgrad
+                assert fam.subgrad(i, x).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ball_case())
+    def test_values_match_per_sample_sums(self, case):
+        centers, radii, points = case
+        fam = BallDistances(centers, radii)
+        totals = fam.values(points)
+        assert totals.shape == (len(points),)
+        for x, total in zip(points, totals):
+            terms = [ball_dist_eval(x, centers[i], float(radii[i])).value
+                     for i in range(len(fam))]
+            scale = sum(terms) + float(np.sum(np.linalg.norm(x - centers, axis=1) + radii))
+            assert abs(total - sum(terms)) <= REL * scale
+
+
+class TestOracleFamily:
+    @settings(max_examples=50, deadline=None)
+    @given(logistic_case(), st.data())
+    def test_bitwise_equals_closure_sums(self, case, data):
+        features, labels, points = case
+        n = features.shape[1]
+        centers = data.draw(arrays(np.float64, (3, n), elements=coord))
+        oracles = [(lambda x, a=a, b=int(b): logistic_eval(a, b, x))
+                   for a, b in zip(features, labels)]
+        oracles += [(lambda x, c=c: ball_dist_eval(x, c, 0.5)) for c in centers]
+        fam = OracleFamily(oracles)
+        assert len(fam) == len(oracles)
+        totals = fam.values(points)
+        for x, total in zip(points, totals):
+            assert total == float(sum(fn(x).value for fn in oracles))
+            for i, fn in enumerate(oracles):
+                assert fam.subgrad(i, x).tobytes() == fn(x).subgrad.tobytes()
+
+
+class TestProjectBoxProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6))
+    def test_equals_clip_on_finite_inputs(self, data, n):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        a = data.draw(arrays(np.float64, n, elements=finite))
+        b = data.draw(arrays(np.float64, n, elements=finite))
+        x = data.draw(arrays(np.float64, n, elements=finite))
+        box = BoxConstraint(np.minimum(a, b), np.maximum(a, b))
+        assert project_box(x, box).tobytes() == np.clip(x, box.lo, box.hi).tobytes()
+
+    def test_nan_propagates(self):
+        box = BoxConstraint.symmetric(3, 1.0)
+        out = project_box(np.array([math.nan, 2.0, -0.5]), box)
+        assert math.isnan(out[0])
+        assert out[1:].tolist() == [1.0, -0.5]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fedbilevel.oracles import (ball_dist_eval, ball_oracle, logistic_eval,
-                                logistic_oracle, outer_l1_quad_eval,
-                                outer_quad_anchor_eval, project_box, quad_anchor_oracle)
+from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, QuadAnchor,
+                                ball_dist_eval, logistic_eval, outer_l1_quad_eval,
+                                outer_quad_anchor_eval, project_box)
 from fedbilevel.problem import BoxConstraint
 from fedbilevel.rng import make_rng
 from fedbilevel.selfcheck import (finite_difference_failures, projection_failures,
@@ -54,7 +54,7 @@ class TestLogistic:
         with pytest.raises(ValueError):
             logistic_eval(np.array([1.0]), 0, np.array([1.0]))
         with pytest.raises(ValueError):
-            logistic_oracle(np.array([1.0]), 2)
+            LogisticLosses(np.array([[1.0]]), [2])
 
 
 class TestBallDist:
@@ -77,7 +77,7 @@ class TestBallDist:
         with pytest.raises(ValueError):
             ball_dist_eval(np.zeros(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            ball_oracle(np.zeros(2), -1.0)
+            BallDistances(np.zeros((1, 2)), [-1.0])
 
 
 class TestOuterL1Quad:
@@ -133,13 +133,12 @@ class TestOracleProperties:
         # H(ax + (1-a)y) <= a H(x) + (1-a) H(y) - 0.5 * mu * a(1-a) ||x-y||^2
         rng = make_rng(99)
         anchor = rng.uniform(-2, 2, 5)
-        oracles = [outer_l1_quad_eval, quad_anchor_oracle(anchor)]
-        for oracle in oracles:
+        for outer in [L1Quad(), QuadAnchor(anchor)]:
             for _ in range(100):
                 x = rng.uniform(-5, 5, 5)
                 y = rng.uniform(-5, 5, 5)
                 alpha = float(rng.uniform(0, 1))
-                lhs = oracle(alpha * x + (1 - alpha) * y).value
-                rhs = (alpha * oracle(x).value + (1 - alpha) * oracle(y).value
+                lhs = outer.value(alpha * x + (1 - alpha) * y)
+                rhs = (alpha * outer.value(x) + (1 - alpha) * outer.value(y)
                        - 0.5 * 1.0 * alpha * (1 - alpha) * float(np.dot(x - y, x - y)))
                 assert lhs <= rhs + 1e-9

@@ -4,6 +4,7 @@ import pytest
 from fedbilevel.federation import CONTIGUOUS, partition_data
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.data import make_location_instance
+from fedbilevel.oracles import ball_dist_eval, outer_quad_anchor_eval
 from fedbilevel.problem import (BoundEstimates, BoxConstraint, ProblemSpec,
                                 estimate_bounds, make_schedule)
 from fedbilevel.rng import make_rng
@@ -41,14 +42,35 @@ class TestProblemSpec:
     def test_rejects_empty_client(self):
         base = selection_1d_problem()
         with pytest.raises(ValueError):
-            ProblemSpec(dimension=1, clients=((),), outer=base.outer,
+            ProblemSpec(dimension=1, inner=base.inner, outer=base.outer, clients=((),),
                         constraint=base.constraint, mu_H=1.0)
 
     def test_rejects_bad_modulus(self):
         base = selection_1d_problem()
         with pytest.raises(ValueError):
-            ProblemSpec(dimension=1, clients=base.clients, outer=base.outer,
-                        constraint=base.constraint, mu_H=0.0)
+            ProblemSpec(dimension=1, inner=base.inner, outer=base.outer,
+                        clients=base.clients, constraint=base.constraint, mu_H=0.0)
+
+    @pytest.mark.parametrize("clients", [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1), (2, 3))])
+    def test_rejects_clients_not_covering_the_family(self, clients):
+        # duplicated, missing and out-of-range indices
+        base = selection_1d_problem((3,))
+        with pytest.raises(ValueError):
+            ProblemSpec(dimension=1, inner=base.inner, outer=base.outer, clients=clients,
+                        constraint=base.constraint, mu_H=1.0)
+
+    def test_from_oracles_keeps_client_order_and_sums(self):
+        centers = [np.array([0.0]), np.array([3.0]), np.array([-2.0])]
+        fns = [lambda x, c=c: ball_dist_eval(x, c, 0.5) for c in centers]
+        prob = ProblemSpec.from_oracles(
+            dimension=1, clients=[fns[:2], fns[2:]],
+            outer=lambda x: outer_quad_anchor_eval(x, np.array([1.0])),
+            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
+        assert prob.clients == ((0, 1), (2,))
+        x = np.array([1.25])
+        assert prob.inner_objective(x) == float(sum(fn(x).value for fn in fns))
+        assert prob.outer_objective(x) == 0.03125
+        assert np.array_equal(prob.outer.subgrad(x), [0.25])
 
     def test_objectives(self):
         prob = selection_1d_problem((2,))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, counting,
 from fedbilevel.data import make_location_instance
 from fedbilevel.federation import CONTIGUOUS, FISM, IRIG, partition_data, uniform_costs
 from fedbilevel.instances import location_problem, selection_1d_problem
-from fedbilevel.oracles import ball_oracle, quad_anchor_oracle
+from fedbilevel.oracles import (BallDistances, EvalResult, OracleFamily, QuadAnchor,
+                                ball_dist_eval, outer_quad_anchor_eval)
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
 from fedbilevel.solvers import (RoundState, client_local_pass, fism_round, irig_round,
                                 reference_solve, run_solver, stopping_criterion,
@@ -31,39 +34,45 @@ class TestClientLocalPass:
         # P[1 - 0.5*1 - (0.5*1/1)*1] = P[0] = 0 on the box [-1, 1]
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.5, lam=1.0,
-                                m_total=1, local_fns=[abs_oracle()], box=box)
+                                m_total=1, inner=OracleFamily([abs_oracle()]),
+                                indices=(0,), box=box)
         assert np.array_equal(res, [0.0])
 
     def test_zero_stepsize_is_identity(self):
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.0, lam=1.0,
-                                m_total=1, local_fns=[abs_oracle()], box=box)
+                                m_total=1, inner=OracleFamily([abs_oracle()]),
+                                indices=(0,), box=box)
         assert np.array_equal(res, [1.0])
 
     def test_only_frozen_term_acts(self):
         # two zero inner functions: 1 - 2 * (0.25 * 1 / 2) * 1 = 0.75
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.25, lam=1.0,
-                                m_total=2, local_fns=[zero_oracle(), zero_oracle()], box=box)
+                                m_total=2, inner=OracleFamily([zero_oracle(), zero_oracle()]),
+                                indices=(0, 1), box=box)
         assert res == pytest.approx([0.75], abs=1e-15)
 
     def test_rejects_empty_client(self):
         box = BoxConstraint.symmetric(1, 1.0)
         with pytest.raises(ValueError):
             client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.1, lam=1.0,
-                              m_total=1, local_fns=[], box=box)
+                              m_total=1, inner=OracleFamily([abs_oracle()]), indices=(),
+                              box=box)
 
     def test_rejects_dimension_mismatch(self):
         box = BoxConstraint.symmetric(1, 1.0)
         with pytest.raises(ValueError):
             client_local_pass(np.array([1.0]), np.array([1.0, 2.0]), gamma=0.1, lam=1.0,
-                              m_total=1, local_fns=[abs_oracle()], box=box)
+                              m_total=1, inner=OracleFamily([abs_oracle()]), indices=(0,),
+                              box=box)
 
     def test_eval_counts(self):
         box = BoxConstraint.symmetric(1, 1.0)
         fn, calls = counting(abs_oracle())
         client_local_pass(np.array([0.5]), np.array([1.0]), gamma=0.1, lam=1.0,
-                          m_total=3, local_fns=[fn, fn, fn], box=box)
+                          m_total=3, inner=OracleFamily([fn, fn, fn]), indices=(0, 1, 2),
+                          box=box)
         assert calls["n"] == 3
 
 
@@ -75,7 +84,7 @@ class TestFismRound:
         x0 = np.array([4.0])
         state = fism_round(RoundState.initial(x0), sched, prob)
         gamma, lam = sched.at(1)
-        direct = client_local_pass(x0, prob.outer(x0).subgrad, gamma, lam, 1,
+        direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, 1, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert np.array_equal(state.x, direct)
         assert state.k == 2
@@ -87,24 +96,23 @@ class TestFismRound:
         x0 = np.array([4.0])
         state = fism_round(RoundState.initial(x0), sched, prob)
         gamma, lam = sched.at(1)
-        direct = client_local_pass(x0, prob.outer(x0).subgrad, gamma, lam, 2,
+        direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, 2, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert state.x == pytest.approx(direct, abs=1e-15)
 
     def test_frozen_outer_subgradient_once_per_round(self):
-        base = selection_1d_problem((2, 2))
-        outer, outer_calls = counting(base.outer)
+        outer, outer_calls = counting(lambda x: outer_quad_anchor_eval(x, np.array([2.0])))
         wrapped_clients = []
         inner_counters = []
-        for group in base.clients:
+        for _ in range(2):
             wrapped_group = []
-            for fn in group:
-                wrapped, calls = counting(fn)
+            for _ in range(2):
+                wrapped, calls = counting(lambda x: ball_dist_eval(x, np.array([0.5]), 0.5))
                 wrapped_group.append(wrapped)
                 inner_counters.append(calls)
             wrapped_clients.append(tuple(wrapped_group))
-        prob = ProblemSpec(dimension=1, clients=tuple(wrapped_clients), outer=outer,
-                           constraint=base.constraint, mu_H=1.0)
+        prob = ProblemSpec.from_oracles(dimension=1, clients=wrapped_clients, outer=outer,
+                                        constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
         state = RoundState.initial(np.array([3.0]))
         for _ in range(5):
@@ -287,6 +295,30 @@ class TestRunSolver:
         assert np.array_equal(states[0].x, [10.0])  # projected onto the box
         assert states[-1].x.tobytes() == rec.final_x.tobytes()
 
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    def test_non_finite_value_stops_the_run(self, method):
+        poisoned = {"on": False}
+
+        def inner(x):
+            if poisoned["on"]:
+                return EvalResult(math.nan, np.full_like(x, math.nan))
+            return ball_dist_eval(x, np.array([0.5]), 0.5)
+
+        prob = ProblemSpec.from_oracles(
+            dimension=1, clients=[[inner]],
+            outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
+            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
+
+        def observe(state):  # the oracle returns NaN from round 3 on
+            poisoned["on"] = state.k >= 3
+
+        rec = run_solver(prob, _schedule_1d(), method, np.array([4.0]), 100,
+                         observe=observe)
+        assert rec.stop_reason == "non-finite"
+        assert rec.rounds == 3
+        assert all(math.isfinite(row.inner_value) for row in rec.rows)
+        assert math.isnan(rec.final_inner_value) and math.isnan(rec.final_outer_value)
+
     def test_rejects_costs_for_other_client_sizes(self):
         prob = selection_1d_problem((2, 2))
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
@@ -308,8 +340,8 @@ class TestEquivalenceProperty:
         vec = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
         center, anchor, x0 = data.draw(vec), data.draw(vec), data.draw(vec)
         radius = data.draw(st.floats(0.1, 5.0))
-        prob = ProblemSpec(dimension=dim, clients=((ball_oracle(center, radius),),),
-                           outer=quad_anchor_oracle(anchor),
+        prob = ProblemSpec(dimension=dim, inner=BallDistances(center[None, :], [radius]),
+                           outer=QuadAnchor(anchor), clients=((0,),),
                            constraint=BoxConstraint.symmetric(dim, 10.0), mu_H=1.0)
         sched = StepSchedule(gamma1, a, lambda1, b)
         fism = _observed_iterates(prob, sched, FISM, x0, 50)
@@ -321,8 +353,8 @@ class TestEquivalenceProperty:
 class TestReferenceSolve:
     def test_zero_inner_returns_anchor(self):
         anchor = np.array([1.5, -2.5])
-        prob = ProblemSpec(dimension=2, clients=((zero_oracle(),),),
-                           outer=quad_anchor_oracle(anchor),
+        prob = ProblemSpec(dimension=2, inner=OracleFamily([zero_oracle()]),
+                           outer=QuadAnchor(anchor), clients=((0,),),
                            constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0)
         out = reference_solve(prob, lam=0.3, iters=2000, seed=0)
         assert out == pytest.approx(anchor, abs=1e-4)

@@ -1,0 +1,149 @@
+"""Compare the outputs of two ``fedbilevel run``/``sweep`` directories.
+
+Usage:
+
+    python tools/compare_runs.py A B
+
+Both directories must hold the same run summaries (``<run_id>.json`` with a
+matching ``<run_id>.jsonl``). For every run, ``final_x``, ``final_avg_x``,
+``rounds``, ``stop_reason``, ``test_accuracy`` and every row's ``step_norm``
+must be bitwise equal. Every other logged number (summaries, per-round rows
+and ``summary.csv`` where both have one) is compared too, and the largest
+relative deviation of each field that is not equal everywhere is printed;
+``wall_clock_sec`` and ``config.out_dir`` are ignored.
+
+Exit status: 0 when the exact fields match, 1 when any of them differs, 2
+when the directories do not hold the same runs or fields.
+"""
+from __future__ import annotations
+
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+EXACT_SUMMARY = ("final_x", "final_avg_x", "rounds", "stop_reason", "test_accuracy")
+EXACT_ROW = ("step_norm",)
+IGNORED = {"rows.wall_clock_sec", "summary.config.out_dir"}
+
+
+def _numbers(value, path: str, out: list[tuple[str, float]]) -> None:
+    """Append (field path, number) for every number in a parsed JSON value;
+    list elements share their list's path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _numbers(item, f"{path}.{key}", out)
+    elif isinstance(value, list):
+        for item in value:
+            _numbers(item, path, out)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if path not in IGNORED:
+            out.append((path, float(value)))
+
+
+def _csv_numbers(path: Path) -> list[tuple[str, float]]:
+    out = []
+    with open(path, newline="", encoding="utf-8") as f:
+        for row in csv.DictReader(f):
+            for key, cell in row.items():
+                try:
+                    out.append((f"summary.csv.{key}", float(cell)))
+                except ValueError:
+                    continue
+    return out
+
+
+def _rel_dev(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def _same(a, b) -> bool:
+    # json.dumps writes the shortest repr that round-trips, so equal strings
+    # mean bitwise-equal floats (and tell 0.0 from -0.0).
+    return json.dumps(a) == json.dumps(b)
+
+
+def _load_run(directory: Path, run_id: str) -> tuple[dict, list[dict]]:
+    summary = json.loads((directory / f"{run_id}.json").read_text(encoding="utf-8"))
+    lines = (directory / f"{run_id}.jsonl").read_text(encoding="utf-8").splitlines()
+    return summary, [json.loads(line) for line in lines]
+
+
+def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
+    """Returns (exit status, report lines)."""
+    runs_a = sorted(p.stem for p in a_dir.glob("*.json"))
+    runs_b = sorted(p.stem for p in b_dir.glob("*.json"))
+    if not runs_a or runs_a != runs_b:
+        return 2, [f"run sets differ: {runs_a} vs {runs_b}"]
+    differences = []
+    worst: dict[str, float] = {}
+    pairs: list[tuple[list, list]] = []
+    for run_id in runs_a:
+        sa, rows_a = _load_run(a_dir, run_id)
+        sb, rows_b = _load_run(b_dir, run_id)
+        for key in EXACT_SUMMARY:
+            if not _same(sa.get(key), sb.get(key)):
+                differences.append(f"{run_id}: {key} differs")
+        if len(rows_a) != len(rows_b):
+            differences.append(f"{run_id}: {len(rows_a)} vs {len(rows_b)} rows")
+        for ra, rb in zip(rows_a, rows_b):
+            for key in EXACT_ROW:
+                if not _same(ra.get(key), rb.get(key)):
+                    differences.append(f"{run_id}: {key} differs in round {ra.get('k')}")
+                    break
+        na, nb = [], []
+        _numbers(sa, "summary", na)
+        _numbers(sb, "summary", nb)
+        _numbers(rows_a, "rows", na)
+        _numbers(rows_b, "rows", nb)
+        pairs.append((na, nb))
+    if (a_dir / "summary.csv").is_file() and (b_dir / "summary.csv").is_file():
+        pairs.append((_csv_numbers(a_dir / "summary.csv"), _csv_numbers(b_dir / "summary.csv")))
+    for na, nb in pairs:
+        if [f for f, _ in na] != [f for f, _ in nb]:
+            if not differences:
+                return 2, ["logged fields differ between the two directories"]
+            continue
+        for (field, x), (_, y) in zip(na, nb):
+            worst[field] = max(worst.get(field, 0.0), _rel_dev(x, y))
+    report = [f"runs compared: {len(runs_a)}"]
+    if differences:
+        report.append("exact fields DIFFER:")
+        report += [f"  {d}" for d in differences]
+    else:
+        report.append("exact fields identical: " + ", ".join(EXACT_SUMMARY + EXACT_ROW))
+    shifted = {field: dev for field, dev in worst.items() if dev > 0.0}
+    report.append(f"logged numeric fields: {len(worst)}, equal in every run: "
+                  f"{len(worst) - len(shifted)}")
+    if shifted:
+        report.append("max relative deviation of the others:")
+        width = max(len(f) for f in shifted)
+        report += [f"  {field:<{width}}  {dev:.3g}" for field, dev in sorted(shifted.items())]
+    return (1 if differences else 0), report
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    a_dir, b_dir = Path(args[0]), Path(args[1])
+    for d in (a_dir, b_dir):
+        if not d.is_dir():
+            print(f"not a directory: {d}", file=sys.stderr)
+            return 2
+    try:
+        status, report = compare(a_dir, b_dir)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"cannot read run outputs: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(report))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
