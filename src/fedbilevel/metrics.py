@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,10 @@ class RateDiagnosticUnavailable(RuntimeError):
 GAP_CLIP = 1e-12
 
 
-@dataclass(frozen=True)
-class RoundRow:
+class RoundRow(NamedTuple):
+    """One round's logged metrics; an immutable tuple whose field order is
+    the JSONL key order and the CSV column order."""
+
     k: int
     inner_value: float
     inner_value_mean: float
@@ -41,7 +43,7 @@ class RoundRow:
     wall_clock_sec: float
 
 
-ROW_FIELDS = tuple(f.name for f in fields(RoundRow))
+ROW_FIELDS = RoundRow._fields
 
 
 @dataclass
@@ -105,18 +107,17 @@ def write_run_json(record: RunRecord, path) -> None:
 
 
 def write_rows_jsonl(record: RunRecord, path) -> None:
+    # One line at a time: joining the whole file first raises peak memory.
+    dumps = json.dumps
     with open(path, "w", encoding="utf-8") as f:
-        for row in record.rows:
-            f.write(json.dumps(asdict(row)))
-            f.write("\n")
+        f.writelines(dumps(row._asdict()) + "\n" for row in record.rows)
 
 
 def write_rows_csv(record: RunRecord, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(ROW_FIELDS)
-        for row in record.rows:
-            writer.writerow([getattr(row, name) for name in ROW_FIELDS])
+        writer.writerows(record.rows)
 
 
 def accuracy(x: np.ndarray, ds: "LabeledDataset") -> float:

@@ -146,7 +146,9 @@ def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
 
 
 def _norm(v: np.ndarray) -> float:
-    # Bitwise what np.linalg.norm computes for a 1-d float array.
+    # Bitwise what np.linalg.norm computes for a 1-d float array. Like it,
+    # copy a strided view first: a strided dot sums in another order.
+    v = np.ascontiguousarray(v)
     return math.sqrt(float(np.dot(v, v)))
 
 
@@ -167,7 +169,7 @@ def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
     at least 1 for signed objectives; for nonnegative objectives they change
     nothing.
     """
-    rx = float(np.linalg.norm(x_next - x_prev)) / (float(np.linalg.norm(x_prev)) + 1.0)
+    rx = _norm(x_next - x_prev) / (_norm(x_prev) + 1.0)
     rh = abs(h_next - h_prev) / (abs(h_prev) + 1.0)
     rf = abs(f_next - f_prev) / (abs(f_prev) + 1.0)
     return max(rx, rh, rf) <= tol
@@ -222,7 +224,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                 state = irig_round(state, sched, problem)
             wall = time.perf_counter() - wall0
             f_next, f_avg = problem.inner.values(
-                np.stack([state.x, weighted_average(state)])).tolist()
+                np.array([state.x, weighted_average(state)])).tolist()
             h_next = problem.outer_objective(state.x)
             cum_time += t_round
             rows.append(RoundRow(

@@ -38,6 +38,14 @@ def grid_min_selection_inner(lo: float = -10.0, hi: float = 10.0,
     return float(np.min(selection_inner_1d(ys)))
 
 
+def balls_inner(x, centers, radii) -> float:
+    """Sum over the balls of the distance from x to each, left to right."""
+    total = 0.0
+    for c, r in zip(centers, radii):
+        total += max(float(np.sqrt(np.sum((np.asarray(x) - c) ** 2))) - r, 0.0)
+    return total
+
+
 def _balls_inner_2d(xs, ys, centers, radii):
     total = np.zeros_like(xs)
     for c, r in zip(centers, radii):

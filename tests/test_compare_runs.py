@@ -39,6 +39,9 @@ def test_identical_sweeps_pass(two_sweeps, capsys):
     out = capsys.readouterr().out
     assert "runs compared: 4" in out
     assert "exact fields identical" in out
+    # the two sweeps' wall clocks differ, every other byte is the same
+    assert ".jsonl lines (minus wall_clock_sec) byte-identical in every run" in out
+    assert "summary.csv bytes: identical" in out
 
 
 def test_objective_shift_is_reported_not_failed(two_sweeps, capsys):
@@ -71,3 +74,33 @@ def test_different_run_sets_are_a_usage_error(two_sweeps):
     a, b = two_sweeps
     (b / "location_fism_S3_rep0.json").unlink()
     assert compare_runs.main([str(a), str(b)]) == 2
+
+
+def test_number_equal_rewrites_are_byte_differences(two_sweeps, capsys):
+    a, b = two_sweeps
+    # an integer counter written as a float, in the third row of one run
+    path = b / "location_irig_S3_rep0.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[2])
+    row["inner_subgrad_evals"] = float(row["inner_subgrad_evals"])
+    lines[2] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    # a float written in another notation, in the first row of another
+    path = b / "location_fism_S1_rep0.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert '"round_time_units": 12.0,' in lines[0]
+    lines[0] = lines[0].replace('"round_time_units": 12.0,', '"round_time_units": 1.2e1,')
+    path.write_text("".join(lines), encoding="utf-8")
+    # a float mean written as an integer
+    csv_path = b / "summary.csv"
+    original = csv_path.read_bytes()
+    csv_path.write_bytes(original.replace(b",20.0,", b",20,"))
+    assert csv_path.read_bytes() != original
+
+    assert compare_runs.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "exact fields identical" in out
+    assert ".jsonl lines (minus wall_clock_sec) DIFFER in 2 of 4 runs" in out
+    assert "location_irig_S3_rep0.jsonl line 3" in out
+    assert "location_fism_S1_rep0.jsonl line 1" in out
+    assert "summary.csv bytes: DIFFER" in out

@@ -105,6 +105,43 @@ class TestRecordOutputs:
             "outer_value", "step_norm", "round_time_units", "total_time_units",
             "inner_subgrad_evals", "outer_subgrad_evals", "wall_clock_sec"}
 
+    def _golden_record(self):
+        rows = [RoundRow(1, 2.5, 1.25, float("nan"), float("inf"), 0.1, 1.0, 1.0, 2, 1,
+                         0.001),
+                RoundRow(2, 1e-300, 5e-301, 0.30000000000000004, float("-inf"), 0.0,
+                         0.7, 1.7, 4, 2, 2e-06)]
+        x = np.zeros(1)
+        return RunRecord(method="fism", problem_id="golden", gamma1=1, a=0.5,
+                         lambda1=1, b=0.4, n_clients=2, n_inner=2, dimension=1, seed=0,
+                         rows=rows, final_x=x, final_avg_x=x, final_inner_value=0.0,
+                         final_outer_value=0.0, stop_reason="max_rounds")
+
+    def test_row_writers_golden_bytes(self, tmp_path):
+        rec = self._golden_record()
+        write_rows_jsonl(rec, tmp_path / "run.jsonl")
+        write_rows_csv(rec, tmp_path / "run.csv")
+        assert (tmp_path / "run.jsonl").read_bytes() == (
+            b'{"k": 1, "inner_value": 2.5, "inner_value_mean": 1.25, '
+            b'"inner_value_avg_iterate": NaN, "outer_value": Infinity, "step_norm": 0.1, '
+            b'"round_time_units": 1.0, "total_time_units": 1.0, "inner_subgrad_evals": 2, '
+            b'"outer_subgrad_evals": 1, "wall_clock_sec": 0.001}\n'
+            b'{"k": 2, "inner_value": 1e-300, "inner_value_mean": 5e-301, '
+            b'"inner_value_avg_iterate": 0.30000000000000004, "outer_value": -Infinity, '
+            b'"step_norm": 0.0, "round_time_units": 0.7, "total_time_units": 1.7, '
+            b'"inner_subgrad_evals": 4, "outer_subgrad_evals": 2, "wall_clock_sec": 2e-06}\n')
+        assert (tmp_path / "run.csv").read_bytes() == (
+            b"k,inner_value,inner_value_mean,inner_value_avg_iterate,outer_value,step_norm,"
+            b"round_time_units,total_time_units,inner_subgrad_evals,outer_subgrad_evals,"
+            b"wall_clock_sec\r\n"
+            b"1,2.5,1.25,nan,inf,0.1,1.0,1.0,2,1,0.001\r\n"
+            b"2,1e-300,5e-301,0.30000000000000004,-inf,0.0,0.7,1.7,4,2,2e-06\r\n")
+
+    def test_rows_are_immutable(self):
+        row = self._golden_record().rows[0]
+        with pytest.raises(AttributeError):
+            row.k = 5
+        assert row.k == 1
+
     def test_csv_rows(self, tmp_path):
         rec = self._record()
         write_rows_csv(rec, tmp_path / "run.csv")

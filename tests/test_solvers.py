@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, counting,
+from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, balls_inner, counting,
                      grid_min_selection_composite, zero_oracle)
 
 from fedbilevel.data import make_location_instance
@@ -14,9 +16,9 @@ from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.oracles import (BallDistances, EvalResult, OracleFamily, QuadAnchor,
                                 ball_dist_eval, outer_quad_anchor_eval)
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
-from fedbilevel.solvers import (RoundState, client_local_pass, fism_round, irig_round,
-                                reference_solve, run_solver, stopping_criterion,
-                                weighted_average)
+from fedbilevel.solvers import (RoundState, _norm, client_local_pass, fism_round,
+                                irig_round, reference_solve, run_solver,
+                                stopping_criterion, weighted_average)
 
 
 def _schedule_1d():
@@ -215,6 +217,20 @@ class TestStoppingCriterion:
         assert not stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.4)  # 1 / 2 = 0.5
         assert stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(v=arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
+           strided=st.booleans())
+    def test_norm_bitwise_equals_linalg_norm(self, v, strided):
+        # stopping_criterion relies on _norm giving np.linalg.norm's bits
+        if strided:
+            v = v[::2]
+        expected = float(np.linalg.norm(v))
+        got = _norm(v)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
+
 
 class TestRunSolver:
     def test_single_round_logged(self):
@@ -261,6 +277,25 @@ class TestRunSolver:
         xs = np.array([s.x[0] for s in states[:-1]])  # starting iterates x_1..x_K
         direct = float(np.sum(gammas * xs) / np.sum(gammas))
         assert rec.final_avg_x[0] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["fism", "irig"])
+    def test_logged_values_match_independent_objectives(self, method):
+        inst = make_location_instance(3, 12, seed=5)
+        prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
+        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12)
+        states = []
+        rec = run_solver(prob, sched, method, np.array([4.0, -3.0, 2.0]), 30,
+                         observe=states.append)
+        for row, start, end in zip(rec.rows, states, states[1:]):
+            avg = end.avg_num / end.avg_den
+            assert row.inner_value == pytest.approx(
+                balls_inner(start.x, inst.centers, inst.radii), rel=1e-12)
+            assert row.inner_value_mean == row.inner_value / 12
+            assert row.inner_value_avg_iterate == pytest.approx(
+                balls_inner(avg, inst.centers, inst.radii), rel=1e-12)
+            assert row.outer_value == pytest.approx(
+                0.5 * float(np.sum((start.x - inst.anchor) ** 2)), rel=1e-12)
+            assert row.step_norm == float(np.linalg.norm(end.x - start.x))
 
     def test_tolerance_stop_records_reason(self):
         prob = selection_1d_problem()

@@ -12,6 +12,12 @@ and ``summary.csv`` where both have one) is compared too, and the largest
 relative deviation of each field that is not equal everywhere is printed;
 ``wall_clock_sec`` and ``config.out_dir`` are ignored.
 
+A number-only comparison misses an integer written as ``1.0`` or a number
+written in another notation, so the report also says whether every
+``.jsonl`` line (with its ``wall_clock_sec`` entry removed) and
+``summary.csv`` (where both have one) are byte-identical. A byte difference
+alone does not change the exit status.
+
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
 when the directories do not hold the same runs or fields.
 """
@@ -20,12 +26,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 EXACT_SUMMARY = ("final_x", "final_avg_x", "rounds", "stop_reason", "test_accuracy")
 EXACT_ROW = ("step_norm",)
 IGNORED = {"rows.wall_clock_sec", "summary.config.out_dir"}
+WALL_CLOCK = re.compile(rb'(, )?"wall_clock_sec": [^,}]*')
 
 
 def _numbers(value, path: str, out: list[tuple[str, float]]) -> None:
@@ -67,10 +75,22 @@ def _same(a, b) -> bool:
     return json.dumps(a) == json.dumps(b)
 
 
-def _load_run(directory: Path, run_id: str) -> tuple[dict, list[dict]]:
+def _load_run(directory: Path, run_id: str) -> tuple[dict, list[bytes]]:
+    """The run's parsed summary and its raw JSONL lines, line ends kept."""
     summary = json.loads((directory / f"{run_id}.json").read_text(encoding="utf-8"))
-    lines = (directory / f"{run_id}.jsonl").read_text(encoding="utf-8").splitlines()
-    return summary, [json.loads(line) for line in lines]
+    lines = (directory / f"{run_id}.jsonl").read_bytes().splitlines(keepends=True)
+    return summary, lines
+
+
+def _first_byte_difference(lines_a: list[bytes], lines_b: list[bytes]) -> int | None:
+    """1-based number of the first JSONL line that differs once the
+    ``wall_clock_sec`` entries are removed, or None when none does."""
+    for number, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
+        if WALL_CLOCK.sub(b"", la) != WALL_CLOCK.sub(b"", lb):
+            return number
+    if len(lines_a) != len(lines_b):
+        return min(len(lines_a), len(lines_b)) + 1
+    return None
 
 
 def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
@@ -82,9 +102,15 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
     differences = []
     worst: dict[str, float] = {}
     pairs: list[tuple[list, list]] = []
+    byte_diffs: list[str] = []
     for run_id in runs_a:
-        sa, rows_a = _load_run(a_dir, run_id)
-        sb, rows_b = _load_run(b_dir, run_id)
+        sa, lines_a = _load_run(a_dir, run_id)
+        sb, lines_b = _load_run(b_dir, run_id)
+        line = _first_byte_difference(lines_a, lines_b)
+        if line is not None:
+            byte_diffs.append(f"{run_id}.jsonl line {line}")
+        rows_a = [json.loads(la) for la in lines_a]
+        rows_b = [json.loads(lb) for lb in lines_b]
         for key in EXACT_SUMMARY:
             if not _same(sa.get(key), sb.get(key)):
                 differences.append(f"{run_id}: {key} differs")
@@ -101,8 +127,11 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         _numbers(rows_a, "rows", na)
         _numbers(rows_b, "rows", nb)
         pairs.append((na, nb))
-    if (a_dir / "summary.csv").is_file() and (b_dir / "summary.csv").is_file():
-        pairs.append((_csv_numbers(a_dir / "summary.csv"), _csv_numbers(b_dir / "summary.csv")))
+    csv_a, csv_b = a_dir / "summary.csv", b_dir / "summary.csv"
+    csv_same = None
+    if csv_a.is_file() and csv_b.is_file():
+        pairs.append((_csv_numbers(csv_a), _csv_numbers(csv_b)))
+        csv_same = csv_a.read_bytes() == csv_b.read_bytes()
     for na, nb in pairs:
         if [f for f, _ in na] != [f for f, _ in nb]:
             if not differences:
@@ -116,6 +145,14 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         report += [f"  {d}" for d in differences]
     else:
         report.append("exact fields identical: " + ", ".join(EXACT_SUMMARY + EXACT_ROW))
+    if byte_diffs:
+        report.append(f".jsonl lines (minus wall_clock_sec) DIFFER in {len(byte_diffs)} "
+                      f"of {len(runs_a)} runs, first at:")
+        report += [f"  {d}" for d in byte_diffs]
+    else:
+        report.append(".jsonl lines (minus wall_clock_sec) byte-identical in every run")
+    if csv_same is not None:
+        report.append(f"summary.csv bytes: {'identical' if csv_same else 'DIFFER'}")
     shifted = {field: dev for field, dev in worst.items() if dev > 0.0}
     report.append(f"logged numeric fields: {len(worst)}, equal in every run: "
                   f"{len(worst) - len(shifted)}")
