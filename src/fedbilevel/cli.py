@@ -4,7 +4,7 @@ Subcommands:
   run <config>      execute a single run (first method, first client count)
   sweep <config>    execute the full methods x client-counts x repeats grid
                     and write a merged summary.csv
-  selftest          oracle finite-difference and projection property suite
+  selftest          objective and projection property suite
   inspect <file>    print a saved run summary
 
 Every run writes a JSON summary and a JSONL stream of per-round rows
@@ -271,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     add_run_flags(p_run)
     p_sweep = sub.add_parser("sweep", help="execute the full config grid")
     add_run_flags(p_sweep)
-    p_self = sub.add_parser("selftest", help="oracle and projection property suite")
+    p_self = sub.add_parser("selftest", help="objective and projection property suite")
     p_self.add_argument("--points", type=int, default=100)
     p_self.add_argument("--pairs", type=int, default=100)
     p_inspect = sub.add_parser("inspect", help="print a saved run summary")

@@ -107,13 +107,14 @@ def uniform_costs(sizes: Sequence[int], per_update: float = 1.0,
 def round_time(costs: CostModel, method: str) -> float:
     """Simulated time of one round under ``costs``.
 
-    Each client's update costs are summed left to right in local order;
-    neither numpy's pairwise summation nor the compensated builtin ``sum`` of
-    Python 3.12+ is used, so simulated times do not depend on either.
+    Each client's update costs are summed left to right in local order, and
+    the baseline adds the client sums left to right in client order; neither
+    numpy's pairwise summation nor the compensated builtin ``sum`` of Python
+    3.12+ is used, so simulated times do not depend on either.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     sums = [reduce(operator.add, c.tolist(), 0.0) for c in costs.per_update]
     if method == IRIG:
-        return float(sum(sums))
+        return float(reduce(operator.add, sums, 0.0))
     return float(max(sums) + max(costs.comm.tolist()))

@@ -9,12 +9,14 @@ metrics need). The built-in families hold the problem arrays:
 (centers and radii). :class:`OracleFamily` adapts custom ``x -> EvalResult``
 closures.
 
-Outer objectives expose ``value(x)`` and ``subgrad(x)``: :class:`L1Quad`,
-:class:`QuadAnchor`, and the :class:`OracleObjective` adapter.
+Outer objectives expose ``value(x)``, ``subgrad(x)`` and ``values(X)``, the
+values at the rows of a stack, each bitwise equal to ``value`` on that row:
+:class:`L1Quad`, :class:`QuadAnchor`, and the :class:`OracleObjective`
+adapter.
 
 The ``*_eval`` functions compute the value and subgradient of one sample
 from its data. They are the reference the families are checked against
-bitwise, and the oracles the self-check suite probes.
+bitwise.
 
 At nondifferentiable points the minimum-norm subgradient is returned
 (sign(0) = 0 for the L1 term, the zero vector inside closed balls), which
@@ -24,6 +26,8 @@ of its inputs and safe to call from concurrent client passes.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -49,13 +53,17 @@ class InnerFamily(Protocol):
         """One subgradient of sample i at x."""
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """The k inner totals (sums over all m samples) at the rows of X."""
+        """The k inner totals (sums over all m samples) at the rows of X;
+        a row's total must not depend on the other rows."""
 
 
 class OuterObjective(Protocol):
     def value(self, x: np.ndarray) -> float: ...
 
     def subgrad(self, x: np.ndarray) -> np.ndarray: ...
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """``value`` at every row of X, bitwise."""
 
 
 def project_box(x: np.ndarray, box: "BoxConstraint") -> np.ndarray:
@@ -144,7 +152,12 @@ class LogisticLosses:
         return (-bf * _sigmoid(z)) * a
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -self.labels * (X @ self.features.T)).sum(axis=1)
+        # One dot per (sample, point) margin, sample-major so the features
+        # are read once: a row's total does not depend on the other rows of
+        # X, as it can with X @ features.T, whose BLAS kernels vary with
+        # the stack height. C order keeps each row's sum pairwise.
+        z = np.ascontiguousarray(np.vecdot(self.features[:, None, :], X).T)
+        return np.logaddexp(0.0, -self.labels * z).sum(axis=1)
 
 
 class BallDistances:
@@ -193,7 +206,9 @@ class OracleFamily:
         return self.oracles[i](x).subgrad
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([float(sum(fn(x).value for fn in self.oracles)) for x in X])
+        # reduce, not builtin sum: sum is compensated from Python 3.12 on
+        return np.array([float(reduce(operator.add, (fn(x).value for fn in self.oracles), 0.0))
+                         for x in X])
 
 
 # Outer objectives.
@@ -203,6 +218,10 @@ class L1Quad:
 
     def value(self, x: np.ndarray) -> float:
         return float(np.sum(np.abs(x)) + 0.5 * np.dot(x, x))
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        # vecdot rows carry np.dot's bits (a row sum carries np.sum's)
+        return np.abs(X).sum(axis=1) + 0.5 * np.vecdot(X, X)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return np.sign(x) + x
@@ -217,6 +236,13 @@ class QuadAnchor:
     def value(self, x: np.ndarray) -> float:
         d = self.subgrad(x)
         return 0.5 * float(np.dot(d, d))
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        if X.shape[1:] != self.anchor.shape:
+            raise ValueError(f"points have shape {X.shape[1:]}, anchor has shape "
+                             f"{self.anchor.shape}")
+        D = X - self.anchor
+        return 0.5 * np.vecdot(D, D)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.anchor.shape:
@@ -234,6 +260,9 @@ class OracleObjective:
 
     def value(self, x: np.ndarray) -> float:
         return float(self.fn(x).value)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.value(x) for x in X])
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x).subgrad

@@ -1,9 +1,14 @@
-"""Seeded self-checks for the oracle suite.
+"""Seeded self-checks of the objects the solvers call.
 
-Covers finite-difference agreement at smooth points, the subgradient
-inequality on random pairs, and projection idempotence/nonexpansiveness.
-Used by both the test suite (at full sample counts) and the CLI ``selftest``
-subcommand (at lighter counts).
+The inner families (probed through one-row ``LogisticLosses`` and
+``BallDistances`` families: ``subgrad(0, x)`` against their ``values``) and
+the outer objectives (``L1Quad`` and ``QuadAnchor`` through ``value`` and
+``subgrad``) are checked for finite-difference agreement at smooth points
+and the subgradient inequality on random pairs; their ``values`` on a stack
+must give every row the bits a one-point call gives, which the block-wise
+run metrics rely on. Projection is checked for idempotence and
+nonexpansiveness. Used by both the test suite (at full sample counts) and
+the CLI ``selftest`` subcommand (at lighter counts).
 """
 from __future__ import annotations
 
@@ -11,24 +16,41 @@ from typing import Callable
 
 import numpy as np
 
-from .oracles import (Oracle, ball_dist_eval, logistic_eval, outer_l1_quad_eval,
-                      outer_quad_anchor_eval, project_box)
+from .oracles import (BallDistances, L1Quad, LogisticLosses, OuterObjective, QuadAnchor,
+                      project_box)
 from .problem import BoxConstraint
 from .rng import STREAM_CHECKS, make_rng
 
 _DIM = 7
-
-# A case is (oracle, is_smooth predicate); the predicate guards the
-# finite-difference stencil away from kinks.
+_STACK = 5
 
 
-def _logistic_case(rng) -> tuple[Oracle, Callable]:
+class _OneRow:
+    """A one-row inner family as a single function, with the ``value``,
+    ``subgrad`` and ``values`` of an outer objective."""
+
+    def __init__(self, family):
+        self.family = family
+        self.values = family.values
+
+    def value(self, x: np.ndarray) -> float:
+        return float(self.values(x[None, :])[0])
+
+    def subgrad(self, x: np.ndarray) -> np.ndarray:
+        return self.family.subgrad(0, x)
+
+
+# A case is (probe, is_smooth predicate): the probe is an outer objective or
+# a one-row family seen as one; the predicate guards the finite-difference
+# stencil away from kinks.
+
+def _logistic_case(rng) -> tuple[OuterObjective, Callable]:
     a = rng.standard_normal(_DIM)
     b = 1.0 if rng.random() < 0.5 else -1.0
-    return (lambda x: logistic_eval(a, b, x)), (lambda x: True)
+    return _OneRow(LogisticLosses(a[None, :], [b])), (lambda x: True)
 
 
-def _ball_case(rng) -> tuple[Oracle, Callable]:
+def _ball_case(rng) -> tuple[OuterObjective, Callable]:
     c = rng.uniform(-2.0, 2.0, _DIM)
     r = float(rng.uniform(0.5, 1.5))
 
@@ -36,16 +58,15 @@ def _ball_case(rng) -> tuple[Oracle, Callable]:
         dist = float(np.linalg.norm(x - c))
         return dist > margin and abs(dist - r) > margin
 
-    return (lambda x: ball_dist_eval(x, c, r)), smooth
+    return _OneRow(BallDistances(c[None, :], [r])), smooth
 
 
-def _l1_quad_case(rng) -> tuple[Oracle, Callable]:
-    return outer_l1_quad_eval, (lambda x: float(np.min(np.abs(x))) > 1e-3)
+def _l1_quad_case(rng) -> tuple[OuterObjective, Callable]:
+    return L1Quad(), (lambda x: float(np.min(np.abs(x))) > 1e-3)
 
 
-def _quad_anchor_case(rng) -> tuple[Oracle, Callable]:
-    anchor = rng.uniform(-2.0, 2.0, _DIM)
-    return (lambda x: outer_quad_anchor_eval(x, anchor)), (lambda x: True)
+def _quad_anchor_case(rng) -> tuple[OuterObjective, Callable]:
+    return QuadAnchor(rng.uniform(-2.0, 2.0, _DIM)), (lambda x: True)
 
 
 _CASES: dict[str, Callable] = {
@@ -58,22 +79,22 @@ _CASES: dict[str, Callable] = {
 
 def finite_difference_failures(points: int = 500, seed: int = 2024, step: float = 1e-6,
                                tol: float = 1e-5) -> dict[str, int]:
-    """Count per-oracle coordinates where central differences disagree with
+    """Count per-case coordinates where central differences disagree with
     the reported subgradient beyond tol * (1 + |g|), at smooth points."""
     out: dict[str, int] = {}
     for name, case in _CASES.items():
         rng = make_rng(seed, STREAM_CHECKS)
         failures = 0
         for _ in range(points):
-            oracle, smooth = case(rng)
+            probe, smooth = case(rng)
             x = rng.uniform(-4.0, 4.0, _DIM)
             while not smooth(x):
                 x = rng.uniform(-4.0, 4.0, _DIM)
-            g = oracle(x).subgrad
+            g = probe.subgrad(x)
             for d in range(_DIM):
                 e = np.zeros(_DIM)
                 e[d] = step
-                fd = (oracle(x + e).value - oracle(x - e).value) / (2.0 * step)
+                fd = (probe.value(x + e) - probe.value(x - e)) / (2.0 * step)
                 if abs(fd - g[d]) > tol * (1.0 + abs(g[d])):
                     failures += 1
         out[name] = failures
@@ -82,18 +103,33 @@ def finite_difference_failures(points: int = 500, seed: int = 2024, step: float 
 
 def subgradient_inequality_failures(pairs: int = 100, seed: int = 2024,
                                     slack: float = 1e-9) -> dict[str, int]:
-    """Count per-oracle pairs violating f(y) >= f(x) + <g(x), y - x> - slack."""
+    """Count per-case pairs violating f(y) >= f(x) + <g(x), y - x> - slack."""
     out: dict[str, int] = {}
     for name, case in _CASES.items():
         rng = make_rng(seed, STREAM_CHECKS)
         failures = 0
         for _ in range(pairs):
-            oracle, _ = case(rng)
+            probe, _ = case(rng)
             x = rng.uniform(-4.0, 4.0, _DIM)
             y = rng.uniform(-4.0, 4.0, _DIM)
-            fx, gx = oracle(x)
-            fy = oracle(y).value
-            if fy < fx + float(np.dot(gx, y - x)) - slack:
+            if probe.value(y) < probe.value(x) + float(np.dot(probe.subgrad(x), y - x)) - slack:
+                failures += 1
+        out[name] = failures
+    return out
+
+
+def stacked_value_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
+    """Count per-case stacks of points whose ``values`` differ in any bit
+    from the one-point value of some row."""
+    out: dict[str, int] = {}
+    for name, case in _CASES.items():
+        rng = make_rng(seed, STREAM_CHECKS)
+        failures = 0
+        for _ in range(stacks):
+            probe, _ = case(rng)
+            points = rng.uniform(-4.0, 4.0, (_STACK, _DIM))
+            single = np.array([probe.value(x) for x in points])
+            if probe.values(points).tobytes() != single.tobytes():
                 failures += 1
         out[name] = failures
     return out
@@ -132,6 +168,8 @@ def run_selftest(points: int = 100, pairs: int = 100, seed: int = 2024) -> list[
         results.append((f"finite-difference {name}", fails == 0, f"{fails} failing coordinates"))
     for name, fails in subgradient_inequality_failures(pairs=pairs, seed=seed).items():
         results.append((f"subgradient-inequality {name}", fails == 0, f"{fails} failing pairs"))
+    for name, fails in stacked_value_failures(stacks=pairs, seed=seed).items():
+        results.append((f"stacked-values {name}", fails == 0, f"{fails} failing stacks"))
     for name, fails in projection_failures(pairs=pairs, seed=seed).items():
         results.append((f"projection {name}", fails == 0, f"{fails} failing pairs"))
     return results

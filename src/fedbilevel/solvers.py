@@ -10,9 +10,14 @@ subgradients: the scaled outer term is formed once per client pass (FISM) or
 once per step (IRIG), and no function value is computed on the solver path.
 So the two methods coincide bitwise when one client holds one function.
 
-The per-round metrics come from one vectorized ``inner.values`` call on the
-new iterate and the running average, plus one outer value. A non-finite
-objective value stops a run with ``stop_reason="non-finite"``.
+``run_solver`` runs rounds in blocks of up to ``_BLOCK`` and then takes the
+block's metrics in a few vectorized calls: one ``inner.values`` on the new
+iterates and the running averages, one ``outer.values`` and one stack of
+step norms. Each of these gives a row the bits a one-point call gives, so
+the records do not depend on the block length. A non-finite objective value
+stops a run with ``stop_reason="non-finite"``; the rounds computed after it
+in its block are discarded. With a tolerance set, a block is one round, so
+a run computes no round that it does not record.
 
 Client passes within a round read only shared immutable inputs and are
 aggregated in ascending client index, so results are bitwise independent of
@@ -20,8 +25,9 @@ the execution interleaving and of the thread count.
 
 ``run_solver`` reports progress through one optional hook, ``observe``,
 called with the projected initial state and then with the state after every
-round; a client's local path is recovered by chaining ``client_local_pass``
-calls over one function at a time.
+recorded round, in order, as each block is recorded; a client's local path
+is recovered by chaining ``client_local_pass`` calls over one function at a
+time.
 """
 from __future__ import annotations
 
@@ -39,6 +45,10 @@ from .metrics import RoundRow, RunRecord
 from .oracles import InnerFamily, project_box
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
 from .rng import STREAM_INIT, make_rng, open_uniform
+
+# Rounds run between two metric passes when no tolerance is set. The records
+# do not depend on it; it only bounds the rounds computed past a stop.
+_BLOCK = 32
 
 
 @dataclass
@@ -152,6 +162,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.dot(v, v)))
 
 
+def _step_norms(xs: np.ndarray) -> list[float]:
+    # ||x_{j+1} - x_j|| for consecutive rows; vecdot rows carry np.dot's bits,
+    # so each norm is bitwise _norm of its step.
+    d = xs[1:] - xs[:-1]
+    return np.sqrt(np.vecdot(d, d)).tolist()
+
+
 def weighted_average(state: RoundState) -> np.ndarray:
     """Stepsize-weighted mean of the global iterates seen so far."""
     if state.avg_den <= 0.0:
@@ -188,10 +205,13 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     after every round; otherwise the round budget alone stops the run. A
     non-finite inner or outer value (at the new iterate or the running
     average) ends the run after logging that round, with stop reason
-    ``"non-finite"``.
+    ``"non-finite"``; rounds already computed past it are discarded, and an
+    error raised in the block past it is dropped by replaying the block one
+    round at a time.
     ``costs`` must price exactly ``problem.client_sizes`` updates (default:
     unit costs, no communication). ``observe``, when given, is called with
-    the projected initial state and then with the state after every round.
+    the projected initial state and then with the state after every recorded
+    round, in round order, once that round's metrics are taken.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -214,43 +234,64 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     h_cur = problem.outer_objective(state.x)
     cum_time = 0.0
     stop_reason = "max_rounds"
+    block = _BLOCK if tol is None else 1
     try:
-        for _ in range(max_rounds):
-            wall0 = time.perf_counter()
+        while stop_reason == "max_rounds" and len(rows) < max_rounds:
             prev = state
-            if method == FISM:
-                state = fism_round(state, sched, problem, executor=executor)
-            else:
-                state = irig_round(state, sched, problem)
-            wall = time.perf_counter() - wall0
-            f_next, f_avg = problem.inner.values(
-                np.array([state.x, weighted_average(state)])).tolist()
-            h_next = problem.outer_objective(state.x)
-            cum_time += t_round
-            rows.append(RoundRow(
-                k=prev.k,
-                inner_value=f_cur,
-                inner_value_mean=f_cur / m,
-                inner_value_avg_iterate=f_avg,
-                outer_value=h_cur,
-                step_norm=_norm(state.x - prev.x),
-                round_time_units=t_round,
-                total_time_units=cum_time,
-                inner_subgrad_evals=state.inner_evals,
-                outer_subgrad_evals=state.outer_evals,
-                wall_clock_sec=wall,
-            ))
-            if observe is not None:
-                observe(state)
-            if not (math.isfinite(f_next) and math.isfinite(h_next)
-                    and math.isfinite(f_avg)):
-                stop_reason = "non-finite"
-            elif tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
-                                                        h_cur, h_next, tol):
-                stop_reason = "tolerance"
-            f_cur, h_cur = f_next, h_next
-            if stop_reason != "max_rounds":
-                break
+            states: list[RoundState] = []
+            walls: list[float] = []
+            try:
+                for _ in range(min(block, max_rounds - len(rows))):
+                    wall0 = time.perf_counter()
+                    if method == FISM:
+                        state = fism_round(state, sched, problem, executor=executor)
+                    else:
+                        state = irig_round(state, sched, problem)
+                    walls.append(time.perf_counter() - wall0)
+                    states.append(state)
+                b = len(states)
+                xs = np.array([prev.x] + [s.x for s in states])
+                avgs = (np.array([s.avg_num for s in states])
+                        / np.array([[s.avg_den] for s in states]))
+                f_all = problem.inner.values(np.concatenate((xs[1:], avgs))).tolist()
+                h_all = problem.outer.values(xs[1:]).tolist()
+            except Exception:
+                # The block may have run past the round that stops the run.
+                # Replay from its start one round at a time, so an error from
+                # a round that would never be recorded does not surface.
+                if block == 1:
+                    raise
+                block, state = 1, prev
+                continue
+            # Rows in round order; ``state`` ends at the last recorded round.
+            for state, wall, f_next, f_avg, h_next, step_norm in zip(
+                    states, walls, f_all[:b], f_all[b:], h_all, _step_norms(xs)):
+                cum_time += t_round
+                rows.append(RoundRow(
+                    k=prev.k,
+                    inner_value=f_cur,
+                    inner_value_mean=f_cur / m,
+                    inner_value_avg_iterate=f_avg,
+                    outer_value=h_cur,
+                    step_norm=step_norm,
+                    round_time_units=t_round,
+                    total_time_units=cum_time,
+                    inner_subgrad_evals=state.inner_evals,
+                    outer_subgrad_evals=state.outer_evals,
+                    wall_clock_sec=wall,
+                ))
+                if observe is not None:
+                    observe(state)
+                if not (math.isfinite(f_next) and math.isfinite(h_next)
+                        and math.isfinite(f_avg)):
+                    stop_reason = "non-finite"
+                elif tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
+                                                            h_cur, h_next, tol):
+                    stop_reason = "tolerance"
+                f_cur, h_cur = f_next, h_next
+                prev = state
+                if stop_reason != "max_rounds":
+                    break
     finally:
         if executor is not None:
             executor.shutdown()

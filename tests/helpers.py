@@ -38,6 +38,14 @@ def grid_min_selection_inner(lo: float = -10.0, hi: float = 10.0,
     return float(np.min(selection_inner_1d(ys)))
 
 
+def left_to_right_sum(values) -> float:
+    """((v0 + v1) + v2) + ...: builtin sum is compensated from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def balls_inner(x, centers, radii) -> float:
     """Sum over the balls of the distance from x to each, left to right."""
     total = 0.0

@@ -114,11 +114,8 @@ class TestMain:
         assert not out.exists()  # rejected before any run
 
     def test_non_finite_run_is_written_and_fails(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-
-        def inner(x):  # NaN from the fifth call on, i.e. inside round 2
-            calls["n"] += 1
-            if calls["n"] >= 5:
+        def inner(x):  # iterates 6.29, 5.76, then 5.50: NaN at the end of round 2
+            if x[0] < 5.6:
                 return EvalResult(math.nan, np.full_like(x, math.nan))
             return ball_dist_eval(x, np.array([0.5]), 0.5)
 
@@ -127,7 +124,8 @@ class TestMain:
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0, name="selection-1d")
         monkeypatch.setattr(cli, "_build_problem", lambda *args: prob)
-        path = _config(tmp_path, "problem = selection-1d\nmethods = fism\nmax_rounds = 50\n")
+        path = _config(tmp_path, "problem = selection-1d\nmethods = fism\nmax_rounds = 50\n"
+                                 "gamma1 = 0.1\n")
         out = tmp_path / "out"
         assert cli.main(["sweep", str(path), "--out", str(out)]) == 1
         summary = json.loads((out / "selection-1d_fism_S1_rep0.json").read_text())

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedbilevel.oracles import (BallDistances, LogisticLosses, OracleFamily, ball_dist_eval,
-                                logistic_eval, project_box)
+from helpers import left_to_right_sum
+
+from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, OracleFamily,
+                                OracleObjective, QuadAnchor, ball_dist_eval, logistic_eval,
+                                outer_quad_anchor_eval, project_box)
 from fedbilevel.problem import BoxConstraint
 
 # Rounding allowance for vectorized totals, relative to the per-sample sum
@@ -119,9 +122,65 @@ class TestOracleFamily:
         assert len(fam) == len(oracles)
         totals = fam.values(points)
         for x, total in zip(points, totals):
-            assert total == float(sum(fn(x).value for fn in oracles))
+            assert total == left_to_right_sum(fn(x).value for fn in oracles)
             for i, fn in enumerate(oracles):
                 assert fam.subgrad(i, x).tobytes() == fn(x).subgrad.tobytes()
+
+
+@st.composite
+def stacked_points(draw, max_rows=12):
+    """A (b, n) stack of b iterates and a (b, n) stack of b averages."""
+    n = draw(st.integers(1, 40) | st.sampled_from([100, 784, 1000]))
+    b = draw(st.integers(1, max_rows))
+    if n > 40:  # long rows: drawn from a seeded generator, not element by element
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return n, 100.0 * rng.standard_normal((b, n)), 100.0 * rng.standard_normal((b, n))
+    wide = st.floats(-1e3, 1e3)
+    return (n, draw(arrays(np.float64, (b, n), elements=wide)),
+            draw(arrays(np.float64, (b, n), elements=wide)))
+
+
+class TestBlockStacks:
+    """run_solver takes a block of rounds' metrics from one stack, and the
+    initial value from a one-row stack; every row must get the bits its
+    one-round stack [x, avg] and its own one-row stack get."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_points(), st.integers(1, 30), st.sampled_from(["balls", "logistic"]),
+           st.data())
+    def test_stack_rows_equal_two_row_stacks(self, points, m, kind, data):
+        n, X, A = points
+        rows = np.random.default_rng(m).uniform(-5.0, 5.0, (m, n))
+        if kind == "balls":
+            fam = BallDistances(rows, data.draw(arrays(np.float64, m,
+                                                       elements=st.floats(0.01, 5.0))))
+        else:
+            labels = data.draw(arrays(np.float64, m, elements=st.sampled_from([-1.0, 1.0])))
+            fam = LogisticLosses(rows, labels)
+        b = len(X)
+        block = fam.values(np.concatenate((X, A)))
+        for j in range(b):
+            pair = fam.values(np.array([X[j], A[j]]))
+            assert pair.tobytes() == block[[j, b + j]].tobytes()
+            assert fam.values(X[j:j + 1]).tobytes() == block[j:j + 1].tobytes()
+
+
+class TestOuterValues:
+    @settings(max_examples=100, deadline=None)
+    @given(stacked_points(max_rows=20), st.data())
+    def test_rows_bitwise_equal_value(self, points, data):
+        n, X, _ = points
+        anchor = data.draw(arrays(np.float64, n, elements=coord))
+        outers = [L1Quad(), QuadAnchor(anchor),
+                  OracleObjective(lambda x: outer_quad_anchor_eval(x, anchor))]
+        for outer in outers:
+            got = outer.values(X)
+            assert got.shape == (len(X),)
+            assert got.tobytes() == np.array([outer.value(x) for x in X]).tobytes()
+
+    def test_quad_anchor_rejects_other_dimension(self):
+        with pytest.raises(ValueError):
+            QuadAnchor([1.0, 2.0]).values(np.zeros((3, 3)))
 
 
 class TestProjectBoxProperties:

@@ -95,6 +95,12 @@ class TestSimulateRoundTime:
         assert round_time(costs, IRIG) == 0.9999999999999999
         assert round_time(costs, FISM) == 0.9999999999999999
 
+    def test_client_sums_added_left_to_right(self):
+        # (0.1 + 0.2) + 0.3 = 0.6000000000000001; builtin sum gives 0.6 from
+        # Python 3.12 on
+        costs = CostModel((np.array([0.1]), np.array([0.2]), np.array([0.3])), np.zeros(3))
+        assert round_time(costs, IRIG) == 0.6000000000000001
+
     def test_federated_bounded_by_sequential(self):
         # with slower sequential per-update costs t >= s, the federated round
         # never exceeds the sequential round plus the worst link

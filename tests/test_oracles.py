@@ -9,7 +9,7 @@ from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, QuadAncho
 from fedbilevel.problem import BoxConstraint
 from fedbilevel.rng import make_rng
 from fedbilevel.selfcheck import (finite_difference_failures, projection_failures,
-                                  subgradient_inequality_failures)
+                                  stacked_value_failures, subgradient_inequality_failures)
 
 
 class TestProjectBox:
@@ -125,6 +125,9 @@ class TestOracleProperties:
 
     def test_finite_differences_smooth_points(self):
         assert all(v == 0 for v in finite_difference_failures(points=100).values())
+
+    def test_stacked_values_bitwise(self):
+        assert all(v == 0 for v in stacked_value_failures(stacks=100).values())
 
     def test_projection_properties(self):
         assert all(v == 0 for v in projection_failures(pairs=100).values())

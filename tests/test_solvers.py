@@ -10,19 +10,43 @@ from hypothesis.extra.numpy import arrays
 from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, balls_inner, counting,
                      grid_min_selection_composite, zero_oracle)
 
-from fedbilevel.data import make_location_instance
-from fedbilevel.federation import CONTIGUOUS, FISM, IRIG, partition_data, uniform_costs
-from fedbilevel.instances import location_problem, selection_1d_problem
+from fedbilevel import solvers
+from fedbilevel.data import make_location_instance, make_synthetic_logistic
+from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, partition_data,
+                                   uniform_costs)
+from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
 from fedbilevel.oracles import (BallDistances, EvalResult, OracleFamily, QuadAnchor,
                                 ball_dist_eval, outer_quad_anchor_eval)
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
-from fedbilevel.solvers import (RoundState, _norm, client_local_pass, fism_round,
-                                irig_round, reference_solve, run_solver,
+from fedbilevel.solvers import (RoundState, _norm, _step_norms, client_local_pass,
+                                fism_round, irig_round, reference_solve, run_solver,
                                 stopping_criterion, weighted_average)
 
 
 def _schedule_1d():
     return make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=1)
+
+
+def _small_steps_1d():
+    return make_schedule(0.1, 0.55, 1, 0.4, mu_H=1, m=1)
+
+
+def _nan_below(threshold):
+    """selection-1d as closures whose inner and outer values and subgradients
+    turn NaN once x drops below ``threshold``: a trigger that depends only on
+    the point, not on when or how often the closures are called."""
+
+    def poisoned(oracle):
+        def fn(x):
+            if x[0] < threshold:
+                return EvalResult(math.nan, np.full_like(x, math.nan))
+            return oracle(x)
+        return fn
+
+    return ProblemSpec.from_oracles(
+        dimension=1, clients=[[poisoned(lambda x: ball_dist_eval(x, np.array([0.5]), 0.5))]],
+        outer=poisoned(lambda x: outer_quad_anchor_eval(x, np.array([2.0]))),
+        constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
 
 
 def _observed_iterates(*args, **kwargs):
@@ -332,23 +356,8 @@ class TestRunSolver:
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
     def test_non_finite_value_stops_the_run(self, method):
-        poisoned = {"on": False}
-
-        def inner(x):
-            if poisoned["on"]:
-                return EvalResult(math.nan, np.full_like(x, math.nan))
-            return ball_dist_eval(x, np.array([0.5]), 0.5)
-
-        prob = ProblemSpec.from_oracles(
-            dimension=1, clients=[[inner]],
-            outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
-            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
-
-        def observe(state):  # the oracle returns NaN from round 3 on
-            poisoned["on"] = state.k >= 3
-
-        rec = run_solver(prob, _schedule_1d(), method, np.array([4.0]), 100,
-                         observe=observe)
+        # iterates 4, 3.7, 3.54, then 3.43: the value at the end of round 3 is NaN
+        rec = run_solver(_nan_below(3.5), _small_steps_1d(), method, np.array([4.0]), 100)
         assert rec.stop_reason == "non-finite"
         assert rec.rounds == 3
         assert all(math.isfinite(row.inner_value) for row in rec.rows)
@@ -361,6 +370,117 @@ class TestRunSolver:
             with pytest.raises(ValueError):
                 run_solver(prob, sched, "fism", np.array([0.0]), 1,
                            costs=uniform_costs(sizes))
+
+
+def _block_case(name):
+    """(problem, schedule, initial point) of a small shipped problem family."""
+    if name == "selection-1d":
+        return selection_1d_problem(), _schedule_1d(), np.array([4.0])
+    if name == "location":
+        inst = make_location_instance(3, 12, seed=5)
+        prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
+        return prob, make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12), np.array([4.0, -3.0, 2.0])
+    ds = make_synthetic_logistic(5, 40, margin=0.3, seed=8)
+    prob = logistic_problem(ds, partition_data(40, 4, SHUFFLED, seed=8))
+    return prob, make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=40), np.full(5, 0.5)
+
+
+class TestBlockLength:
+    """Rounds run in blocks between metric passes; the block length must not
+    show in anything a run returns or reports."""
+
+    @staticmethod
+    def _runs(monkeypatch, *args, **kwargs):
+        # (record, observed states, canonical bytes) per block length 1, 7, 32
+        out = []
+        for block in (1, 7, 32):
+            monkeypatch.setattr(solvers, "_BLOCK", block)
+            states = []
+            rec = run_solver(*args, observe=states.append, **kwargs)
+            canonical = (repr([row._replace(wall_clock_sec=None) for row in rec.rows]),
+                         rec.final_x.tobytes(), rec.final_avg_x.tobytes(),
+                         repr((rec.final_inner_value, rec.final_outer_value)),
+                         rec.stop_reason,
+                         [(s.k, s.x.tobytes(), s.avg_num.tobytes(), s.avg_den)
+                          for s in states])
+            out.append((rec, states, canonical))
+        return out
+
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    @pytest.mark.parametrize("name", ["selection-1d", "location", "logistic-synthetic"])
+    def test_fixed_rounds(self, monkeypatch, method, name):
+        prob, sched, x0 = _block_case(name)
+        runs = self._runs(monkeypatch, prob, sched, method, x0, 75)  # 75 = 7*10 + 5 = 32*2 + 11
+        assert runs[0][2] == runs[1][2] == runs[2][2]
+        rec, states, _ = runs[2]
+        assert rec.rounds == 75 and rec.stop_reason == "max_rounds"
+        assert [s.k for s in states] == list(range(1, 77))
+
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    @pytest.mark.parametrize("threshold, stop_round", [(3.5, 3), (2.2, 55)])
+    def test_non_finite_stop_mid_block(self, monkeypatch, method, threshold, stop_round):
+        runs = self._runs(monkeypatch, _nan_below(threshold), _small_steps_1d(), method,
+                          np.array([4.0]), 500)
+        assert runs[0][2] == runs[1][2] == runs[2][2]
+        for rec, states, _ in runs:
+            assert rec.stop_reason == "non-finite" and rec.rounds == stop_round
+            # observe saw the recorded rounds only; the run returns the last one
+            assert [s.k for s in states] == list(range(1, stop_round + 2))
+            assert rec.final_x.tobytes() == states[-1].x.tobytes()
+
+    def test_tolerance_run_computes_only_recorded_rounds(self, monkeypatch):
+        calls = {"n": 0}
+        inner_round = solvers.fism_round
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return inner_round(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "fism_round", counted)
+        prob = selection_1d_problem()
+        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=1)
+        rec = run_solver(prob, sched, FISM, np.array([0.9]), 100_000, tol=1e-3)
+        assert rec.stop_reason == "tolerance"
+        assert calls["n"] == rec.rounds
+
+    @pytest.mark.parametrize("nan_below", [3.5, None])
+    def test_error_past_a_stop_is_dropped(self, monkeypatch, nan_below):
+        # iterates 4, 3.7, 3.54, 3.43, 3.35. The closure raises on a NaN point
+        # and below 3.4. With NaN below 3.5 the run stops at round 3: rounds
+        # 4 and 5 of the block reach a NaN point and raise, and are dropped.
+        # Without it, round 4's value at 3.35 raises as it would alone.
+        def inner(x):
+            if math.isnan(x[0]) or x[0] < 3.4:
+                raise ArithmeticError("outside the closure's domain")
+            if nan_below is not None and x[0] < nan_below:
+                return EvalResult(math.nan, np.full_like(x, math.nan))
+            return ball_dist_eval(x, np.array([0.5]), 0.5)
+
+        prob = ProblemSpec.from_oracles(
+            dimension=1, clients=[[inner]],
+            outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
+            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
+        args = (prob, _small_steps_1d(), FISM, np.array([4.0]), 100)
+        if nan_below is None:
+            with pytest.raises(ArithmeticError):
+                run_solver(*args)
+            return
+        runs = self._runs(monkeypatch, *args)
+        assert runs[0][2] == runs[1][2] == runs[2][2]
+        assert (runs[2][0].stop_reason, runs[2][0].rounds) == ("non-finite", 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40) | st.sampled_from([100, 784, 1000]),
+           rows=st.integers(2, 34))
+    def test_step_norms_bitwise_equal_norm(self, data, n, rows):
+        if n > 40:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            xs = 10.0 * rng.standard_normal((rows, n))
+        else:
+            xs = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1e6, 1e6)))
+        expected = [_norm(xs[j + 1] - xs[j]) for j in range(rows - 1)]
+        got = _step_norms(xs)
+        assert struct.pack(f"<{rows - 1}d", *got) == struct.pack(f"<{rows - 1}d", *expected)
 
 
 class TestEquivalenceProperty:
