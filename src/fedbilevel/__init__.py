@@ -8,7 +8,7 @@ sweeps all inner functions sequentially with fresh outer subgradients.
 """
 from .data import (DigitDataset, FormatError, LabeledDataset, LocationInstance,
                    filter_binary, load_digit_images, make_location_instance,
-                   make_synthetic_logistic, read_csv_dataset, read_idx, write_idx)
+                   make_synthetic_logistic, read_idx, write_idx)
 from .federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, ClientPartition, CostModel,
                          partition_data, round_time, uniform_costs)
 from .instances import location_problem, logistic_problem, selection_1d_problem
@@ -39,7 +39,7 @@ __all__ = [
     "make_location_instance", "make_rng", "make_schedule",
     "make_synthetic_logistic", "outer_l1_quad_eval", "outer_quad_anchor_eval",
     "partition_data", "project_box", "rate_diagnostic",
-    "read_csv_dataset", "read_idx", "reference_solve", "round_time", "run_solver",
+    "read_idx", "reference_solve", "round_time", "run_solver",
     "selection_1d_problem", "stopping_criterion", "uniform_costs",
     "weighted_average", "write_idx", "write_rows_csv", "write_rows_jsonl",
     "write_run_json",

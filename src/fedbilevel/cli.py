@@ -60,21 +60,25 @@ def _build_datasets(cfg: ExperimentConfig) -> dict:
 
 def _split_balanced(pool: LabeledDataset, train_size: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Split a balanced pool into balanced train/test parts, preserving draw
-    order within each class; both parts keep the pool's separator."""
-    if train_size % 2 or (len(pool) - train_size) % 2:
-        raise ConfigError("m and test_size must both be even for balanced splits", key="m")
-    half = train_size // 2
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    seen = {1: 0, -1: 0}
-    for i, lab in enumerate(pool.labels):
-        lab = int(lab)
-        (train_idx if seen[lab] < half else test_idx).append(i)
-        seen[lab] += 1
-    train = LabeledDataset(pool.features[train_idx], pool.labels[train_idx],
-                           name=pool.name, separator=pool.separator)
-    test = LabeledDataset(pool.features[test_idx], pool.labels[test_idx],
+    order within each class; both parts keep the pool's separator. The pool
+    is consumed: its training rows move to the front of its feature array in
+    place, and the training features are a view of them."""
+    labels = pool.labels
+    pos = labels == 1
+    in_train = np.where(pos, np.cumsum(pos), np.cumsum(~pos)) <= train_size // 2
+    train_idx, test_idx = np.flatnonzero(in_train), np.flatnonzero(~in_train)
+    feats = pool.features
+    test = LabeledDataset(feats[test_idx], labels[test_idx],
                           name=pool.name + "-heldout", separator=pool.separator)
+    # Move the runs of training rows forward on a flat view: numpy copies a
+    # 1-d overlap with the source ahead in place, a 2-d one through a copy.
+    flat, n, dst = feats.reshape(-1), feats.shape[1], 0
+    for start, stop in zip(np.r_[0, test_idx + 1], np.r_[test_idx, len(labels)]):
+        if start > dst:
+            flat[dst * n:(dst + stop - start) * n] = flat[start * n:stop * n]
+        dst += stop - start
+    train = LabeledDataset(feats[:train_size], labels[train_idx],
+                           name=pool.name, separator=pool.separator)
     return train, test
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .data import check_synthetic_margin
 from .federation import METHODS, SHUFFLED, STRATEGIES
 
 PROBLEMS = ("selection-1d", "location", "logistic-synthetic", "logistic-mnist")
@@ -216,8 +217,15 @@ class ExperimentConfig:
                               key="client_cost_scale")
         if self.test_size < 0:
             raise ConfigError("test_size must be >= 0", key="test_size")
-        if self.problem in ("logistic-synthetic",) and self.m % 2:
-            raise ConfigError("m must be even for balanced synthetic classes", key="m")
+        if self.problem == "logistic-synthetic":
+            for key in ("m", "test_size"):
+                if getattr(self, key) % 2:
+                    raise ConfigError(f"{key} must be even for balanced synthetic classes",
+                                      key=key)
+            try:
+                check_synthetic_margin(self.m + self.test_size, self.margin)
+            except ValueError as exc:
+                raise ConfigError(str(exc), key="margin") from None
 
     def echo_dict(self) -> dict:
         out = {}

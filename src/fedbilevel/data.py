@@ -1,7 +1,7 @@
-"""Dataset ingestion (IDX, CSV) and seeded synthetic instance generators."""
+"""Dataset ingestion (IDX) and seeded synthetic instance generators."""
 from __future__ import annotations
 
-import csv
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -133,37 +133,53 @@ def filter_binary(ds: DigitDataset, pos_digit: int, neg_digit: int) -> LabeledDa
     return LabeledDataset(ds.features[keep], labels, name=ds.name)
 
 
+# Largest expected draw count of make_synthetic_logistic: a draw is kept
+# with probability erfc(margin / sqrt(2)), so m samples take m / that.
+MAX_SYNTHETIC_DRAWS = 10**8
+
+
+def check_synthetic_margin(m: int, margin: float) -> None:
+    """Raise ValueError unless ``margin`` is finite, nonnegative and expected
+    to need at most MAX_SYNTHETIC_DRAWS draws for m samples."""
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
+    if m > MAX_SYNTHETIC_DRAWS * math.erfc(margin / math.sqrt(2)):
+        raise ValueError(f"margin {margin} is expected to need more than "
+                         f"{MAX_SYNTHETIC_DRAWS:.0e} draws for {m} samples")
+
+
 def make_synthetic_logistic(n: int, m: int, margin: float, seed: int) -> LabeledDataset:
     """Separable Gaussian data labeled by a hidden direction.
 
     Features are standard normal, labels are the sign of the projection onto
     a seeded direction w, and draws with |<w, a>| / ||w|| below the margin
     are resampled. Classes are balanced to exactly m/2 samples each, emitted
-    in draw order.
+    in draw order. Each draw is written into the next free row of one
+    (m, n) array, which keeps it if it is accepted.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     if m % 2:
         raise ValueError("m must be even so each class can hold m/2 samples")
+    check_synthetic_margin(m, margin)
     rng = make_rng(seed, STREAM_DATA)
     w = rng.standard_normal(n)
     wn = float(np.linalg.norm(w))
-    half = m // 2
-    feats: list[np.ndarray] = []
-    labels: list[int] = []
-    remaining = {1: half, -1: half}
-    while remaining[1] or remaining[-1]:
-        a = rng.standard_normal(n)
+    feats = np.empty((m, n))
+    labels = np.empty(m, dtype=int)
+    remaining = {1: m // 2, -1: m // 2}
+    j = 0
+    while j < m:
+        a = rng.standard_normal(out=feats[j])
         score = float(np.dot(w, a))
         if abs(score) / wn < margin:
             continue
         lab = 1 if score > 0 else -1
         if remaining[lab]:
             remaining[lab] -= 1
-            feats.append(a)
-            labels.append(lab)
-    return LabeledDataset(np.array(feats), np.array(labels),
-                          name=f"synthetic-logistic-{n}d", separator=w)
+            labels[j] = lab
+            j += 1
+    return LabeledDataset(feats, labels, name=f"synthetic-logistic-{n}d", separator=w)
 
 
 @dataclass(frozen=True)
@@ -195,35 +211,3 @@ def make_location_instance(n: int, m: int, seed: int) -> LocationInstance:
     radii = open_uniform(rng, 0.0, 1.0, m)
     anchor = open_uniform(rng, -10.0, 10.0, n)
     return LocationInstance(centers, radii, anchor, BoxConstraint.symmetric(n, 10.0))
-
-
-def read_csv_dataset(path) -> LabeledDataset:
-    """Read a ``label,f0,...,f{n-1}`` CSV (UTF-8, LF or CRLF) with +/-1 labels."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        expected = ["label"] + [f"f{i}" for i in range(len(header) - 1)]
-        if len(header) < 2 or header != expected:
-            raise FormatError(f"{path}: header must be label,f0,...,f{{n-1}}")
-        feats: list[list[float]] = []
-        labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                lab = float(row[0])
-                vals = [float(v) for v in row[1:]]
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric value") from None
-            if lab not in (-1.0, 1.0):
-                raise FormatError(f"{path}:{lineno}: label must be -1 or +1")
-            labels.append(int(lab))
-            feats.append(vals)
-    if not labels:
-        raise FormatError(f"{path}: no data rows")
-    return LabeledDataset(np.array(feats), np.array(labels), name=Path(path).stem)

@@ -155,9 +155,11 @@ class LogisticLosses:
         # One dot per (sample, point) margin, sample-major so the features
         # are read once: a row's total does not depend on the other rows of
         # X, as it can with X @ features.T, whose BLAS kernels vary with
-        # the stack height. C order keeps each row's sum pairwise.
+        # the stack height. C order keeps each row's sum pairwise; the sign
+        # and logaddexp are applied in place on that one buffer.
         z = np.ascontiguousarray(np.vecdot(self.features[:, None, :], X).T)
-        return np.logaddexp(0.0, -self.labels * z).sum(axis=1)
+        np.multiply(z, -self.labels, out=z)
+        return np.logaddexp(0.0, z, out=z).sum(axis=1)
 
 
 class BallDistances:

@@ -98,6 +98,40 @@ def grid_bilevel_2d(centers, radii, anchor, lo: float = -10.0, hi: float = 10.0,
     return np.array([xs[idx], ys[idx]])
 
 
+def reference_synthetic_logistic(n, m, margin, rng):
+    """Balanced separable Gaussian data drawn from ``rng``, kept in a list
+    of separate draws and stacked at the end: (features, labels, w)."""
+    w = rng.standard_normal(n)
+    wn = float(np.linalg.norm(w))
+    feats, labels = [], []
+    remaining = {1: m // 2, -1: m // 2}
+    while remaining[1] or remaining[-1]:
+        a = rng.standard_normal(n)
+        score = float(np.dot(w, a))
+        if abs(score) / wn < margin:
+            continue
+        lab = 1 if score > 0 else -1
+        if remaining[lab]:
+            remaining[lab] -= 1
+            feats.append(a)
+            labels.append(lab)
+    return np.array(feats), np.array(labels), w
+
+
+def reference_split(features, labels, train_size):
+    """The first train_size/2 samples of each class in order train, the rest
+    are held out; both parts are fancy-indexed copies:
+    (train_features, train_labels, test_features, test_labels)."""
+    train_idx, test_idx = [], []
+    seen = {1: 0, -1: 0}
+    for i, lab in enumerate(labels):
+        lab = int(lab)
+        (train_idx if seen[lab] < train_size // 2 else test_idx).append(i)
+        seen[lab] += 1
+    return (features[train_idx], labels[train_idx],
+            features[test_idx], labels[test_idx])
+
+
 # Minimal hand-rolled oracles for solver unit tests.
 
 def abs_oracle():

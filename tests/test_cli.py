@@ -1,14 +1,22 @@
 import csv
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
-from helpers import SELECTION_1D_OPTIMUM
+import pytest
+from helpers import SELECTION_1D_OPTIMUM, reference_split
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbilevel import cli
 from fedbilevel.config import ExperimentConfig
+from fedbilevel.data import make_synthetic_logistic
 from fedbilevel.oracles import EvalResult, ball_dist_eval, outer_quad_anchor_eval
 from fedbilevel.problem import BoxConstraint, ProblemSpec
+
+SYNTHETIC_CFG = Path(__file__).resolve().parents[1] / "configs" / "logistic-synthetic.cfg"
 
 
 def _config(tmp_path, text):
@@ -69,6 +77,32 @@ class TestExecute:
         assert "S4" in failures[0][0]
 
 
+class TestSyntheticSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 25), st.integers(0, 25), st.integers(0, 1000))
+    def test_bitwise_equal_to_fancy_index_split(self, n, train_half, test_half, seed):
+        pool = make_synthetic_logistic(n, 2 * (train_half + test_half), 0.3, seed=seed)
+        want = reference_split(pool.features, pool.labels, 2 * train_half)
+        train, test = cli._split_balanced(pool, 2 * train_half)
+        got = (train.features, train.labels, test.features, test.labels)
+        for part, ref in zip(got, want):
+            assert part.dtype == ref.dtype and part.shape == ref.shape
+            assert part.tobytes() == ref.tobytes()
+        assert train.separator is pool.separator and test.separator is pool.separator
+
+    def test_build_datasets_holds_the_pool_once(self):
+        cfg = _make_cfg([("problem", "logistic-synthetic"), ("n", "256"), ("m", "4000"),
+                         ("test_size", "100")])
+        tracemalloc.start()
+        try:
+            ctx = cli._build_datasets(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(ctx["train"]), len(ctx["test"])) == (4000, 100)
+        assert peak <= 1.25 * (4000 + 100) * 256 * 8
+
+
 class TestMain:
     def test_run_writes_outputs(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 200\n")
@@ -95,6 +129,14 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\nbogus = 1\n")
         assert cli.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("setting", ["test_size=1", "margin=9"])
+    def test_synthetic_data_config_error_exit_code(self, tmp_path, setting):
+        out = tmp_path / "out"
+        code = cli.main(["run", str(SYNTHETIC_CFG), "--out", str(out),
+                         "--set", setting])
+        assert code == 2
+        assert not out.exists()  # rejected before any data is drawn
 
     def test_data_error_exit_code(self, tmp_path):
         path = _config(tmp_path, "problem = logistic-mnist\n"

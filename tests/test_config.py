@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from fedbilevel.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestParsing:
@@ -108,6 +112,28 @@ class TestResolve:
         cfg.set_key("m", "401")
         with pytest.raises(ConfigError):
             cfg.resolve()
+
+    def test_rejects_odd_synthetic_test_size(self):
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "logistic-synthetic")
+        cfg.set_key("test_size", "1")
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "test_size"
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-0.1", "9"])
+    def test_rejects_bad_synthetic_margin(self, margin):
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "logistic-synthetic")
+        cfg.set_key("margin", margin)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "margin"
+
+    @pytest.mark.parametrize("name", ["location", "logistic-mnist", "logistic-synthetic",
+                                      "selection-1d"])
+    def test_shipped_configs_resolve(self, name):
+        load_config(CONFIGS / f"{name}.cfg")
 
 
 class TestLoadConfig:

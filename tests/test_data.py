@@ -2,11 +2,15 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import reference_synthetic_logistic
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedbilevel.data import (DigitDataset, FormatError, LabeledDataset, filter_binary,
-                             load_digit_images, make_location_instance,
-                             make_synthetic_logistic, read_csv_dataset, read_idx,
+from fedbilevel.data import (MAX_SYNTHETIC_DRAWS, DigitDataset, FormatError, LabeledDataset,
+                             check_synthetic_margin, filter_binary, load_digit_images,
+                             make_location_instance, make_synthetic_logistic, read_idx,
                              write_idx)
+from fedbilevel.rng import STREAM_DATA, make_rng
 
 
 def _idx_bytes(magic, dims, payload):
@@ -123,6 +127,31 @@ class TestSyntheticLogistic:
         with pytest.raises(ValueError):
             make_synthetic_logistic(2, 5, margin=0.5, seed=0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 20), st.floats(0.0, 2.0), st.integers(0, 1000))
+    def test_bitwise_equal_to_list_reference(self, n, half, margin, seed):
+        ds = make_synthetic_logistic(n, 2 * half, margin, seed=seed)
+        want = reference_synthetic_logistic(n, 2 * half, margin, make_rng(seed, STREAM_DATA))
+        for got, ref in zip((ds.features, ds.labels, ds.separator), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_margin_draw_budget(self):
+        # margin 0 keeps every draw, so m draws are expected
+        check_synthetic_margin(MAX_SYNTHETIC_DRAWS, 0.0)
+        with pytest.raises(ValueError, match="draws"):
+            check_synthetic_margin(MAX_SYNTHETIC_DRAWS + 2, 0.0)
+        # margin 4 keeps a draw with probability 6.3e-5: 500 samples take
+        # about 7.9e6 draws, 10 000 samples about 1.6e8
+        check_synthetic_margin(500, 4.0)
+        with pytest.raises(ValueError, match="draws"):
+            check_synthetic_margin(10_000, 4.0)
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -0.1, 9.0])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            make_synthetic_logistic(2, 4, margin=margin, seed=0)
+
 
 class TestLocationInstance:
     def test_sampling_ranges_strict(self):
@@ -144,31 +173,3 @@ class TestLocationInstance:
         assert inst.centers.shape == (1, 1)
         assert inst.radii.shape == (1,)
 
-
-class TestCsvDataset:
-    def test_reads_lf_and_crlf(self, tmp_path):
-        for newline, name in (("\n", "lf.csv"), ("\r\n", "crlf.csv")):
-            path = tmp_path / name
-            path.write_bytes(newline.join(
-                ["label,f0,f1", "1,0.5,-1.5", "-1,2.0,3.0", ""]).encode("utf-8"))
-            ds = read_csv_dataset(path)
-            assert list(ds.labels) == [1, -1]
-            assert ds.features == pytest.approx(np.array([[0.5, -1.5], [2.0, 3.0]]))
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("lbl,f0\n1,2\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_csv_dataset(path)
-
-    def test_rejects_bad_label(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("label,f0\n2,0.5\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_csv_dataset(path)
-
-    def test_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("label,f0\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_csv_dataset(path)
