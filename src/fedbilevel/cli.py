@@ -109,7 +109,7 @@ def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
     return CostModel(per, np.full(len(sizes), comm[0]) if len(comm) == 1 else comm)
 
 
-def execute(cfg: ExperimentConfig, grid: bool, threads: int = 1,
+def execute(cfg: ExperimentConfig, grid: bool,
             progress=print) -> tuple[list[tuple[str, RunRecord]], list[tuple[str, str]]]:
     """Run the configured experiment; returns (records, failures)."""
     ctx = _build_datasets(cfg)
@@ -124,8 +124,7 @@ def execute(cfg: ExperimentConfig, grid: bool, threads: int = 1,
                 run_seed = cfg.seed + rep
                 run_id = f"{cfg.problem}_{method}_S{n_clients}_rep{rep}"
                 try:
-                    record = _single_run(cfg, ctx, method, n_clients, rep, run_seed,
-                                         threads)
+                    record = _single_run(cfg, ctx, method, n_clients, rep, run_seed)
                 except Exception as exc:  # noqa: BLE001 - runs are isolated
                     failures.append((run_id, f"{type(exc).__name__}: {exc}"))
                     progress(f"{run_id}: FAILED ({exc})")
@@ -141,7 +140,7 @@ def execute(cfg: ExperimentConfig, grid: bool, threads: int = 1,
 
 
 def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
-                rep: int, run_seed: int, threads: int) -> RunRecord:
+                rep: int, run_seed: int) -> RunRecord:
     problem = _build_problem(cfg, ctx, n_clients, run_seed)
     sched = make_schedule(cfg.gamma1, cfg.a, cfg.lambda1, cfg.b,
                           mu_H=problem.mu_H, m=problem.n_inner)
@@ -149,7 +148,7 @@ def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
     x_init = open_uniform(make_rng(run_seed, STREAM_INIT), box.lo, box.hi, box.dimension)
     costs = _cost_model(cfg, problem.client_sizes)
     record = run_solver(problem, sched, method, x_init, cfg.max_rounds, tol=cfg.tol,
-                        seed=run_seed, costs=costs, threads=threads)
+                        seed=run_seed, costs=costs)
     if "test" in ctx:
         record.test_accuracy = accuracy(record.final_x, ctx["test"])
     record.config = dict(cfg.echo_dict(), method=method, n_clients=n_clients,
@@ -207,13 +206,10 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        records, failures = execute(cfg, grid=grid, threads=args.threads)
+        records, failures = execute(cfg, grid=grid)
     except (FormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     write_outputs(records, Path(cfg.out_dir), cfg.write_csv, summary=grid)
     if failures:
         for run_id, message in failures:
@@ -238,6 +234,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         summary = json.loads(Path(args.record).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    if not isinstance(summary, dict):
+        print(f"data error: {args.record} holds a JSON {type(summary).__name__}, "
+              f"not a run summary object", file=sys.stderr)
         return 3
     sched = summary.get("schedule", {})
     print(f"problem:  {summary.get('problem_id')}")
@@ -268,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="client-pass threads per round (speed only, never results)")
 
     p_run = sub.add_parser("run", help="execute a single run")
     add_run_flags(p_run)

@@ -226,6 +226,8 @@ class ExperimentConfig:
                 check_synthetic_margin(self.m + self.test_size, self.margin)
             except ValueError as exc:
                 raise ConfigError(str(exc), key="margin") from None
+        if self.problem == "logistic-mnist" and self.pos_digit == self.neg_digit:
+            raise ConfigError("pos_digit and neg_digit must differ", key="pos_digit")
 
     def echo_dict(self) -> dict:
         out = {}

@@ -21,7 +21,7 @@ bitwise.
 At nondifferentiable points the minimum-norm subgradient is returned
 (sign(0) = 0 for the L1 term, the zero vector inside closed balls), which
 keeps norm bounds small and updates stable. Every method is a pure function
-of its inputs and safe to call from concurrent client passes.
+of its inputs.
 """
 from __future__ import annotations
 

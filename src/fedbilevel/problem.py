@@ -5,8 +5,7 @@ A problem is an inner family of m convex per-sample functions (see
 strongly convex selection objective, and a box constraint. The solvers step
 through ``inner.subgrad(i, x)`` in each client's local order; the metrics
 read ``inner.values`` on stacked points. Stepsize schedules and sampled norm
-bounds live here too. All types are immutable after construction and safe to
-share across concurrent client evaluations.
+bounds live here too. All types are immutable after construction.
 """
 from __future__ import annotations
 

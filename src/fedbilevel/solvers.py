@@ -2,12 +2,12 @@
 
 The federated round picks one outer subgradient per round, broadcasts it,
 lets every client run an incremental projected-subgradient pass over its own
-share of the inner family (in parallel if an executor is given), and
-averages the returned iterates. The incremental baseline sweeps all inner
-functions sequentially, refreshing the outer subgradient at every local
-step. Both share one step kernel, ``_local_step``, which takes only
-subgradients: the scaled outer term is formed once per client pass (FISM) or
-once per step (IRIG), and no function value is computed on the solver path.
+share of the inner family, and averages the returned iterates. The
+incremental baseline sweeps all inner functions sequentially, refreshing the
+outer subgradient at every local step. Both share one step kernel,
+``_local_step``, which takes only subgradients: the scaled outer term is
+formed once per client pass (FISM) or once per step (IRIG), and no function
+value is computed on the solver path.
 So the two methods coincide bitwise when one client holds one function.
 
 ``run_solver`` runs rounds in blocks of up to ``_BLOCK`` and then takes the
@@ -19,9 +19,9 @@ stops a run with ``stop_reason="non-finite"``; the rounds computed after it
 in its block are discarded. With a tolerance set, a block is one round, so
 a run computes no round that it does not record.
 
-Client passes within a round read only shared immutable inputs and are
-aggregated in ascending client index, so results are bitwise independent of
-the execution interleaving and of the thread count.
+The clients of a round run one after another, in ascending index, and
+their iterates are summed in that order; their parallelism lives only in
+the simulated timing model (``round_time``).
 
 ``run_solver`` reports progress through one optional hook, ``observe``,
 called with the projected initial state and then with the state after every
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -100,8 +99,7 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
     return x
 
 
-def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec,
-               executor: ThreadPoolExecutor | None = None) -> RoundState:
+def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
     """One federated round: freeze the outer subgradient at the current
     iterate, run every client's local pass on it, average the results in
     ascending client index.
@@ -112,15 +110,10 @@ def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec,
     gamma, lam = sched.at(state.k)
     outer_subgrad = problem.outer.subgrad(state.x)
     m = problem.n_inner
-    args = [(state.x, outer_subgrad, gamma, lam, m, problem.inner, group, problem.constraint)
-            for group in problem.clients]
-    if executor is None:
-        outs = [client_local_pass(*a) for a in args]
-    else:
-        futures = [executor.submit(client_local_pass, *a) for a in args]
-        outs = [f.result() for f in futures]
-    acc = outs[0]
-    for x_out in outs[1:]:
+    passes = (client_local_pass(state.x, outer_subgrad, gamma, lam, m, problem.inner,
+                                group, problem.constraint) for group in problem.clients)
+    acc = next(passes)
+    for x_out in passes:
         acc = acc + x_out
     x_next = acc / problem.n_clients
     return RoundState(
@@ -194,20 +187,19 @@ def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
 
 def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                x_init: np.ndarray, max_rounds: int, tol: float | None = None,
-               seed: int = 0, costs: CostModel | None = None, threads: int = 1,
+               seed: int = 0, costs: CostModel | None = None,
                observe: Callable[[RoundState], None] | None = None) -> RunRecord:
     """Drive rounds of the chosen method and record per-round metrics.
 
-    Deterministic given its arguments (and bitwise independent of
-    ``threads``). The initial point is projected onto the box before round 1
-    so every logged iterate is feasible. With ``tol`` set, the composite
-    relative-change test is evaluated on the full inner/outer objectives
-    after every round; otherwise the round budget alone stops the run. A
-    non-finite inner or outer value (at the new iterate or the running
-    average) ends the run after logging that round, with stop reason
-    ``"non-finite"``; rounds already computed past it are discarded, and an
-    error raised in the block past it is dropped by replaying the block one
-    round at a time.
+    Deterministic given its arguments. The initial point is projected onto
+    the box before round 1 so every logged iterate is feasible. With ``tol``
+    set, the composite relative-change test is evaluated on the full
+    inner/outer objectives after every round; otherwise the round budget
+    alone stops the run. A non-finite inner or outer value (at the new
+    iterate or the running average) ends the run after logging that round,
+    with stop reason ``"non-finite"``; rounds already computed past it are
+    discarded, and an error raised in the block past it is dropped by
+    replaying the block one round at a time.
     ``costs`` must price exactly ``problem.client_sizes`` updates (default:
     unit costs, no communication). ``observe``, when given, is called with
     the projected initial state and then with the state after every recorded
@@ -227,7 +219,6 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     state = RoundState.initial(x0)
     if observe is not None:
         observe(state)
-    executor = ThreadPoolExecutor(max_workers=threads) if (threads > 1 and method == FISM) else None
     rows: list[RoundRow] = []
     m = problem.n_inner
     f_cur = problem.inner_objective(state.x)
@@ -235,66 +226,62 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     cum_time = 0.0
     stop_reason = "max_rounds"
     block = _BLOCK if tol is None else 1
-    try:
-        while stop_reason == "max_rounds" and len(rows) < max_rounds:
+    while stop_reason == "max_rounds" and len(rows) < max_rounds:
+        prev = state
+        states: list[RoundState] = []
+        walls: list[float] = []
+        try:
+            for _ in range(min(block, max_rounds - len(rows))):
+                wall0 = time.perf_counter()
+                if method == FISM:
+                    state = fism_round(state, sched, problem)
+                else:
+                    state = irig_round(state, sched, problem)
+                walls.append(time.perf_counter() - wall0)
+                states.append(state)
+            b = len(states)
+            xs = np.array([prev.x] + [s.x for s in states])
+            avgs = (np.array([s.avg_num for s in states])
+                    / np.array([[s.avg_den] for s in states]))
+            f_all = problem.inner.values(np.concatenate((xs[1:], avgs))).tolist()
+            h_all = problem.outer.values(xs[1:]).tolist()
+        except Exception:
+            # The block may have run past the round that stops the run.
+            # Replay from its start one round at a time, so an error from
+            # a round that would never be recorded does not surface.
+            if block == 1:
+                raise
+            block, state = 1, prev
+            continue
+        # Rows in round order; ``state`` ends at the last recorded round.
+        for state, wall, f_next, f_avg, h_next, step_norm in zip(
+                states, walls, f_all[:b], f_all[b:], h_all, _step_norms(xs)):
+            cum_time += t_round
+            rows.append(RoundRow(
+                k=prev.k,
+                inner_value=f_cur,
+                inner_value_mean=f_cur / m,
+                inner_value_avg_iterate=f_avg,
+                outer_value=h_cur,
+                step_norm=step_norm,
+                round_time_units=t_round,
+                total_time_units=cum_time,
+                inner_subgrad_evals=state.inner_evals,
+                outer_subgrad_evals=state.outer_evals,
+                wall_clock_sec=wall,
+            ))
+            if observe is not None:
+                observe(state)
+            if not (math.isfinite(f_next) and math.isfinite(h_next)
+                    and math.isfinite(f_avg)):
+                stop_reason = "non-finite"
+            elif tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
+                                                        h_cur, h_next, tol):
+                stop_reason = "tolerance"
+            f_cur, h_cur = f_next, h_next
             prev = state
-            states: list[RoundState] = []
-            walls: list[float] = []
-            try:
-                for _ in range(min(block, max_rounds - len(rows))):
-                    wall0 = time.perf_counter()
-                    if method == FISM:
-                        state = fism_round(state, sched, problem, executor=executor)
-                    else:
-                        state = irig_round(state, sched, problem)
-                    walls.append(time.perf_counter() - wall0)
-                    states.append(state)
-                b = len(states)
-                xs = np.array([prev.x] + [s.x for s in states])
-                avgs = (np.array([s.avg_num for s in states])
-                        / np.array([[s.avg_den] for s in states]))
-                f_all = problem.inner.values(np.concatenate((xs[1:], avgs))).tolist()
-                h_all = problem.outer.values(xs[1:]).tolist()
-            except Exception:
-                # The block may have run past the round that stops the run.
-                # Replay from its start one round at a time, so an error from
-                # a round that would never be recorded does not surface.
-                if block == 1:
-                    raise
-                block, state = 1, prev
-                continue
-            # Rows in round order; ``state`` ends at the last recorded round.
-            for state, wall, f_next, f_avg, h_next, step_norm in zip(
-                    states, walls, f_all[:b], f_all[b:], h_all, _step_norms(xs)):
-                cum_time += t_round
-                rows.append(RoundRow(
-                    k=prev.k,
-                    inner_value=f_cur,
-                    inner_value_mean=f_cur / m,
-                    inner_value_avg_iterate=f_avg,
-                    outer_value=h_cur,
-                    step_norm=step_norm,
-                    round_time_units=t_round,
-                    total_time_units=cum_time,
-                    inner_subgrad_evals=state.inner_evals,
-                    outer_subgrad_evals=state.outer_evals,
-                    wall_clock_sec=wall,
-                ))
-                if observe is not None:
-                    observe(state)
-                if not (math.isfinite(f_next) and math.isfinite(h_next)
-                        and math.isfinite(f_avg)):
-                    stop_reason = "non-finite"
-                elif tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
-                                                            h_cur, h_next, tol):
-                    stop_reason = "tolerance"
-                f_cur, h_cur = f_next, h_next
-                prev = state
-                if stop_reason != "max_rounds":
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            if stop_reason != "max_rounds":
+                break
     return RunRecord(
         method=method,
         problem_id=problem.name,

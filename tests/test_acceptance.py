@@ -12,7 +12,7 @@ import numpy as np
 from helpers import (SELECTION_1D_OPTIMUM, grid_bilevel_2d, grid_min_selection_composite,
                      grid_min_selection_inner)
 
-from fedbilevel import cli
+from fedbilevel import cli, solvers
 from fedbilevel.config import ExperimentConfig
 from fedbilevel.data import make_location_instance
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, CostModel, partition_data,
@@ -241,23 +241,25 @@ def test_c10_oracle_suite():
            f"failures: fd={fd}, subgrad={ineq}, stacked={stacked}, projection={proj}")
 
 
-def test_c11_determinism_across_threads(tmp_path):
+def test_c11_determinism_across_block_length(tmp_path, monkeypatch):
     cfg_text = ("problem = location\nn = 4\nm = 24\nmethods = fism\n"
                 "s_values = 8\nmax_rounds = 30\ntol = none\nseed = 5\n")
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(cfg_text, encoding="utf-8")
     streams = []
-    for threads in (1, 8):
-        out = tmp_path / f"t{threads}"
-        code = cli.main(["run", str(cfg_path), "--out", str(out),
-                         "--threads", str(threads)])
-        assert code == 0
+    for block in (1, 32):
+        monkeypatch.setattr(solvers, "_BLOCK", block)
+        out = tmp_path / f"b{block}"
+        assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
         lines = (out / "location_fism_S8_rep0.jsonl").read_text().splitlines()
         canonical = []
         for line in lines:
             row = json.loads(line)
             row.pop("wall_clock_sec")
             canonical.append(json.dumps(row, sort_keys=True))
+        summary = json.loads((out / "location_fism_S8_rep0.json").read_text())
+        canonical.append(json.dumps(summary["final_x"]))
         streams.append("\n".join(canonical).encode("utf-8"))
-    _check("C11 determinism across threads", streams[0] == streams[1],
-           f"{len(streams[0])} bytes of metric rows identical for threads 1 and 8")
+    _check("C11 determinism across block length", streams[0] == streams[1],
+           f"{len(streams[0])} bytes of metric rows and final_x identical for "
+           f"block lengths 1 and 32")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fedbilevel import cli
 from fedbilevel.config import ExperimentConfig
-from fedbilevel.data import make_synthetic_logistic
+from fedbilevel.data import make_synthetic_logistic, write_idx
 from fedbilevel.oracles import EvalResult, ball_dist_eval, outer_quad_anchor_eval
 from fedbilevel.problem import BoxConstraint, ProblemSpec
 
@@ -176,21 +176,21 @@ class TestMain:
         assert (out / "selection-1d_fism_S1_rep0.jsonl").exists()
         assert (out / "summary.csv").exists()
 
-    def test_threads_flag_does_not_change_results(self, tmp_path):
-        path = _config(tmp_path, "problem = location\nn = 3\nm = 12\n"
-                                 "methods = fism\ns_values = 4\nmax_rounds = 20\n"
-                                 "tol = none\n")
-        out1 = tmp_path / "t1"
-        out8 = tmp_path / "t8"
-        assert cli.main(["run", str(path), "--out", str(out1), "--threads", "1"]) == 0
-        assert cli.main(["run", str(path), "--out", str(out8), "--threads", "8"]) == 0
-        name = "location_fism_S4_rep0.jsonl"
-        rows1 = [json.loads(line) for line in (out1 / name).read_text().splitlines()]
-        rows8 = [json.loads(line) for line in (out8 / name).read_text().splitlines()]
-        for a, b in zip(rows1, rows8):
-            a.pop("wall_clock_sec")
-            b.pop("wall_clock_sec")
-            assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    def test_threads_flag_is_rejected(self, tmp_path):
+        path = _config(tmp_path, "problem = selection-1d\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(path), "--threads", "2"])
+        assert exc.value.code == 2
+
+    def test_equal_digits_is_config_error(self, tmp_path):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(np.zeros((4, 28, 28), dtype=np.uint8), images)
+        write_idx(np.array([0, 1, 0, 1], dtype=np.uint8), labels)
+        path = _config(tmp_path, f"problem = logistic-mnist\nimages_path = {images}\n"
+                                 f"labels_path = {labels}\npos_digit = 1\nneg_digit = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest", "--points", "20", "--pairs", "20"]) == 0
@@ -207,3 +207,9 @@ class TestMain:
         printed = capsys.readouterr().out
         assert "selection-1d" in printed
         assert "rounds:   50" in printed
+
+    def test_inspect_non_object_is_data_error(self, tmp_path, capsys):
+        record = tmp_path / "list.json"
+        record.write_text("[1, 2]", encoding="utf-8")
+        assert cli.main(["inspect", str(record)]) == 3
+        assert "data error" in capsys.readouterr().err

@@ -130,6 +130,15 @@ class TestResolve:
             cfg.resolve()
         assert err.value.key == "margin"
 
+    def test_rejects_equal_mnist_digits(self):
+        cfg = ExperimentConfig()
+        for key, value in [("problem", "logistic-mnist"), ("pos_digit", "3"),
+                           ("neg_digit", "3")]:
+            cfg.set_key(key, value)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "pos_digit"
+
     @pytest.mark.parametrize("name", ["location", "logistic-mnist", "logistic-synthetic",
                                       "selection-1d"])
     def test_shipped_configs_resolve(self, name):

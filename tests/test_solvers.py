@@ -146,17 +146,6 @@ class TestFismRound:
         assert outer_calls["n"] == 5  # exactly one outer evaluation per round
         assert sum(c["n"] for c in inner_counters) == 5 * 4
 
-    def test_interleaving_independence(self):
-        from concurrent.futures import ThreadPoolExecutor
-        inst = make_location_instance(4, 20, seed=2)
-        prob = location_problem(inst, partition_data(20, 5, CONTIGUOUS))
-        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=20)
-        x0 = np.array([5.0, -5.0, 2.0, 0.0])
-        seq = fism_round(RoundState.initial(x0), sched, prob)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            par = fism_round(RoundState.initial(x0), sched, prob, executor=pool)
-        assert seq.x.tobytes() == par.x.tobytes()
-
 
 class TestIrigRound:
     def test_matches_fism_for_single_function(self):
