@@ -16,8 +16,7 @@ from .metrics import (RateDiagnosticUnavailable, RoundRow, RunRecord, accuracy,
                       rate_diagnostic, write_rows_csv, write_rows_jsonl, write_run_json)
 from .oracles import (BallDistances, EvalResult, InnerFamily, L1Quad, LogisticLosses,
                       Oracle, OracleFamily, OracleObjective, OuterObjective, QuadAnchor,
-                      ball_dist_eval, logistic_eval, outer_l1_quad_eval,
-                      outer_quad_anchor_eval, project_box)
+                      project_box)
 from .problem import (BoundEstimates, BoxConstraint, ProblemSpec, StepSchedule,
                       estimate_bounds, make_schedule)
 from .rng import PRNG_ID, make_rng
@@ -32,15 +31,11 @@ __all__ = [
     "InnerFamily", "L1Quad", "LabeledDataset", "LocationInstance", "LogisticLosses",
     "Oracle", "OracleFamily", "OracleObjective", "OuterObjective", "PRNG_ID",
     "ProblemSpec", "QuadAnchor", "RateDiagnosticUnavailable", "RoundRow", "RoundState",
-    "RunRecord", "SHUFFLED", "StepSchedule", "accuracy", "ball_dist_eval",
-    "client_local_pass", "estimate_bounds", "filter_binary", "fism_round",
-    "irig_round", "load_digit_images", "location_problem",
-    "logistic_eval", "logistic_problem",
-    "make_location_instance", "make_rng", "make_schedule",
-    "make_synthetic_logistic", "outer_l1_quad_eval", "outer_quad_anchor_eval",
-    "partition_data", "project_box", "rate_diagnostic",
-    "read_idx", "reference_solve", "round_time", "run_solver",
-    "selection_1d_problem", "stopping_criterion", "uniform_costs",
-    "weighted_average", "write_idx", "write_rows_csv", "write_rows_jsonl",
-    "write_run_json",
+    "RunRecord", "SHUFFLED", "StepSchedule", "accuracy", "client_local_pass",
+    "estimate_bounds", "filter_binary", "fism_round", "irig_round", "load_digit_images",
+    "location_problem", "logistic_problem", "make_location_instance", "make_rng",
+    "make_schedule", "make_synthetic_logistic", "partition_data", "project_box",
+    "rate_diagnostic", "read_idx", "reference_solve", "round_time", "run_solver",
+    "selection_1d_problem", "stopping_criterion", "uniform_costs", "weighted_average",
+    "write_idx", "write_rows_csv", "write_rows_jsonl", "write_run_json",
 ]

@@ -84,13 +84,12 @@ def _split_balanced(pool: LabeledDataset, train_size: int) -> tuple[LabeledDatas
 
 def _build_problem(cfg: ExperimentConfig, ctx: dict, n_clients: int,
                    run_seed: int) -> ProblemSpec:
+    m = len(ctx["train"]) if "train" in ctx else cfg.m
+    part = partition_data(m, n_clients, cfg.partition, seed=run_seed)
     if cfg.problem == "selection-1d":
-        part = partition_data(cfg.m, n_clients, cfg.partition, seed=run_seed)
         return selection_1d_problem(part.sizes)
     if cfg.problem == "location":
-        part = partition_data(cfg.m, n_clients, cfg.partition, seed=run_seed)
         return location_problem(ctx["instance"], part)
-    part = partition_data(len(ctx["train"]), n_clients, cfg.partition, seed=run_seed)
     return logistic_problem(ctx["train"], part)
 
 
@@ -235,11 +234,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    if not isinstance(summary, dict):
-        print(f"data error: {args.record} holds a JSON {type(summary).__name__}, "
-              f"not a run summary object", file=sys.stderr)
+    sched = summary.get("schedule", {}) if isinstance(summary, dict) else None
+    if not isinstance(sched, dict):
+        print(f"data error: {args.record} is not a run summary object with an object "
+              f"schedule", file=sys.stderr)
         return 3
-    sched = summary.get("schedule", {})
     print(f"problem:  {summary.get('problem_id')}")
     print(f"method:   {summary.get('method')} (S={summary.get('n_clients')}, "
           f"m={summary.get('n_inner')}, n={summary.get('dimension')})")

@@ -1,22 +1,18 @@
-"""Inner families, outer objectives, reference oracles and box projection.
+"""Inner families, outer objectives and box projection.
 
 The inner objective is a *family* of m convex per-sample functions. A family
-answers two questions: ``subgrad(i, x)``, one subgradient of sample i (all
-the solvers' step kernel needs), and ``values(X)``, the inner totals at every
-row of a (k, n) stack of points in one vectorized call (all the per-round
-metrics need). The built-in families hold the problem arrays:
-:class:`LogisticLosses` (features and labels) and :class:`BallDistances`
-(centers and radii). :class:`OracleFamily` adapts custom ``x -> EvalResult``
-closures.
+answers ``subgrad(i, x)`` (one subgradient of sample i), ``subgrads(idx, X)``
+(row c bitwise ``subgrad(idx[c], X[c])``, for a stack of client lanes) and
+``values(X)``, the inner totals at every row of a (k, n) stack of points in
+one vectorized call (all the per-round metrics need). The built-in families
+hold the problem arrays: :class:`LogisticLosses` (features and labels) and
+:class:`BallDistances` (centers and radii). :class:`OracleFamily` adapts
+custom ``x -> EvalResult`` closures.
 
 Outer objectives expose ``value(x)``, ``subgrad(x)`` and ``values(X)``, the
 values at the rows of a stack, each bitwise equal to ``value`` on that row:
 :class:`L1Quad`, :class:`QuadAnchor`, and the :class:`OracleObjective`
 adapter.
-
-The ``*_eval`` functions compute the value and subgradient of one sample
-from its data. They are the reference the families are checked against
-bitwise.
 
 At nondifferentiable points the minimum-norm subgradient is returned
 (sign(0) = 0 for the L1 term, the zero vector inside closed balls), which
@@ -52,6 +48,9 @@ class InnerFamily(Protocol):
     def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
         """One subgradient of sample i at x."""
 
+    def subgrads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Row c: ``subgrad(idx[c], X[c])``, bitwise. Must not write to X."""
+
     def values(self, X: np.ndarray) -> np.ndarray:
         """The k inner totals (sums over all m samples) at the rows of X;
         a row's total must not depend on the other rows."""
@@ -80,51 +79,10 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _softplus(z: float) -> float:
-    # log(1 + exp(z)) without overflow for large positive z
-    if z > 0.0:
-        return z + math.log1p(math.exp(-z))
-    return math.log1p(math.exp(z))
-
-
-def logistic_eval(a: np.ndarray, b: float, x: np.ndarray) -> EvalResult:
-    """Logistic loss log(1 + exp(-b<a, x>)) for a label b in {-1, +1}."""
-    if b != 1 and b != -1:
-        raise ValueError(f"label must be -1 or +1, got {b!r}")
-    bf = float(b)
-    z = -bf * float(np.dot(a, x))
-    return EvalResult(_softplus(z), (-bf * _sigmoid(z)) * a)
-
-
-def ball_dist_eval(x: np.ndarray, center: np.ndarray, radius: float) -> EvalResult:
-    """Euclidean distance to the closed ball with the given center/radius."""
-    if radius <= 0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    d = x - center
-    dist = float(np.linalg.norm(d))
-    if dist > radius:
-        return EvalResult(dist - radius, d / dist)
-    return EvalResult(0.0, np.zeros_like(d))
-
-
-def outer_l1_quad_eval(x: np.ndarray) -> EvalResult:
-    """Sparsity-plus-norm selection objective: sum |x_d| + 0.5 sum x_d^2."""
-    value = float(np.sum(np.abs(x)) + 0.5 * np.dot(x, x))
-    return EvalResult(value, np.sign(x) + x)
-
-
-def outer_quad_anchor_eval(x: np.ndarray, anchor: np.ndarray) -> EvalResult:
-    """Anchored squared-distance selection objective: 0.5 ||x - anchor||^2."""
-    if x.shape != anchor.shape:
-        raise ValueError(f"point has shape {x.shape}, anchor has shape {anchor.shape}")
-    d = x - anchor
-    return EvalResult(0.5 * float(np.dot(d, d)), d)
-
-
-# Inner families. ``subgrad`` repeats the arithmetic of the matching
-# ``*_eval`` reference exactly, so iterates do not depend on which one ran;
-# ``values`` sums in numpy's order and may differ from per-sample sums at
-# ulp level.
+# Inner families. ``subgrads`` takes its row dots with ``np.vecdot``, whose
+# rows carry the bits of the 1-d ``np.dot`` that ``subgrad`` uses, so a
+# client's iterates do not depend on how many lanes ran beside it; ``values``
+# sums in numpy's order and may differ from per-sample sums at ulp level.
 
 class LogisticLosses:
     """Per-sample logistic losses log(1 + exp(-b_i <a_i, x>)) over the rows
@@ -150,6 +108,12 @@ class LogisticLosses:
         bf = self._signs[i]
         z = -bf * float(np.dot(a, x))
         return (-bf * _sigmoid(z)) * a
+
+    def subgrads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        A = self.features.take(idx, axis=0)
+        coef = [-b * _sigmoid(-b * z)
+                for b, z in zip(self.labels.take(idx).tolist(), np.vecdot(A, X).tolist())]
+        return np.multiply(A, np.array(coef)[:, None], out=A)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         # One dot per (sample, point) margin, sample-major so the features
@@ -188,6 +152,12 @@ class BallDistances:
             return d / dist
         return np.zeros_like(d)
 
+    def subgrads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        D = X - self.centers.take(idx, axis=0)
+        dist = np.sqrt(np.vecdot(D, D))[:, None]
+        return np.divide(D, dist, out=np.zeros(D.shape),
+                         where=dist > self.radii.take(idx)[:, None])
+
     def values(self, X: np.ndarray) -> np.ndarray:
         d = X[:, None, :] - self.centers
         dist = np.sqrt(np.einsum("kmn,kmn->km", d, d))
@@ -206,6 +176,9 @@ class OracleFamily:
 
     def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.oracles[i](x).subgrad
+
+    def subgrads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.array([self.oracles[i](x).subgrad for i, x in zip(idx.tolist(), X)])
 
     def values(self, X: np.ndarray) -> np.ndarray:
         # reduce, not builtin sum: sum is compensated from Python 3.12 on

@@ -3,13 +3,14 @@
 A problem is an inner family of m convex per-sample functions (see
 ``oracles``), the clients' shares of it as ordered index tuples, an outer
 strongly convex selection objective, and a box constraint. The solvers step
-through ``inner.subgrad(i, x)`` in each client's local order; the metrics
-read ``inner.values`` on stacked points. Stepsize schedules and sampled norm
-bounds live here too. All types are immutable after construction.
+through each client's local order (several at once, along ``lanes``); the
+metrics read ``inner.values`` on stacked points. Stepsize schedules and
+sampled norm bounds live here too. All types are immutable after construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -104,6 +105,17 @@ class ProblemSpec:
                    outer=OracleObjective(outer),
                    clients=contiguous_clients([len(group) for group in clients]),
                    constraint=constraint, mu_H=mu_H, name=name)
+
+    @cached_property
+    def lanes(self) -> tuple[tuple[int, ...], tuple[tuple[int, np.ndarray], ...]]:
+        """The clients as lanes by descending size (ties by index), and blocks
+        (k, rows) of local steps, k = S..1, each row the indices k lanes step on."""
+        order = tuple(sorted(range(self.n_clients), key=lambda c: -len(self.clients[c])))
+        sizes = [len(self.clients[c]) for c in order] + [0]
+        table = np.zeros((sizes[0], len(order)), dtype=np.intp)
+        for j, c in enumerate(order):
+            table[:sizes[j], j] = self.clients[c]
+        return order, tuple((k, table[sizes[k]:sizes[k - 1], :k]) for k in range(len(order), 0, -1))
 
     @property
     def n_clients(self) -> int:

@@ -6,7 +6,9 @@ the outer objectives (``L1Quad`` and ``QuadAnchor`` through ``value`` and
 ``subgrad``) are checked for finite-difference agreement at smooth points
 and the subgradient inequality on random pairs; their ``values`` on a stack
 must give every row the bits a one-point call gives, which the block-wise
-run metrics rely on. Projection is checked for idempotence and
+run metrics rely on, and every family's ``subgrads`` must give each row the
+bits of ``subgrad`` (``np.vecdot`` against ``np.dot`` rows), which the client
+lanes of a round rely on. Projection is checked for idempotence and
 nonexpansiveness. Used by both the test suite (at full sample counts) and
 the CLI ``selftest`` subcommand (at lighter counts).
 """
@@ -16,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .oracles import (BallDistances, L1Quad, LogisticLosses, OuterObjective, QuadAnchor,
-                      project_box)
+from .oracles import (BallDistances, EvalResult, L1Quad, LogisticLosses, OracleFamily,
+                      OuterObjective, QuadAnchor, project_box)
 from .problem import BoxConstraint
 from .rng import STREAM_CHECKS, make_rng
 
@@ -135,6 +137,25 @@ def stacked_value_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int
     return out
 
 
+def lane_subgrad_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
+    """Count per-family stacks (dimension 1 to 784, one lane at its ball's
+    center) where row c of ``subgrads(idx, X)`` is not ``subgrad(idx[c], X[c])``."""
+    rng = make_rng(seed, STREAM_CHECKS)
+    out = {"logistic": 0, "ball-distance": 0, "closures": 0}
+    for _ in range(stacks):
+        n = int(rng.choice((1, 2, 3, 10, 20, 100, 784)))
+        rows = rng.uniform(-2.0, 2.0, (_STACK, n))
+        balls = BallDistances(rows, rng.uniform(0.5, 1.5, _STACK))
+        closures = [lambda x, i=i: EvalResult(0.0, balls.subgrad(i, x)) for i in range(_STACK)]
+        idx, X = rng.permutation(_STACK), rng.uniform(-4.0, 4.0, (_STACK, n))
+        X[0] = rows[idx[0]]
+        for name, family in (("logistic", LogisticLosses(rows, rng.choice([-1.0, 1.0], _STACK))),
+                             ("ball-distance", balls), ("closures", OracleFamily(closures))):
+            single = np.array([family.subgrad(i, x) for i, x in zip(idx.tolist(), X)])
+            out[name] += family.subgrads(idx, X).tobytes() != single.tobytes()
+    return out
+
+
 def projection_failures(pairs: int = 100, seed: int = 2024) -> dict[str, int]:
     """Count failures of projection idempotence (exact), nonexpansiveness
     (1e-12 slack), and identity on interior points (exact)."""
@@ -170,6 +191,8 @@ def run_selftest(points: int = 100, pairs: int = 100, seed: int = 2024) -> list[
         results.append((f"subgradient-inequality {name}", fails == 0, f"{fails} failing pairs"))
     for name, fails in stacked_value_failures(stacks=pairs, seed=seed).items():
         results.append((f"stacked-values {name}", fails == 0, f"{fails} failing stacks"))
+    for name, fails in lane_subgrad_failures(stacks=pairs, seed=seed).items():
+        results.append((f"lane-subgrads {name}", fails == 0, f"{fails} failing stacks"))
     for name, fails in projection_failures(pairs=pairs, seed=seed).items():
         results.append((f"projection {name}", fails == 0, f"{fails} failing pairs"))
     return results

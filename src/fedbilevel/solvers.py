@@ -19,9 +19,10 @@ stops a run with ``stop_reason="non-finite"``; the rounds computed after it
 in its block are discarded. With a tolerance set, a block is one round, so
 a run computes no round that it does not record.
 
-The clients of a round run one after another, in ascending index, and
-their iterates are summed in that order; their parallelism lives only in
-the simulated timing model (``round_time``).
+Two or more clients are stepped together as the rows of one stack (lanes),
+each row getting the bits ``client_local_pass`` gives it, and averaged in
+ascending client index with left-to-right ``+``; parallelism in time lives
+only in the simulated timing model (``round_time``).
 
 ``run_solver`` reports progress through one optional hook, ``observe``,
 called with the projected initial state and then with the state after every
@@ -71,10 +72,11 @@ class RoundState:
 
 
 def _local_step(x: np.ndarray, g: np.ndarray, co: np.ndarray, gamma: float,
-                box: BoxConstraint) -> np.ndarray:
+                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # Shared by both methods so their single-function iterates agree bitwise;
-    # co = (gamma * lam / m) * outer subgradient.
-    return project_box(x - gamma * g - co, box)
+    # co = (gamma * lam / m) * outer subgradient. x is one point or a stack of
+    # lanes, and co, lo, hi have its shape: a broadcast operand costs more.
+    return np.minimum(np.maximum(x - gamma * g - co, lo), hi)
 
 
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
@@ -95,14 +97,36 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
     subgrad = inner.subgrad
     x = x_start
     for i in indices:
-        x = _local_step(x, subgrad(i, x), co, gamma, box)
+        x = _local_step(x, subgrad(i, x), co, gamma, box.lo, box.hi)
     return x
+
+
+def _lane_average(x_start: np.ndarray, outer_subgrad: np.ndarray, gamma: float, lam: float,
+                  problem: ProblemSpec) -> np.ndarray:
+    # Every client's pass at once, lane j of problem.lanes as row j, and the
+    # average of the ends in client order. A lane leaves after its last step.
+    order, blocks = problem.lanes
+    shape = (len(order), 1)
+    co = np.tile((gamma * lam / problem.n_inner) * outer_subgrad, shape)
+    lo, hi = np.tile(problem.constraint.lo, shape), np.tile(problem.constraint.hi, shape)
+    X = np.tile(x_start, shape)
+    ends = list(X)
+    for k, block in blocks:
+        ends[k:len(X)] = X[k:]
+        X, co, lo, hi = X[:k], co[:k], lo[:k], hi[:k]
+        for idx in block:
+            X = _local_step(X, problem.inner.subgrads(idx, X), co, gamma, lo, hi)
+    ends[:len(X)] = X
+    acc = ends[order.index(0)]
+    for c in range(1, len(order)):
+        acc = acc + ends[order.index(c)]
+    return acc / len(order)
 
 
 def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
     """One federated round: freeze the outer subgradient at the current
-    iterate, run every client's local pass on it, average the results in
-    ascending client index.
+    iterate, run every client's local pass on it (two or more as lanes),
+    average the results in ascending client index.
 
     The weighted-average accumulators pick up the round's starting iterate
     before the update. Counters grow by (total inner functions, 1).
@@ -110,12 +134,11 @@ def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     gamma, lam = sched.at(state.k)
     outer_subgrad = problem.outer.subgrad(state.x)
     m = problem.n_inner
-    passes = (client_local_pass(state.x, outer_subgrad, gamma, lam, m, problem.inner,
-                                group, problem.constraint) for group in problem.clients)
-    acc = next(passes)
-    for x_out in passes:
-        acc = acc + x_out
-    x_next = acc / problem.n_clients
+    if problem.n_clients == 1:  # x / 1 is x: one client's end is the average
+        x_next = client_local_pass(state.x, outer_subgrad, gamma, lam, m, problem.inner,
+                                   problem.clients[0], problem.constraint)
+    else:
+        x_next = _lane_average(state.x, outer_subgrad, gamma, lam, problem)
     return RoundState(
         x=x_next,
         k=state.k + 1,
@@ -133,11 +156,11 @@ def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     gamma, lam = sched.at(state.k)
     m = problem.n_inner
     coef = gamma * lam / m
-    box = problem.constraint
+    lo, hi = problem.constraint.lo, problem.constraint.hi
     subgrad, outer_subgrad = problem.inner.subgrad, problem.outer.subgrad
     x = state.x
     for i in chain.from_iterable(problem.clients):
-        x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, box)
+        x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, lo, hi)
     return RoundState(
         x=x,
         k=state.k + 1,

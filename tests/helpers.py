@@ -1,12 +1,19 @@
-"""Independent test oracles: closed forms and brute-force grid searches.
+"""Independent test oracles: closed forms, brute-force grid searches and
+per-sample reference oracles.
 
 Everything here is written directly from the objective definitions (no calls
 into the package's oracle or solver code) so it can serve as an independent
-check of the library path.
+check of the library path. The one exception, ``chained_fism_round``, builds
+a federated round from the scalar client pass, one client after another, to
+check the lane path against it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from fedbilevel.oracles import EvalResult
 
 # Closed-form solution of the 1-d selection instance: the inner solution set
 # is the interval [0, 1]; the anchored outer objective 0.5 (y - 2)^2 picks
@@ -98,6 +105,72 @@ def grid_bilevel_2d(centers, radii, anchor, lo: float = -10.0, hi: float = 10.0,
     return np.array([xs[idx], ys[idx]])
 
 
+# Per-sample reference oracles: the families' subgrad must match them
+# bitwise, so they repeat the families' arithmetic operation for operation.
+
+def _sigmoid(z: float) -> float:
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def _softplus(z: float) -> float:
+    # log(1 + exp(z)) without overflow for large positive z
+    if z > 0.0:
+        return z + math.log1p(math.exp(-z))
+    return math.log1p(math.exp(z))
+
+
+def logistic_eval(a: np.ndarray, b: float, x: np.ndarray) -> EvalResult:
+    """Logistic loss log(1 + exp(-b<a, x>)) for a label b in {-1, +1}."""
+    if b != 1 and b != -1:
+        raise ValueError(f"label must be -1 or +1, got {b!r}")
+    bf = float(b)
+    z = -bf * float(np.dot(a, x))
+    return EvalResult(_softplus(z), (-bf * _sigmoid(z)) * a)
+
+
+def ball_dist_eval(x: np.ndarray, center: np.ndarray, radius: float) -> EvalResult:
+    """Euclidean distance to the closed ball with the given center/radius."""
+    if radius <= 0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
+    d = x - center
+    dist = float(np.linalg.norm(d))
+    if dist > radius:
+        return EvalResult(dist - radius, d / dist)
+    return EvalResult(0.0, np.zeros_like(d))
+
+
+def outer_l1_quad_eval(x: np.ndarray) -> EvalResult:
+    """Sparsity-plus-norm selection objective: sum |x_d| + 0.5 sum x_d^2."""
+    value = float(np.sum(np.abs(x)) + 0.5 * np.dot(x, x))
+    return EvalResult(value, np.sign(x) + x)
+
+
+def outer_quad_anchor_eval(x: np.ndarray, anchor: np.ndarray) -> EvalResult:
+    """Anchored squared-distance selection objective: 0.5 ||x - anchor||^2."""
+    if x.shape != anchor.shape:
+        raise ValueError(f"point has shape {x.shape}, anchor has shape {anchor.shape}")
+    d = x - anchor
+    return EvalResult(0.5 * float(np.dot(d, d)), d)
+
+
+def chained_fism_round(state, sched, problem) -> np.ndarray:
+    """The next FISM iterate from one ``client_local_pass`` per client, in
+    ascending client index, summed left to right and divided by S."""
+    from fedbilevel.solvers import client_local_pass
+
+    gamma, lam = sched.at(state.k)
+    outer_subgrad = problem.outer.subgrad(state.x)
+    acc = None
+    for group in problem.clients:
+        x_out = client_local_pass(state.x, outer_subgrad, gamma, lam, problem.n_inner,
+                                  problem.inner, group, problem.constraint)
+        acc = x_out if acc is None else acc + x_out
+    return acc / problem.n_clients
+
+
 def reference_synthetic_logistic(n, m, margin, rng):
     """Balanced separable Gaussian data drawn from ``rng``, kept in a list
     of separate draws and stacked at the end: (features, labels, w)."""
@@ -135,8 +208,6 @@ def reference_split(features, labels, train_size):
 # Minimal hand-rolled oracles for solver unit tests.
 
 def abs_oracle():
-    from fedbilevel.oracles import EvalResult
-
     def oracle(x):
         return EvalResult(float(np.sum(np.abs(x))), np.sign(x))
 
@@ -144,8 +215,6 @@ def abs_oracle():
 
 
 def zero_oracle():
-    from fedbilevel.oracles import EvalResult
-
     def oracle(x):
         return EvalResult(0.0, np.zeros_like(x))
 

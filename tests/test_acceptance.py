@@ -23,8 +23,9 @@ from fedbilevel.oracles import BallDistances, QuadAnchor
 from fedbilevel.problem import (BoxConstraint, ProblemSpec, estimate_bounds,
                                 make_schedule)
 from fedbilevel.rng import make_rng
-from fedbilevel.selfcheck import (finite_difference_failures, projection_failures,
-                                  stacked_value_failures, subgradient_inequality_failures)
+from fedbilevel.selfcheck import (finite_difference_failures, lane_subgrad_failures,
+                                  projection_failures, stacked_value_failures,
+                                  subgradient_inequality_failures)
 from fedbilevel.solvers import (RoundState, client_local_pass, fism_round, reference_solve,
                                 run_solver)
 
@@ -235,10 +236,13 @@ def test_c10_oracle_suite():
     fd = finite_difference_failures(points=500)
     ineq = subgradient_inequality_failures(pairs=100)
     stacked = stacked_value_failures(stacks=100)
+    lanes = lane_subgrad_failures(stacks=100)
     proj = projection_failures(pairs=100)
-    total = sum(fd.values()) + sum(ineq.values()) + sum(stacked.values()) + sum(proj.values())
+    total = (sum(fd.values()) + sum(ineq.values()) + sum(stacked.values())
+             + sum(lanes.values()) + sum(proj.values()))
     _check("C10 oracle suite", total == 0,
-           f"failures: fd={fd}, subgrad={ineq}, stacked={stacked}, projection={proj}")
+           f"failures: fd={fd}, subgrad={ineq}, stacked={stacked}, lanes={lanes}, "
+           f"projection={proj}")
 
 
 def test_c11_determinism_across_block_length(tmp_path, monkeypatch):

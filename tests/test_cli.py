@@ -6,14 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import SELECTION_1D_OPTIMUM, reference_split
+from helpers import (SELECTION_1D_OPTIMUM, ball_dist_eval, outer_quad_anchor_eval,
+                     reference_split)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbilevel import cli
 from fedbilevel.config import ExperimentConfig
 from fedbilevel.data import make_synthetic_logistic, write_idx
-from fedbilevel.oracles import EvalResult, ball_dist_eval, outer_quad_anchor_eval
+from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec
 
 SYNTHETIC_CFG = Path(__file__).resolve().parents[1] / "configs" / "logistic-synthetic.cfg"
@@ -213,3 +214,11 @@ class TestMain:
         record.write_text("[1, 2]", encoding="utf-8")
         assert cli.main(["inspect", str(record)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule", ["1", "[0.5]", '"fixed"', "null"])
+    def test_inspect_non_object_schedule_is_data_error(self, tmp_path, capsys, schedule):
+        record = tmp_path / "summary.json"
+        record.write_text(f'{{"schedule": {schedule}, "rounds": 3}}', encoding="utf-8")
+        assert cli.main(["inspect", str(record)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "schedule" in err

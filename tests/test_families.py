@@ -1,6 +1,6 @@
 """Properties of the data-backed inner families and of box projection.
 
-The per-sample ``*_eval`` oracles are the reference: a family's subgradient
+The per-sample ``*_eval`` oracles in ``helpers`` are the reference: a family's subgradient
 must match them bitwise (the solvers' iterates depend on it), its vectorized
 totals must match their per-sample sums up to summation-order rounding.
 """
@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import left_to_right_sum
+from helpers import ball_dist_eval, left_to_right_sum, logistic_eval, outer_quad_anchor_eval
 
 from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, OracleFamily,
-                                OracleObjective, QuadAnchor, ball_dist_eval, logistic_eval,
-                                outer_quad_anchor_eval, project_box)
+                                OracleObjective, QuadAnchor, project_box)
 from fedbilevel.problem import BoxConstraint
 
 # Rounding allowance for vectorized totals, relative to the per-sample sum
@@ -199,3 +198,75 @@ class TestProjectBoxProperties:
         out = project_box(np.array([math.nan, 2.0, -0.5]), box)
         assert math.isnan(out[0])
         assert out[1:].tolist() == [1.0, -0.5]
+
+
+def _lane_rows_match(fam, idx, X):
+    """subgrads(idx, X) against subgrad per row, bitwise, leaving X as it was."""
+    before = X.copy()
+    got = fam.subgrads(idx, X)
+    assert X.tobytes() == before.tobytes()
+    assert got.shape == X.shape
+    for c, (i, x) in enumerate(zip(idx.tolist(), X)):
+        assert got[c].tobytes() == fam.subgrad(i, x).tobytes()
+    return got
+
+
+@st.composite
+def lane_points(draw, dims=(1, 3, 20, 784)):
+    """(n, m, idx, X): S lanes on distinct indices of an m-row family, at the
+    rows of an (S, n) stack."""
+    n = draw(st.sampled_from(dims))
+    s = draw(st.integers(1, 8))
+    m = s + draw(st.integers(0, 4))
+    idx = np.array(draw(st.permutations(range(m)))[:s], dtype=np.intp)
+    if n > 20:  # long rows: drawn from a seeded generator, not element by element
+        X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5.0, 5.0, (s, n))
+    else:
+        X = draw(arrays(np.float64, (s, n), elements=coord))
+    return n, m, idx, X
+
+
+class TestLaneSubgrads:
+    """Row c of ``subgrads(idx, X)`` carries the bits of
+    ``subgrad(idx[c], X[c])``: a client's iterates must not depend on the
+    lanes stepped beside it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lane_points(), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 30.0]))
+    def test_logistic(self, case, seed, scale):
+        n, m, idx, X = case
+        rng = np.random.default_rng(seed)
+        fam = LogisticLosses(scale * rng.standard_normal((m, n)), rng.choice([-1.0, 1.0], m))
+        _lane_rows_match(fam, idx, X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lane_points(dims=(1, 2, 3, 10, 784)), st.data())
+    def test_ball_inside_outside_and_on_the_sphere(self, case, data):
+        n, m, idx, X = case
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers = rng.uniform(-5.0, 5.0, (m, n))
+        radii = rng.uniform(0.5, 2.0, m)
+        where = data.draw(st.lists(st.sampled_from(["center", "inside", "on", "outside"]),
+                                   min_size=len(idx), max_size=len(idx)))
+        for c, (i, kind) in enumerate(zip(idx.tolist(), where)):
+            if kind == "center":
+                X[c] = centers[i]
+            d = X[c] - centers[i]
+            dist = math.sqrt(float(np.dot(d, d)))  # the family's own distance
+            if dist > 1e-12:  # keeps every radius positive
+                radii[i] = {"center": radii[i], "inside": 2.0 * dist, "on": dist,
+                            "outside": 0.5 * dist}[kind]
+        got = _lane_rows_match(BallDistances(centers, radii), idx, X)
+        for c, kind in enumerate(where):
+            if kind in ("center", "inside", "on"):
+                assert got[c].tobytes() == np.zeros(n).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(lane_points(dims=(1, 3, 20)), st.integers(0, 2**32 - 1))
+    def test_oracle_family(self, case, seed):
+        n, m, idx, X = case
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-5.0, 5.0, (m, n))
+        oracles = [(lambda x, a=a: logistic_eval(a, 1, x)) if i % 2 else
+                   (lambda x, a=a: ball_dist_eval(x, a, 0.5)) for i, a in enumerate(rows)]
+        _lane_rows_match(OracleFamily(oracles), idx, X)

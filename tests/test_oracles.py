@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import ball_dist_eval, logistic_eval, outer_l1_quad_eval, outer_quad_anchor_eval
 
-from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, QuadAnchor,
-                                ball_dist_eval, logistic_eval, outer_l1_quad_eval,
-                                outer_quad_anchor_eval, project_box)
+from fedbilevel.oracles import BallDistances, L1Quad, LogisticLosses, QuadAnchor, project_box
 from fedbilevel.problem import BoxConstraint
 from fedbilevel.rng import make_rng
 from fedbilevel.selfcheck import (finite_difference_failures, projection_failures,

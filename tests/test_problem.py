@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from helpers import ball_dist_eval, outer_quad_anchor_eval
 
 from fedbilevel.federation import CONTIGUOUS, partition_data
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.data import make_location_instance
-from fedbilevel.oracles import ball_dist_eval, outer_quad_anchor_eval
 from fedbilevel.problem import (BoundEstimates, BoxConstraint, ProblemSpec,
                                 estimate_bounds, make_schedule)
 from fedbilevel.rng import make_rng

@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, balls_inner, counting,
-                     grid_min_selection_composite, zero_oracle)
+from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, ball_dist_eval, balls_inner,
+                     chained_fism_round, counting, grid_min_selection_composite,
+                     outer_quad_anchor_eval, zero_oracle)
 
 from fedbilevel import solvers
 from fedbilevel.data import make_location_instance, make_synthetic_logistic
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, partition_data,
                                    uniform_costs)
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
-from fedbilevel.oracles import (BallDistances, EvalResult, OracleFamily, QuadAnchor,
-                                ball_dist_eval, outer_quad_anchor_eval)
-from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
+from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosses, OracleFamily,
+                                QuadAnchor)
+from fedbilevel.problem import (BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients,
+                                make_schedule)
 from fedbilevel.solvers import (RoundState, _norm, _step_norms, client_local_pass,
                                 fism_round, irig_round, reference_solve, run_solver,
                                 stopping_criterion, weighted_average)
@@ -526,3 +528,101 @@ class TestReferenceSolve:
             reference_solve(prob, lam=0.0, iters=10)
         with pytest.raises(ValueError):
             reference_solve(prob, lam=0.1, iters=0)
+
+
+@st.composite
+def client_sizes(draw):
+    """S in 2..8 client sizes: all equal, balanced (differing by one, in any
+    order) or arbitrary."""
+    s = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["equal", "balanced", "arbitrary"]))
+    if kind == "equal":
+        return (draw(st.integers(1, 6)),) * s
+    if kind == "balanced":
+        base = draw(st.integers(1, 5))
+        return tuple(base + draw(st.integers(0, 1)) for _ in range(s))
+    return tuple(draw(st.lists(st.integers(1, 7), min_size=s, max_size=s)))
+
+
+def _lane_problem(kind, sizes, seed, shuffled):
+    """A ball-distance or logistic problem over random data whose clients
+    hold ``sizes`` indices, contiguous or shuffled."""
+    rng = np.random.default_rng(seed)
+    m, n = sum(sizes), int(rng.choice([1, 3, 20]))
+    clients = contiguous_clients(sizes)
+    if shuffled:
+        perm = rng.permutation(m).tolist()
+        clients = tuple(tuple(perm[i] for i in group) for group in clients)
+    rows = rng.uniform(-3.0, 3.0, (m, n))
+    if kind == "balls":
+        inner, outer = BallDistances(rows, rng.uniform(0.2, 1.5, m)), QuadAnchor(rows[0])
+    else:
+        inner, outer = LogisticLosses(rows, rng.choice([-1.0, 1.0], m)), L1Quad()
+    return ProblemSpec(dimension=n, inner=inner, outer=outer, clients=clients,
+                       constraint=BoxConstraint.symmetric(n, 2.0), mu_H=1.0)
+
+
+class TestLaneRound:
+    """fism_round steps the clients of a round together as lanes. Every round
+    must carry the bits of one client_local_pass per client, summed left to
+    right in ascending client index, and must write to nothing it was given."""
+
+    @staticmethod
+    def _rounds_match_chained(prob, x0, rounds=4):
+        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=prob.n_inner)
+        state = RoundState.initial(x0)
+        for _ in range(rounds):
+            x_before = state.x.copy()
+            expected = chained_fism_round(state, sched, prob)
+            nxt = fism_round(state, sched, prob)
+            assert nxt.x.tobytes() == expected.tobytes()
+            assert state.x.tobytes() == x_before.tobytes()
+            state = nxt
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=client_sizes(), kind=st.sampled_from(["balls", "logistic"]),
+           seed=st.integers(0, 2**32 - 1), shuffled=st.booleans())
+    def test_bitwise_equals_chained_client_passes(self, sizes, kind, seed, shuffled):
+        prob = _lane_problem(kind, sizes, seed, shuffled)
+        x0 = np.random.default_rng(seed + 1).uniform(-3.0, 3.0, prob.dimension)
+        self._rounds_match_chained(prob, x0)
+
+    @pytest.mark.parametrize("sizes", [(1, 3, 2), (2, 1), (1, 1, 4), (3, 3, 2, 2), (2, 2, 3, 3)])
+    def test_unequal_sizes_selection_and_closures(self, sizes):
+        self._rounds_match_chained(selection_1d_problem(sizes), np.array([4.0]), rounds=6)
+        offsets = iter(np.linspace(-0.5, 0.5, sum(sizes)))
+        clients = [[(lambda x, c=np.array([0.5 + next(offsets)]): ball_dist_eval(x, c, 0.5))
+                    for _ in range(size)] for size in sizes]
+        prob = ProblemSpec.from_oracles(
+            dimension=1, clients=clients,
+            outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
+            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
+        self._rounds_match_chained(prob, np.array([4.0]), rounds=6)
+
+    def test_lane_layout(self):
+        order, blocks = selection_1d_problem((1, 3, 2)).lanes
+        assert order == (1, 2, 0)  # largest client first, ties by index
+        assert [(k, rows.tolist()) for k, rows in blocks] == [(3, [[1, 4, 0]]), (2, [[2, 5]]),
+                                                              (1, [[3]])]
+        order, blocks = selection_1d_problem((2, 3, 3)).lanes
+        assert order == (1, 2, 0)
+        assert [(k, rows.tolist()) for k, rows in blocks] == [(3, [[2, 5, 0], [3, 6, 1]]),
+                                                              (2, [[4, 7]]), (1, [])]
+
+    @pytest.mark.parametrize("kind", ["balls", "logistic"])
+    def test_round_leaves_its_inputs_unchanged(self, kind):
+        prob = _lane_problem(kind, (3, 2, 3), seed=5, shuffled=True)
+        arrays_before = [a.copy() for a in vars(prob.inner).values()
+                         if isinstance(a, np.ndarray)]
+        lo, hi = prob.constraint.lo.copy(), prob.constraint.hi.copy()
+        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=prob.n_inner)
+        state = RoundState.initial(np.full(prob.dimension, 0.5))
+        x_before = state.x.copy()
+        for _ in range(3):
+            fism_round(state, sched, prob)
+        assert state.x.tobytes() == x_before.tobytes()
+        arrays_after = [a for a in vars(prob.inner).values() if isinstance(a, np.ndarray)]
+        assert len(arrays_after) == 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays_before, arrays_after))
+        assert (prob.constraint.lo.tobytes(), prob.constraint.hi.tobytes()) == (lo.tobytes(),
+                                                                                 hi.tobytes())
