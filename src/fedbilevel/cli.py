@@ -204,12 +204,14 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(cfg.out_dir)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable place fails before any run
         records, failures = execute(cfg, grid=grid)
     except (FormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    write_outputs(records, Path(cfg.out_dir), cfg.write_csv, summary=grid)
+    write_outputs(records, out_dir, cfg.write_csv, summary=grid)
     if failures:
         for run_id, message in failures:
             print(f"failed: {run_id}: {message}", file=sys.stderr)

@@ -7,6 +7,7 @@ can be overridden from the command line with ``--set key=value``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -32,6 +33,10 @@ _PROBLEM_PRESET = {
 # Problems whose inner-function count is the ``m`` key; logistic-mnist takes
 # it from the data, so its client counts are checked per run.
 _M_FROM_CONFIG = ("selection-1d", "location", "logistic-synthetic")
+
+# Float keys (or lists of floats) that must hold finite numbers when set.
+_FINITE_KEYS = ("gamma1", "a", "lambda1", "b", "tol", "unit_cost", "comm_cost",
+                "client_cost_scale")
 
 _PROBLEM_DEFAULTS = {
     # problem: (n, m, max_rounds, tol)
@@ -185,6 +190,12 @@ class ExperimentConfig:
         return self
 
     def _validate(self) -> None:
+        # Every range check below is False for NaN, so finiteness comes first.
+        for key in _FINITE_KEYS:
+            value = getattr(self, key)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ConfigError(f"{key} must be finite, got {value!r}", key=key)
         if not self.methods:
             raise ConfigError("methods must not be empty", key="methods")
         for method in self.methods:

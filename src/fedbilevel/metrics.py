@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -106,11 +108,35 @@ def write_run_json(record: RunRecord, path) -> None:
         f.write("\n")
 
 
+# A JSONL line is ``json.dumps(row._asdict())`` byte for byte. The keys never
+# change, so they live in one template, whose ``%r`` writes an exact int or a
+# finite exact float as json does (int.__repr__, float.__repr__). Rows go
+# ``_CHUNK`` at a time: a chunk holding anything else (NaN, inf, bool, a numpy
+# scalar) is written by json.dumps itself. Lines are formatted one at a time,
+# so peak memory does not grow with the record.
+_LINE = "{" + ", ".join(f"{json.dumps(name)}: %r" for name in ROW_FIELDS) + "}\n"
+_CHUNK = 128
+
+
+def _plain(values: list) -> bool:
+    """True when every value is an exact int or a finite exact float."""
+    if not {*map(type, values)} <= {int, float}:
+        return False
+    try:
+        return math.isfinite(sum(values))  # a NaN or an infinity propagates
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def write_rows_jsonl(record: RunRecord, path) -> None:
-    # One line at a time: joining the whole file first raises peak memory.
-    dumps = json.dumps
+    rows = record.rows
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(dumps(row._asdict()) + "\n" for row in record.rows)
+        for start in range(0, len(rows), _CHUNK):
+            chunk = rows[start:start + _CHUNK]
+            if _plain(list(chain.from_iterable(chunk))):
+                f.writelines(map(_LINE.__mod__, chunk))
+            else:
+                f.writelines(json.dumps(row._asdict()) + "\n" for row in chunk)
 
 
 def write_rows_csv(record: RunRecord, path) -> None:

@@ -280,19 +280,9 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         for state, wall, f_next, f_avg, h_next, step_norm in zip(
                 states, walls, f_all[:b], f_all[b:], h_all, _step_norms(xs)):
             cum_time += t_round
-            rows.append(RoundRow(
-                k=prev.k,
-                inner_value=f_cur,
-                inner_value_mean=f_cur / m,
-                inner_value_avg_iterate=f_avg,
-                outer_value=h_cur,
-                step_norm=step_norm,
-                round_time_units=t_round,
-                total_time_units=cum_time,
-                inner_subgrad_evals=state.inner_evals,
-                outer_subgrad_evals=state.outer_evals,
-                wall_clock_sec=wall,
-            ))
+            # Positional, in RoundRow's field order: keywords cost more per row.
+            rows.append(RoundRow(prev.k, f_cur, f_cur / m, f_avg, h_cur, step_norm, t_round,
+                                 cum_time, state.inner_evals, state.outer_evals, wall))
             if observe is not None:
                 observe(state)
             if not (math.isfinite(f_next) and math.isfinite(h_next)

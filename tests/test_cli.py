@@ -156,6 +156,26 @@ class TestMain:
         assert cli.main(["sweep", str(path), "--out", str(out), "--set", "s_values=1,2"]) == 2
         assert not out.exists()  # rejected before any run
 
+    @pytest.mark.parametrize("setting", [
+        "gamma1=nan", "a=inf", "lambda1=nan", "b=-inf", "tol=nan", "unit_cost=nan",
+        "comm_cost=nan", "client_cost_scale=inf"])
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, setting):
+        path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out), "--set", setting]) == 2
+        assert f"{setting.partition('=')[0]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_is_data_error_before_any_run(self, tmp_path, monkeypatch):
+        def run_solver(*args, **kwargs):
+            raise AssertionError("a run was computed")
+
+        monkeypatch.setattr(cli, "run_solver", run_solver)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 5\n")
+        assert cli.main(["sweep", str(path), "--out", str(blocker / "sub")]) == 3
+
     def test_non_finite_run_is_written_and_fails(self, tmp_path, monkeypatch):
         def inner(x):  # iterates 6.29, 5.76, then 5.50: NaN at the end of round 2
             if x[0] < 5.6:

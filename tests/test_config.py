@@ -130,6 +130,19 @@ class TestResolve:
             cfg.resolve()
         assert err.value.key == "margin"
 
+    @pytest.mark.parametrize("key, raw", [
+        ("gamma1", "nan"), ("a", "inf"), ("lambda1", "nan"), ("b", "-inf"),
+        ("tol", "nan"), ("unit_cost", "nan"), ("comm_cost", "0,nan"),
+        ("client_cost_scale", "1,inf")])
+    def test_rejects_non_finite_float(self, key, raw):
+        # every range check is False for NaN, so these passed before
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "location")
+        cfg.set_key(key, raw)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == key
+
     def test_rejects_equal_mnist_digits(self):
         cfg = ExperimentConfig()
         for key, value in [("problem", "logistic-mnist"), ("pos_digit", "3"),

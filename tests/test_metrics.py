@@ -1,29 +1,58 @@
 import json
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import ball_dist_eval, outer_quad_anchor_eval
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fedbilevel.data import LabeledDataset, make_synthetic_logistic
-from fedbilevel.federation import round_time, uniform_costs
-from fedbilevel.instances import selection_1d_problem
-from fedbilevel.metrics import (RateDiagnosticUnavailable, RoundRow, RunRecord, accuracy,
-                                rate_diagnostic, write_rows_csv, write_rows_jsonl,
+from fedbilevel.data import LabeledDataset, make_location_instance, make_synthetic_logistic
+from fedbilevel.federation import METHODS, partition_data, round_time, uniform_costs
+from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
+from fedbilevel.metrics import (_CHUNK, RateDiagnosticUnavailable, RoundRow, RunRecord,
+                                accuracy, rate_diagnostic, write_rows_csv, write_rows_jsonl,
                                 write_run_json)
-from fedbilevel.problem import make_schedule
+from fedbilevel.oracles import EvalResult
+from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
 from fedbilevel.solvers import run_solver
 
 
-def _fake_record(gaps, f_star=0.0):
-    rows = [RoundRow(k=k, inner_value=0.0, inner_value_mean=0.0,
-                     inner_value_avg_iterate=f_star + g, outer_value=0.0,
-                     step_norm=0.0, round_time_units=1.0, total_time_units=float(k),
-                     inner_subgrad_evals=k, outer_subgrad_evals=k, wall_clock_sec=0.0)
-            for k, g in enumerate(gaps, start=1)]
+def _rows_record(rows):
     x = np.zeros(1)
     return RunRecord(method="fism", problem_id="fake", gamma1=1, a=0.5, lambda1=1,
                      b=0.4, n_clients=1, n_inner=1, dimension=1, seed=0, rows=rows,
                      final_x=x, final_avg_x=x, final_inner_value=0.0,
                      final_outer_value=0.0, stop_reason="max_rounds")
+
+
+def _fake_record(gaps, f_star=0.0):
+    return _rows_record([
+        RoundRow(k=k, inner_value=0.0, inner_value_mean=0.0,
+                 inner_value_avg_iterate=f_star + g, outer_value=0.0,
+                 step_norm=0.0, round_time_units=1.0, total_time_units=float(k),
+                 inner_subgrad_evals=k, outer_subgrad_evals=k, wall_clock_sec=0.0)
+        for k, g in enumerate(gaps, start=1)])
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                1.7976931348623157e308, math.nan, math.inf, -math.inf])
+_FLOATS = st.floats() | _EDGE_FLOATS
+_FLOAT_LIKE = _FLOATS | _FLOATS.map(np.float64)
+_INTS = st.integers(min_value=-2**80, max_value=2**80) | st.sampled_from([2**1100, -2**1100])
+
+
+@st.composite
+def _row_lists(draw):
+    """Rows whose columns are all floats, all ints, or a mix with bools; the
+    count sits at 0, 1, or one below, at or above a write chunk."""
+    kinds = [draw(st.sampled_from([_FLOAT_LIKE, _INTS, _FLOAT_LIKE | _INTS | st.booleans()]))
+             for _ in RoundRow._fields]
+    base = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=6))
+    count = draw(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
+    return [RoundRow(*base[i % len(base)]) for i in range(count)]
 
 
 class TestAccuracy:
@@ -136,6 +165,35 @@ class TestRecordOutputs:
             b"1,2.5,1.25,nan,inf,0.1,1.0,1.0,2,1,0.001\r\n"
             b"2,1e-300,5e-301,0.30000000000000004,-inf,0.0,0.7,1.7,4,2,2e-06\r\n")
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=_row_lists())
+    def test_jsonl_lines_are_json_dumps(self, tmp_path, rows):
+        write_rows_jsonl(_rows_record(rows), tmp_path / "run.jsonl")
+        with open(tmp_path / "run.jsonl", encoding="utf-8") as f:
+            lines = f.readlines()
+        assert lines == [json.dumps(row._asdict()) + "\n" for row in rows]
+
+    def test_jsonl_rejects_what_json_rejects(self, tmp_path):
+        row = RoundRow(np.int64(1), *([0.0] * 10))
+        with pytest.raises(TypeError):
+            json.dumps(row._asdict())
+        with pytest.raises(TypeError):
+            write_rows_jsonl(_rows_record([row]), tmp_path / "run.jsonl")
+
+    def test_jsonl_writes_in_bounded_chunks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [RoundRow(k, *rng.random(7).tolist(), k, k, float(rng.random()))
+                for k in range(1, 20_001)]
+        own = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+        tracemalloc.start()
+        try:
+            write_rows_jsonl(_rows_record(rows), tmp_path / "run.jsonl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < own / 4  # a whole-record text buffer is larger than the rows
+
     def test_rows_are_immutable(self):
         row = self._golden_record().rows[0]
         with pytest.raises(AttributeError):
@@ -148,3 +206,43 @@ class TestRecordOutputs:
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert len(lines) == 21  # header + rows
         assert lines[0].startswith("k,inner_value,")
+
+
+def _non_finite_problem():
+    def inner(x):  # NaN once the iterate drops below 5.6, in round 2
+        if x[0] < 5.6:
+            return EvalResult(math.nan, np.full_like(x, math.nan))
+        return ball_dist_eval(x, np.array([0.5]), 0.5)
+
+    return ProblemSpec.from_oracles(
+        dimension=1, clients=[[inner]],
+        outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
+        constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0, name="nan-selection")
+
+
+class TestRowTypes:
+    """The JSONL fast path takes exact ints and floats; every row a solver
+    returns must consist of them."""
+
+    @staticmethod
+    def _problems():
+        ds = make_synthetic_logistic(4, 40, margin=0.3, seed=2)
+        yield selection_1d_problem(), (1.0, 0.55, 1.0, 0.4), None
+        yield (location_problem(make_location_instance(3, 12, seed=4),
+                                partition_data(12, 3, seed=4)), (1.0, 0.8, 1.0, 0.1), 1e-5)
+        yield logistic_problem(ds, partition_data(40, 2, seed=1)), (10.0, 0.8, 1.0, 0.1), None
+        yield _non_finite_problem(), (0.1, 0.55, 1.0, 0.4), None
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fields_are_exact_ints_and_floats(self, method):
+        stops = set()
+        for prob, (g1, a, l1, b), tol in self._problems():
+            sched = make_schedule(g1, a, l1, b, mu_H=prob.mu_H, m=prob.n_inner)
+            x0 = np.full(prob.dimension, 6.0)
+            rec = run_solver(prob, sched, method, x0, 40, tol=tol)
+            stops.add(rec.stop_reason)
+            for row in rec.rows:
+                assert [type(v) for v in row] == [
+                    int if name in ("k", "inner_subgrad_evals", "outer_subgrad_evals")
+                    else float for name in RoundRow._fields]
+        assert "non-finite" in stops
