@@ -8,34 +8,31 @@ sweeps all inner functions sequentially with fresh outer subgradients.
 """
 from .data import (DigitDataset, FormatError, LabeledDataset, LocationInstance,
                    filter_binary, load_digit_images, make_location_instance,
-                   make_synthetic_logistic, read_idx, write_idx)
-from .federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, ClientPartition, CostModel,
-                         partition_data, round_time, uniform_costs)
+                   make_synthetic_logistic, read_idx)
+from .federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, CostModel, partition_data,
+                         round_time, uniform_costs)
 from .instances import location_problem, logistic_problem, selection_1d_problem
-from .metrics import (RateDiagnosticUnavailable, RoundRow, RunRecord, accuracy,
-                      rate_diagnostic, write_rows_csv, write_rows_jsonl, write_run_json)
+from .metrics import (RoundRow, RunRecord, accuracy, write_rows_csv, write_rows_jsonl,
+                      write_run_json)
 from .oracles import (BallDistances, EvalResult, InnerFamily, L1Quad, LogisticLosses,
                       Oracle, OracleFamily, OracleObjective, OuterObjective, QuadAnchor,
                       project_box)
-from .problem import (BoundEstimates, BoxConstraint, ProblemSpec, StepSchedule,
-                      estimate_bounds, make_schedule)
+from .problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
 from .rng import PRNG_ID, make_rng
-from .solvers import (RoundState, client_local_pass, fism_round, irig_round,
-                      reference_solve, run_solver, stopping_criterion, weighted_average)
+from .solvers import (RoundState, client_local_pass, fism_round, irig_round, run_solver,
+                      stopping_criterion, weighted_average)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallDistances", "BoundEstimates", "BoxConstraint", "ClientPartition", "CostModel",
-    "CONTIGUOUS", "DigitDataset", "EvalResult", "FISM", "FormatError", "IRIG",
-    "InnerFamily", "L1Quad", "LabeledDataset", "LocationInstance", "LogisticLosses",
-    "Oracle", "OracleFamily", "OracleObjective", "OuterObjective", "PRNG_ID",
-    "ProblemSpec", "QuadAnchor", "RateDiagnosticUnavailable", "RoundRow", "RoundState",
+    "BallDistances", "BoxConstraint", "CostModel", "CONTIGUOUS", "DigitDataset",
+    "EvalResult", "FISM", "FormatError", "IRIG", "InnerFamily", "L1Quad", "LabeledDataset",
+    "LocationInstance", "LogisticLosses", "Oracle", "OracleFamily", "OracleObjective",
+    "OuterObjective", "PRNG_ID", "ProblemSpec", "QuadAnchor", "RoundRow", "RoundState",
     "RunRecord", "SHUFFLED", "StepSchedule", "accuracy", "client_local_pass",
-    "estimate_bounds", "filter_binary", "fism_round", "irig_round", "load_digit_images",
-    "location_problem", "logistic_problem", "make_location_instance", "make_rng",
-    "make_schedule", "make_synthetic_logistic", "partition_data", "project_box",
-    "rate_diagnostic", "read_idx", "reference_solve", "round_time", "run_solver",
-    "selection_1d_problem", "stopping_criterion", "uniform_costs", "weighted_average",
-    "write_idx", "write_rows_csv", "write_rows_jsonl", "write_run_json",
+    "filter_binary", "fism_round", "irig_round", "load_digit_images", "location_problem",
+    "logistic_problem", "make_location_instance", "make_rng", "make_schedule",
+    "make_synthetic_logistic", "partition_data", "project_box", "read_idx", "round_time",
+    "run_solver", "selection_1d_problem", "stopping_criterion", "uniform_costs",
+    "weighted_average", "write_rows_csv", "write_rows_jsonl", "write_run_json",
 ]

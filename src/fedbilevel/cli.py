@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -85,12 +86,12 @@ def _split_balanced(pool: LabeledDataset, train_size: int) -> tuple[LabeledDatas
 def _build_problem(cfg: ExperimentConfig, ctx: dict, n_clients: int,
                    run_seed: int) -> ProblemSpec:
     m = len(ctx["train"]) if "train" in ctx else cfg.m
-    part = partition_data(m, n_clients, cfg.partition, seed=run_seed)
+    clients = partition_data(m, n_clients, cfg.partition, seed=run_seed)
     if cfg.problem == "selection-1d":
-        return selection_1d_problem(part.sizes)
+        return selection_1d_problem(tuple(map(len, clients)))
     if cfg.problem == "location":
-        return location_problem(ctx["instance"], part)
-    return logistic_problem(ctx["train"], part)
+        return location_problem(ctx["instance"], clients)
+    return logistic_problem(ctx["train"], clients)
 
 
 def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
@@ -205,11 +206,19 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.out_dir)
+    # The directories this invocation makes, deepest first: a data error
+    # removes them again, as long as they are empty.
+    created = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable place fails before any run
         records, failures = execute(cfg, grid=grid)
     except (FormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:  # not empty, or never made
+                break
         return 3
     write_outputs(records, out_dir, cfg.write_csv, summary=grid)
     if failures:

@@ -50,21 +50,6 @@ def read_idx(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def write_idx(tensor: np.ndarray, path) -> None:
-    """Inverse of :func:`read_idx` for uint8 tensors of rank 1 or 3."""
-    arr = np.ascontiguousarray(tensor, dtype=np.uint8)
-    if arr.ndim == 3:
-        magic = _IDX_MAGIC_IMAGES
-    elif arr.ndim == 1:
-        magic = _IDX_MAGIC_LABELS
-    else:
-        raise ValueError(f"only rank-1 and rank-3 tensors are supported, got rank {arr.ndim}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">I", magic))
-        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
-
-
 @dataclass(frozen=True)
 class DigitDataset:
     """Flattened unit-scaled images with their original digit labels."""

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .problem import consecutive_groups
 from .rng import STREAM_PARTITION, make_rng
 
 CONTIGUOUS = "contiguous-balanced"
@@ -27,25 +28,10 @@ IRIG = "irig"
 METHODS = (FISM, IRIG)
 
 
-@dataclass(frozen=True)
-class ClientPartition:
-    """Disjoint ordered index groups covering the global inner-function pool."""
-
-    assignments: tuple[tuple[int, ...], ...]
-    strategy: str
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.assignments)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(group) for group in self.assignments)
-
-
 def partition_data(m: int, n_clients: int, strategy: str = CONTIGUOUS,
-                   seed: int = 0) -> ClientPartition:
-    """Split the m global indices into n_clients balanced ordered groups.
+                   seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Split the m global indices into n_clients balanced ordered groups,
+    one tuple of indices per client.
 
     Group sizes differ by at most one, larger groups first. The shuffled
     strategy permutes the index pool with the seeded generator before
@@ -55,17 +41,11 @@ def partition_data(m: int, n_clients: int, strategy: str = CONTIGUOUS,
         raise ValueError(f"need 1 <= n_clients <= m, got n_clients={n_clients}, m={m}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown partition strategy {strategy!r}")
-    pool = np.arange(m)
+    pool = range(m)
     if strategy == SHUFFLED:
-        pool = make_rng(seed, STREAM_PARTITION).permutation(m)
+        pool = make_rng(seed, STREAM_PARTITION).permutation(m).tolist()
     base, extra = divmod(m, n_clients)
-    groups = []
-    start = 0
-    for i in range(n_clients):
-        size = base + (1 if i < extra else 0)
-        groups.append(tuple(int(g) for g in pool[start:start + size]))
-        start += size
-    return ClientPartition(tuple(groups), strategy)
+    return consecutive_groups(pool, [base + 1] * extra + [base] * (n_clients - extra))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Ready-made problem builders for the shipped experiment families.
 
 Each builder wraps the instance's arrays in one inner family (no per-sample
-objects) and takes the clients' index tuples from the partition.
+objects) and takes the clients' index tuples, as ``partition_data`` gives them.
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from .data import LabeledDataset, LocationInstance
-from .federation import ClientPartition
 from .oracles import BallDistances, L1Quad, LogisticLosses, QuadAnchor
 from .problem import BoxConstraint, ProblemSpec, contiguous_clients
 
@@ -37,30 +36,32 @@ def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
     )
 
 
-def location_problem(instance: LocationInstance, partition: ClientPartition) -> ProblemSpec:
+def location_problem(instance: LocationInstance,
+                     clients: Sequence[Sequence[int]]) -> ProblemSpec:
     """Sum-of-ball-distances inner objective with an anchored quadratic
-    selector, grouped by the given partition."""
+    selector; client c holds the balls ``clients[c]``."""
     return ProblemSpec(
         dimension=instance.centers.shape[1],
         inner=BallDistances(instance.centers, instance.radii),
         outer=QuadAnchor(instance.anchor),
-        clients=partition.assignments,
+        clients=clients,
         constraint=instance.box,
         mu_H=1.0,
         name="location",
     )
 
 
-def logistic_problem(ds: LabeledDataset, partition: ClientPartition,
+def logistic_problem(ds: LabeledDataset, clients: Sequence[Sequence[int]],
                      half_width: float = 100.0) -> ProblemSpec:
     """Per-sample logistic losses with the sparsity-plus-norm selector on
-    the box [-half_width, half_width]^n."""
+    the box [-half_width, half_width]^n; client c holds the samples
+    ``clients[c]``."""
     n = ds.features.shape[1]
     return ProblemSpec(
         dimension=n,
         inner=LogisticLosses(ds.features, ds.labels),
         outer=L1Quad(),
-        clients=partition.assignments,
+        clients=clients,
         constraint=BoxConstraint.symmetric(n, half_width),
         mu_H=1.0,
         name=ds.name or "logistic",

@@ -1,4 +1,4 @@
-"""Per-round run records, classification accuracy, and rate diagnostics.
+"""Per-round run records and classification accuracy.
 
 Records serialize to a JSON summary plus a JSONL stream of per-round rows
 (optionally a CSV of the same rows); the row field names are part of the
@@ -19,13 +19,6 @@ from .rng import PRNG_ID
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import LabeledDataset
-
-
-class RateDiagnosticUnavailable(RuntimeError):
-    """Every objective gap in the fit window sits below the clip threshold."""
-
-
-GAP_CLIP = 1e-12
 
 
 class RoundRow(NamedTuple):
@@ -158,25 +151,3 @@ def accuracy(x: np.ndarray, ds: "LabeledDataset") -> float:
         raise ValueError("classifier dimension does not match the dataset")
     pred = np.where(ds.features @ x >= 0.0, 1, -1)
     return float(np.mean(pred == ds.labels))
-
-
-def rate_diagnostic(record: RunRecord, f_star: float, window: float = 0.8,
-                    clip: float = GAP_CLIP) -> float:
-    """Fitted log-log slope of the averaged-iterate objective gap.
-
-    Least-squares slope of log(F(avg iterate) - f_star) against log k over
-    the trailing ``window`` fraction of rounds; gaps are clipped below
-    ``clip`` before the log. ``f_star`` must come from an independent oracle,
-    never from the run itself.
-    """
-    rows = record.rows
-    if len(rows) < 100:
-        raise ValueError("rate diagnostic needs at least 100 recorded rounds")
-    start = len(rows) - int(window * len(rows))
-    tail = rows[start:]
-    gaps = np.array([r.inner_value_avg_iterate for r in tail]) - f_star
-    if np.all(gaps < clip):
-        raise RateDiagnosticUnavailable("all objective gaps sit below the clip threshold")
-    ks = np.array([r.k for r in tail], dtype=float)
-    logs = np.log(np.clip(gaps, clip, None))
-    return float(np.polyfit(np.log(ks), logs, 1)[0])

@@ -4,8 +4,8 @@ A problem is an inner family of m convex per-sample functions (see
 ``oracles``), the clients' shares of it as ordered index tuples, an outer
 strongly convex selection objective, and a box constraint. The solvers step
 through each client's local order (several at once, along ``lanes``); the
-metrics read ``inner.values`` on stacked points. Stepsize schedules and
-sampled norm bounds live here too. All types are immutable after construction.
+metrics read ``inner.values`` on stacked points. Stepsize schedules live
+here too. All types are immutable after construction.
 """
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .oracles import (InnerFamily, Oracle, OracleFamily, OracleObjective, OuterObjective,
-                      project_box)
-from .rng import STREAM_BOUNDS, make_rng
+from .oracles import InnerFamily, Oracle, OracleFamily, OracleObjective, OuterObjective
 
 
 @dataclass(frozen=True)
@@ -56,10 +54,15 @@ class BoxConstraint:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
 
+def consecutive_groups(pool: Sequence[int], sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Group i holds the next ``sizes[i]`` entries of ``pool``, in order."""
+    bounds = list(accumulate(sizes, initial=0))
+    return tuple(tuple(pool[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
 def contiguous_clients(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Index tuples giving client i the next ``sizes[i]`` indices in order."""
-    bounds = list(accumulate(sizes, initial=0))
-    return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+    return consecutive_groups(range(sum(sizes)), sizes)
 
 
 @dataclass(frozen=True)
@@ -171,44 +174,3 @@ def make_schedule(gamma1: float, a: float, lambda1: float, b: float,
         raise ValueError("exponents must be nonnegative so the sequences are nonincreasing")
     feasible = gamma1 * lambda1 * mu_H <= 2 * m
     return StepSchedule(float(gamma1), float(a), float(lambda1), float(b), feasible)
-
-
-@dataclass(frozen=True)
-class BoundEstimates:
-    """Sampled upper estimates of the inner subgradient-norm bound (Cf) and
-    the outer norm/value bound (CH) over the feasible box."""
-
-    Cf: float
-    CH: float
-
-    def __post_init__(self):
-        if self.Cf < 0 or self.CH < 0:
-            raise ValueError("bound estimates must be nonnegative")
-
-
-def estimate_bounds(problem: ProblemSpec, samples: int = 1000, seed: int = 0) -> BoundEstimates:
-    """Estimate Cf and CH by sampling projected random points of the box.
-
-    Points are drawn uniformly from a 1.5x inflation of the box and projected
-    back, which puts mass on faces and corners where norms peak. CH covers
-    both the outer subgradient norm and the outer value magnitude. Test-time
-    helper for drift-bound checks; the solvers never read these.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = make_rng(seed, STREAM_BOUNDS)
-    box = problem.constraint
-    center = (box.lo + box.hi) / 2.0
-    half = (box.hi - box.lo) / 2.0
-    cf = 0.0
-    ch = 0.0
-    inner, outer = problem.inner, problem.outer
-    for _ in range(samples):
-        raw = center + rng.uniform(-1.5, 1.5, box.dimension) * half
-        x = project_box(raw, box)
-        for i in range(len(inner)):
-            g = float(np.linalg.norm(inner.subgrad(i, x)))
-            if g > cf:
-                cf = g
-        ch = max(ch, float(np.linalg.norm(outer.subgrad(x))), abs(outer.value(x)))
-    return BoundEstimates(cf, ch)

@@ -1,4 +1,4 @@
-"""Solver rounds, the run driver, and a high-accuracy reference solver.
+"""Solver rounds and the run driver.
 
 The federated round picks one outer subgradient per round, broadcasts it,
 lets every client run an incremental projected-subgradient pass over its own
@@ -44,7 +44,6 @@ from .federation import FISM, METHODS, CostModel, round_time, uniform_costs
 from .metrics import RoundRow, RunRecord
 from .oracles import InnerFamily, project_box
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
-from .rng import STREAM_INIT, make_rng, open_uniform
 
 # Rounds run between two metric passes when no tolerance is set. The records
 # do not depend on it; it only bounds the rounds computed past a stop.
@@ -79,6 +78,16 @@ def _local_step(x: np.ndarray, g: np.ndarray, co: np.ndarray, gamma: float,
     return np.minimum(np.maximum(x - gamma * g - co, lo), hi)
 
 
+def _advance(state: RoundState, x_next: np.ndarray, gamma: float, inner_evals: int,
+             outer_evals: int) -> RoundState:
+    # The state after a round that moved state.x to x_next with stepsize
+    # gamma: the averages pick up the round's starting iterate, and the
+    # counters grow by the round's evaluations.
+    return RoundState(x_next, state.k + 1, state.avg_num + gamma * state.x,
+                      state.avg_den + gamma, state.inner_evals + inner_evals,
+                      state.outer_evals + outer_evals)
+
+
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
                       gamma: float, lam: float, m_total: int, inner: InnerFamily,
                       indices: Sequence[int], box: BoxConstraint) -> np.ndarray:
@@ -101,13 +110,14 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
     return x
 
 
-def _lane_average(x_start: np.ndarray, outer_subgrad: np.ndarray, gamma: float, lam: float,
+def _lane_average(x_start: np.ndarray, co: np.ndarray, gamma: float,
                   problem: ProblemSpec) -> np.ndarray:
     # Every client's pass at once, lane j of problem.lanes as row j, and the
     # average of the ends in client order. A lane leaves after its last step.
+    # co is the scaled outer term client_local_pass forms.
     order, blocks = problem.lanes
     shape = (len(order), 1)
-    co = np.tile((gamma * lam / problem.n_inner) * outer_subgrad, shape)
+    co = np.tile(co, shape)
     lo, hi = np.tile(problem.constraint.lo, shape), np.tile(problem.constraint.hi, shape)
     X = np.tile(x_start, shape)
     ends = list(X)
@@ -134,19 +144,12 @@ def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     gamma, lam = sched.at(state.k)
     outer_subgrad = problem.outer.subgrad(state.x)
     m = problem.n_inner
-    if problem.n_clients == 1:  # x / 1 is x: one client's end is the average
+    if len(problem.clients) == 1:  # x / 1 is x: one client's end is the average
         x_next = client_local_pass(state.x, outer_subgrad, gamma, lam, m, problem.inner,
                                    problem.clients[0], problem.constraint)
     else:
-        x_next = _lane_average(state.x, outer_subgrad, gamma, lam, problem)
-    return RoundState(
-        x=x_next,
-        k=state.k + 1,
-        avg_num=state.avg_num + gamma * state.x,
-        avg_den=state.avg_den + gamma,
-        inner_evals=state.inner_evals + m,
-        outer_evals=state.outer_evals + 1,
-    )
+        x_next = _lane_average(state.x, (gamma * lam / m) * outer_subgrad, gamma, problem)
+    return _advance(state, x_next, gamma, m, 1)
 
 
 def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
@@ -161,14 +164,7 @@ def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     x = state.x
     for i in chain.from_iterable(problem.clients):
         x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, lo, hi)
-    return RoundState(
-        x=x,
-        k=state.k + 1,
-        avg_num=state.avg_num + gamma * state.x,
-        avg_den=state.avg_den + gamma,
-        inner_evals=state.inner_evals + m,
-        outer_evals=state.outer_evals + m,
-    )
+    return _advance(state, x, gamma, m, m)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -308,34 +304,3 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         final_outer_value=h_cur,
         stop_reason=stop_reason,
     )
-
-
-def reference_solve(problem: ProblemSpec, lam: float, iters: int, seed: int = 0) -> np.ndarray:
-    """High-accuracy approximation of the regularized minimizer over the box.
-
-    Projected subgradient on (inner + lam * outer) with the strongly convex
-    stepsize c/k, c = 2 / (lam * mu_H), averaging the tail half of the
-    iterates. Test oracle only; the solvers never call it.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    box = problem.constraint
-    rng = make_rng(seed, STREAM_INIT)
-    x = open_uniform(rng, box.lo, box.hi, box.dimension)
-    c = 2.0 / (lam * problem.mu_H)
-    order = tuple(chain.from_iterable(problem.clients))
-    subgrad = problem.inner.subgrad
-    acc = np.zeros_like(x)
-    count = 0
-    half = iters // 2
-    for k in range(1, iters + 1):
-        g = lam * problem.outer.subgrad(x)
-        for i in order:
-            g = g + subgrad(i, x)
-        x = project_box(x - (c / k) * g, box)
-        if k > half:
-            acc += x
-            count += 1
-    return acc / count

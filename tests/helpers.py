@@ -1,19 +1,35 @@
-"""Independent test oracles: closed forms, brute-force grid searches and
-per-sample reference oracles.
+"""Independent test oracles: closed forms, brute-force grid searches,
+per-sample reference oracles, and the test-only tools built on them.
 
-Everything here is written directly from the objective definitions (no calls
-into the package's oracle or solver code) so it can serve as an independent
-check of the library path. The one exception, ``chained_fism_round``, builds
-a federated round from the scalar client pass, one client after another, to
-check the lane path against it.
+The closed forms, grid searches and per-sample oracles are written directly
+from the objective definitions (no calls into the package's oracle or solver
+code) so they can serve as an independent check of the library path. The
+rest reach into the package only through these calls:
+
+- ``chained_fism_round`` builds a federated round from the scalar client
+  pass, one client after another, to check the lane path against it: it
+  calls ``client_local_pass``, ``StepSchedule.at`` and the problem's
+  ``outer.subgrad``.
+- ``reference_solve`` and ``estimate_bounds`` read a ``ProblemSpec`` through
+  ``inner.subgrad`` and ``outer.subgrad`` (``estimate_bounds`` also
+  ``outer.value``) and project with ``project_box``. ``reference_solve``
+  draws its start with ``make_rng(seed, STREAM_INIT)`` and ``open_uniform``,
+  as the CLI does; ``estimate_bounds`` draws from ``make_rng(seed,
+  STREAM_BOUNDS)``.
+- ``rate_diagnostic`` reads only the rows of a ``RunRecord``.
+- ``write_idx`` writes the IDX layout that ``read_idx`` reads, from the
+  format's own constants.
 """
 from __future__ import annotations
 
 import math
+import struct
+from itertools import chain
 
 import numpy as np
 
-from fedbilevel.oracles import EvalResult
+from fedbilevel.oracles import EvalResult, project_box
+from fedbilevel.rng import STREAM_BOUNDS, STREAM_INIT, make_rng, open_uniform
 
 # Closed-form solution of the 1-d selection instance: the inner solution set
 # is the interval [0, 1]; the anchored outer objective 0.5 (y - 2)^2 picks
@@ -169,6 +185,111 @@ def chained_fism_round(state, sched, problem) -> np.ndarray:
                                   problem.inner, group, problem.constraint)
         acc = x_out if acc is None else acc + x_out
     return acc / problem.n_clients
+
+
+def reference_solve(problem, lam: float, iters: int, seed: int = 0) -> np.ndarray:
+    """High-accuracy approximation of the regularized minimizer over the box.
+
+    Projected subgradient on (inner + lam * outer) with the strongly convex
+    stepsize c/k, c = 2 / (lam * mu_H), averaging the tail half of the
+    iterates.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
+    box = problem.constraint
+    rng = make_rng(seed, STREAM_INIT)
+    x = open_uniform(rng, box.lo, box.hi, box.dimension)
+    c = 2.0 / (lam * problem.mu_H)
+    order = tuple(chain.from_iterable(problem.clients))
+    subgrad = problem.inner.subgrad
+    acc = np.zeros_like(x)
+    count = 0
+    half = iters // 2
+    for k in range(1, iters + 1):
+        g = lam * problem.outer.subgrad(x)
+        for i in order:
+            g = g + subgrad(i, x)
+        x = project_box(x - (c / k) * g, box)
+        if k > half:
+            acc += x
+            count += 1
+    return acc / count
+
+
+def estimate_bounds(problem, samples: int = 1000, seed: int = 0) -> tuple[float, float]:
+    """Sampled upper estimates (cf, ch) of the inner subgradient-norm bound
+    Cf and the outer norm/value bound CH over the feasible box.
+
+    Points are drawn uniformly from a 1.5x inflation of the box and projected
+    back, which puts mass on faces and corners where norms peak. ch covers
+    both the outer subgradient norm and the outer value magnitude.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = make_rng(seed, STREAM_BOUNDS)
+    box = problem.constraint
+    center = (box.lo + box.hi) / 2.0
+    half = (box.hi - box.lo) / 2.0
+    cf = 0.0
+    ch = 0.0
+    inner, outer = problem.inner, problem.outer
+    for _ in range(samples):
+        raw = center + rng.uniform(-1.5, 1.5, box.dimension) * half
+        x = project_box(raw, box)
+        for i in range(len(inner)):
+            g = float(np.linalg.norm(inner.subgrad(i, x)))
+            if g > cf:
+                cf = g
+        ch = max(ch, float(np.linalg.norm(outer.subgrad(x))), abs(outer.value(x)))
+    return cf, ch
+
+
+class RateDiagnosticUnavailable(RuntimeError):
+    """Every objective gap in the fit window sits below the clip threshold."""
+
+
+GAP_CLIP = 1e-12
+
+
+def rate_diagnostic(record, f_star: float, window: float = 0.8,
+                    clip: float = GAP_CLIP) -> float:
+    """Fitted log-log slope of the averaged-iterate objective gap.
+
+    Least-squares slope of log(F(avg iterate) - f_star) against log k over
+    the trailing ``window`` fraction of rounds; gaps are clipped below
+    ``clip`` before the log. ``f_star`` must come from an independent oracle,
+    never from the run itself.
+    """
+    rows = record.rows
+    if len(rows) < 100:
+        raise ValueError("rate diagnostic needs at least 100 recorded rounds")
+    start = len(rows) - int(window * len(rows))
+    tail = rows[start:]
+    gaps = np.array([r.inner_value_avg_iterate for r in tail]) - f_star
+    if np.all(gaps < clip):
+        raise RateDiagnosticUnavailable("all objective gaps sit below the clip threshold")
+    ks = np.array([r.k for r in tail], dtype=float)
+    logs = np.log(np.clip(gaps, clip, None))
+    return float(np.polyfit(np.log(ks), logs, 1)[0])
+
+
+def write_idx(tensor: np.ndarray, path) -> None:
+    """Write a uint8 tensor of rank 1 or 3 as a big-endian IDX file: the
+    magic 0x00000801 (rank 1) or 0x00000803 (rank 3), one u32 per
+    dimension, then the row-major payload."""
+    arr = np.ascontiguousarray(tensor, dtype=np.uint8)
+    if arr.ndim == 3:
+        magic = 0x00000803
+    elif arr.ndim == 1:
+        magic = 0x00000801
+    else:
+        raise ValueError(f"only rank-1 and rank-3 tensors are supported, got rank {arr.ndim}")
+    with open(path, "wb") as f:
+        f.write(struct.pack(">I", magic))
+        f.write(struct.pack(f">{arr.ndim}I", *arr.shape))
+        f.write(arr.tobytes())
 
 
 def reference_synthetic_logistic(n, m, margin, rng):

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (SELECTION_1D_OPTIMUM, ball_dist_eval, outer_quad_anchor_eval,
-                     reference_split)
+                     reference_split, write_idx)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbilevel import cli
 from fedbilevel.config import ExperimentConfig
-from fedbilevel.data import make_synthetic_logistic, write_idx
+from fedbilevel.data import make_synthetic_logistic
 from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec
 
@@ -143,6 +143,25 @@ class TestMain:
         path = _config(tmp_path, "problem = logistic-mnist\n"
                                  "images_path = missing.idx\nlabels_path = missing.idx\n")
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_data_error_removes_the_directories_it_made(self, tmp_path):
+        path = _config(tmp_path, "problem = logistic-mnist\n"
+                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "a" / "b")]) == 3
+        assert not (tmp_path / "a").exists()
+
+    def test_data_error_keeps_directories_that_existed(self, tmp_path):
+        path = _config(tmp_path, "problem = logistic-mnist\n"
+                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
+        keep, empty = tmp_path / "keep", tmp_path / "empty"
+        keep.mkdir()
+        empty.mkdir()
+        (keep / "notes.txt").write_text("kept", encoding="utf-8")
+        assert cli.main(["sweep", str(path), "--out", str(keep / "new" / "out")]) == 3
+        assert not (keep / "new").exists()
+        assert (keep / "notes.txt").read_text(encoding="utf-8") == "kept"
+        assert cli.main(["sweep", str(path), "--out", str(empty)]) == 3
+        assert empty.is_dir()
 
     def test_partial_failure_exit_code(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\nm = 4\nclient_cost_scale = 1,1\n"

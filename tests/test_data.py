@@ -2,14 +2,13 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import reference_synthetic_logistic
+from helpers import reference_synthetic_logistic, write_idx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbilevel.data import (MAX_SYNTHETIC_DRAWS, DigitDataset, FormatError, LabeledDataset,
                              check_synthetic_margin, filter_binary, load_digit_images,
-                             make_location_instance, make_synthetic_logistic, read_idx,
-                             write_idx)
+                             make_location_instance, make_synthetic_logistic, read_idx)
 from fedbilevel.rng import STREAM_DATA, make_rng
 
 

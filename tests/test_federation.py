@@ -1,5 +1,9 @@
+from itertools import chain
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, CostModel,
                                    partition_data, round_time, uniform_costs)
@@ -9,16 +13,16 @@ from fedbilevel.rng import make_rng
 class TestPartitionData:
     def test_contiguous_sizes(self):
         part = partition_data(10, 4, CONTIGUOUS)
-        assert part.sizes == (3, 3, 2, 2)
-        assert part.assignments[0] == (0, 1, 2)
+        assert tuple(map(len, part)) == (3, 3, 2, 2)
+        assert part[0] == (0, 1, 2)
 
     def test_single_client(self):
         part = partition_data(8, 1, CONTIGUOUS)
-        assert part.assignments == (tuple(range(8)),)
+        assert part == (tuple(range(8)),)
 
     def test_paper_scale_split(self):
         part = partition_data(11000, 8, CONTIGUOUS)
-        assert part.sizes == (1375,) * 8
+        assert tuple(map(len, part)) == (1375,) * 8
 
     def test_rejects_bad_client_counts(self):
         with pytest.raises(ValueError):
@@ -37,16 +41,23 @@ class TestPartitionData:
         assert a == b
         assert a != c
 
-    def test_is_set_partition(self):
-        rng = make_rng(23)
-        for _ in range(20):
-            m = int(rng.integers(1, 200))
-            n_clients = int(rng.integers(1, m + 1))
-            strategy = CONTIGUOUS if rng.random() < 0.5 else SHUFFLED
-            part = partition_data(m, n_clients, strategy, seed=int(rng.integers(1000)))
-            flat = [g for group in part.assignments for g in group]
-            assert sorted(flat) == list(range(m))
-            assert max(part.sizes) - min(part.sizes) <= 1
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), strategy=st.sampled_from([CONTIGUOUS, SHUFFLED]),
+           seed=st.integers())
+    def test_is_set_partition(self, data, strategy, seed):
+        m = data.draw(st.integers(1, 300), label="m")
+        n_clients = data.draw(st.integers(1, m), label="n_clients")
+        part = partition_data(m, n_clients, strategy, seed=seed)
+        flat = list(chain(*part))
+        assert sorted(flat) == list(range(m))
+        sizes = [len(group) for group in part]
+        assert len(sizes) == n_clients
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] - sizes[-1] <= 1
+        assert partition_data(m, n_clients, strategy, seed=seed) == part
+        assert all(type(i) is int for i in flat)
+        # IRIG steps through chain(*clients): the order must not depend on S
+        assert flat == list(chain(*partition_data(m, 1, strategy, seed=seed)))
 
 
 class TestCostModel:
@@ -65,16 +76,16 @@ class TestCostModel:
 
 class TestSimulateRoundTime:
     def test_uniform_balanced(self):
-        costs = uniform_costs(partition_data(8, 4, CONTIGUOUS).sizes)
+        costs = uniform_costs(tuple(map(len, partition_data(8, 4, CONTIGUOUS))))
         assert round_time(costs, FISM) == 2.0
         assert round_time(costs, IRIG) == 8.0
 
     def test_single_client_degeneracy(self):
-        costs = uniform_costs(partition_data(8, 1, CONTIGUOUS).sizes)
+        costs = uniform_costs(tuple(map(len, partition_data(8, 1, CONTIGUOUS))))
         assert round_time(costs, FISM) == round_time(costs, IRIG) == 8.0
 
     def test_comm_term_additive(self):
-        costs = uniform_costs(partition_data(8, 4, CONTIGUOUS).sizes, comm=3.0)
+        costs = uniform_costs(tuple(map(len, partition_data(8, 4, CONTIGUOUS))), comm=3.0)
         assert round_time(costs, FISM) == 5.0
 
     def test_missing_entry(self):
@@ -111,7 +122,7 @@ class TestSimulateRoundTime:
             part = partition_data(m, n_clients, CONTIGUOUS)
             s = []
             t = []
-            for size in part.sizes:
+            for size in map(len, part):
                 s.append([])
                 t.append([])
                 for _ in range(size):
@@ -126,7 +137,7 @@ class TestSimulateRoundTime:
     def test_uniform_speedup_ratio(self):
         # equal costs, zero comm, balanced: T_fism = ceil(m / S) / m * T_irig
         for m, n_clients in [(500, 1), (500, 2), (500, 4), (500, 8), (10, 3)]:
-            costs = uniform_costs(partition_data(m, n_clients, CONTIGUOUS).sizes)
+            costs = uniform_costs(tuple(map(len, partition_data(m, n_clients, CONTIGUOUS))))
             fism_time = round_time(costs, FISM)
             irig_time = round_time(costs, IRIG)
             assert fism_time == pytest.approx(-(-m // n_clients) / m * irig_time)

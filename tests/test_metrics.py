@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import ball_dist_eval, outer_quad_anchor_eval
+from helpers import (RateDiagnosticUnavailable, ball_dist_eval, outer_quad_anchor_eval,
+                     rate_diagnostic)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedbilevel.data import LabeledDataset, make_location_instance, make_synthetic_logistic
 from fedbilevel.federation import METHODS, partition_data, round_time, uniform_costs
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
-from fedbilevel.metrics import (_CHUNK, RateDiagnosticUnavailable, RoundRow, RunRecord,
-                                accuracy, rate_diagnostic, write_rows_csv, write_rows_jsonl,
-                                write_run_json)
+from fedbilevel.metrics import (_CHUNK, RoundRow, RunRecord, accuracy, write_rows_csv,
+                                write_rows_jsonl, write_run_json)
 from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
 from fedbilevel.solvers import run_solver

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, ball_dist_eval, balls_inner,
                      chained_fism_round, counting, grid_min_selection_composite,
-                     outer_quad_anchor_eval, zero_oracle)
+                     outer_quad_anchor_eval, reference_solve, zero_oracle)
 
 from fedbilevel import solvers
 from fedbilevel.data import make_location_instance, make_synthetic_logistic
@@ -21,8 +21,8 @@ from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosse
 from fedbilevel.problem import (BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients,
                                 make_schedule)
 from fedbilevel.solvers import (RoundState, _norm, _step_norms, client_local_pass,
-                                fism_round, irig_round, reference_solve, run_solver,
-                                stopping_criterion, weighted_average)
+                                fism_round, irig_round, run_solver, stopping_criterion,
+                                weighted_average)
 
 
 def _schedule_1d():
