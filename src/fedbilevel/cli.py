@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import (FormatError, LabeledDataset, filter_binary, load_digit_images,
-                   make_location_instance, make_synthetic_logistic)
+from .data import (FormatError, load_binary_digits, make_location_instance,
+                   make_synthetic_logistic)
 from .federation import CostModel, partition_data
 from .instances import location_problem, logistic_problem, selection_1d_problem
 from .metrics import RunRecord, accuracy, write_rows_csv, write_rows_jsonl, write_run_json
@@ -41,46 +41,19 @@ def _build_datasets(cfg: ExperimentConfig) -> dict:
     if cfg.problem == "location":
         ctx["instance"] = make_location_instance(cfg.n, cfg.m, seed=cfg.seed)
     elif cfg.problem == "logistic-synthetic":
-        if cfg.test_size > 0:
-            pool = make_synthetic_logistic(cfg.n, cfg.m + cfg.test_size, cfg.margin,
-                                           seed=cfg.seed)
-            ctx["train"], ctx["test"] = _split_balanced(pool, cfg.m)
-        else:
-            ctx["train"] = make_synthetic_logistic(cfg.n, cfg.m, cfg.margin, seed=cfg.seed)
+        ctx["train"], heldout = make_synthetic_logistic(cfg.n, cfg.m, cfg.margin, seed=cfg.seed,
+                                                        test_size=cfg.test_size)
+        if len(heldout):
+            ctx["test"] = heldout
     elif cfg.problem == "logistic-mnist":
         if not cfg.images_path or not cfg.labels_path:
             raise FormatError("logistic-mnist needs images_path and labels_path")
-        digits = load_digit_images(cfg.images_path, cfg.labels_path, name="mnist")
-        ctx["train"] = filter_binary(digits, cfg.pos_digit, cfg.neg_digit)
-        if cfg.test_images_path and cfg.test_labels_path:
-            test_digits = load_digit_images(cfg.test_images_path, cfg.test_labels_path,
-                                            name="mnist-test")
-            ctx["test"] = filter_binary(test_digits, cfg.pos_digit, cfg.neg_digit)
+        ctx["train"] = load_binary_digits(cfg.images_path, cfg.labels_path, cfg.pos_digit,
+                                          cfg.neg_digit, name="mnist")
+        if cfg.test_images_path:  # the config sets the held-out pair together or not at all
+            ctx["test"] = load_binary_digits(cfg.test_images_path, cfg.test_labels_path,
+                                             cfg.pos_digit, cfg.neg_digit, name="mnist-test")
     return ctx
-
-
-def _split_balanced(pool: LabeledDataset, train_size: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Split a balanced pool into balanced train/test parts, preserving draw
-    order within each class; both parts keep the pool's separator. The pool
-    is consumed: its training rows move to the front of its feature array in
-    place, and the training features are a view of them."""
-    labels = pool.labels
-    pos = labels == 1
-    in_train = np.where(pos, np.cumsum(pos), np.cumsum(~pos)) <= train_size // 2
-    train_idx, test_idx = np.flatnonzero(in_train), np.flatnonzero(~in_train)
-    feats = pool.features
-    test = LabeledDataset(feats[test_idx], labels[test_idx],
-                          name=pool.name + "-heldout", separator=pool.separator)
-    # Move the runs of training rows forward on a flat view: numpy copies a
-    # 1-d overlap with the source ahead in place, a 2-d one through a copy.
-    flat, n, dst = feats.reshape(-1), feats.shape[1], 0
-    for start, stop in zip(np.r_[0, test_idx + 1], np.r_[test_idx, len(labels)]):
-        if start > dst:
-            flat[dst * n:(dst + stop - start) * n] = flat[start * n:stop * n]
-        dst += stop - start
-    train = LabeledDataset(feats[:train_size], labels[train_idx],
-                           name=pool.name, separator=pool.separator)
-    return train, test
 
 
 def _build_problem(cfg: ExperimentConfig, ctx: dict, n_clients: int,

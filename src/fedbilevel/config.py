@@ -204,6 +204,10 @@ class ExperimentConfig:
                                   key="methods")
         if not self.s_values or any(s < 1 for s in self.s_values):
             raise ConfigError("s_values must be positive integers", key="s_values")
+        # A repeated entry would run its grid cell twice into one set of files.
+        for key in ("methods", "s_values"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise ConfigError(f"{key} must not repeat an entry", key=key)
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be positive", key="n")
         if self.problem in _M_FROM_CONFIG and max(self.s_values) > self.m:
@@ -237,6 +241,10 @@ class ExperimentConfig:
                 check_synthetic_margin(self.m + self.test_size, self.margin)
             except ValueError as exc:
                 raise ConfigError(str(exc), key="margin") from None
+        if bool(self.test_images_path) != bool(self.test_labels_path):
+            raise ConfigError("test_images_path and test_labels_path must be set together",
+                              key="test_labels_path" if self.test_images_path
+                              else "test_images_path")
         if self.problem == "logistic-mnist" and self.pos_digit == self.neg_digit:
             raise ConfigError("pos_digit and neg_digit must differ", key="pos_digit")
 

@@ -51,22 +51,6 @@ def read_idx(path) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DigitDataset:
-    """Flattened unit-scaled images with their original digit labels."""
-
-    features: np.ndarray  # (N, n) floats in [0, 1]
-    digits: np.ndarray    # (N,) ints
-    name: str = ""
-
-    def __post_init__(self):
-        if self.features.shape[0] != self.digits.shape[0]:
-            raise ValueError("features and digits must have equal length")
-
-    def __len__(self) -> int:
-        return int(self.digits.shape[0])
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
     """Binary-labeled feature vectors; labels are strictly -1 or +1.
 
@@ -89,33 +73,32 @@ class LabeledDataset:
         return int(self.labels.shape[0])
 
 
-def load_digit_images(images_path, labels_path, name: str = "") -> DigitDataset:
-    """Load an IDX image/label file pair as flattened [0, 1] features."""
-    images = read_idx(images_path)
-    labels = read_idx(labels_path)
-    if images.ndim != 3:
-        raise FormatError(f"{images_path}: expected a rank-3 image tensor")
-    if labels.ndim != 1:
-        raise FormatError(f"{labels_path}: expected a rank-1 label vector")
-    if images.shape[0] != labels.shape[0]:
-        raise FormatError("image and label counts differ")
-    n = images.shape[1] * images.shape[2]
-    feats = images.reshape(images.shape[0], n).astype(float) / 255.0
-    return DigitDataset(feats, labels.astype(int), name=name)
+def load_binary_digits(images_path, labels_path, pos_digit: int, neg_digit: int,
+                       name: str = "") -> LabeledDataset:
+    """Load the two requested digits of an IDX image/label file pair.
 
-
-def filter_binary(ds: DigitDataset, pos_digit: int, neg_digit: int) -> LabeledDataset:
-    """Keep only the two requested digits, mapped to +1/-1, order preserved."""
+    Kept samples stay in file order, labeled +1 (``pos_digit``) or -1
+    (``neg_digit``); only their pixels are flattened and scaled to [0, 1].
+    """
     if pos_digit == neg_digit:
         raise ValueError("positive and negative digits must differ")
-    keep = (ds.digits == pos_digit) | (ds.digits == neg_digit)
+    images = read_idx(images_path)
+    digits = read_idx(labels_path).astype(int)
+    if images.ndim != 3:
+        raise FormatError(f"{images_path}: expected a rank-3 image tensor")
+    if digits.ndim != 1:
+        raise FormatError(f"{labels_path}: expected a rank-1 label vector")
+    if images.shape[0] != digits.shape[0]:
+        raise FormatError("image and label counts differ")
+    keep = (digits == pos_digit) | (digits == neg_digit)
     if not np.any(keep):
         raise FormatError(f"no samples with digit {pos_digit} or {neg_digit}")
-    digits = ds.digits[keep]
-    labels = np.where(digits == pos_digit, 1, -1)
+    labels = np.where(digits[keep] == pos_digit, 1, -1)
     if np.all(labels == labels[0]):
         warnings.warn("binary filter produced a single-class dataset", stacklevel=2)
-    return LabeledDataset(ds.features[keep], labels, name=ds.name)
+    feats = images[keep].reshape(labels.size, images.shape[1] * images.shape[2]).astype(float)
+    feats /= 255.0
+    return LabeledDataset(feats, labels, name=name)
 
 
 # Largest expected draw count of make_synthetic_logistic: a draw is kept
@@ -133,38 +116,52 @@ def check_synthetic_margin(m: int, margin: float) -> None:
                          f"{MAX_SYNTHETIC_DRAWS:.0e} draws for {m} samples")
 
 
-def make_synthetic_logistic(n: int, m: int, margin: float, seed: int) -> LabeledDataset:
-    """Separable Gaussian data labeled by a hidden direction.
+def make_synthetic_logistic(n: int, m: int, margin: float, seed: int,
+                            test_size: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
+    """Separable Gaussian data labeled by a hidden direction, as (train, heldout).
 
     Features are standard normal, labels are the sign of the projection onto
     a seeded direction w, and draws with |<w, a>| / ||w|| below the margin
-    are resampled. Classes are balanced to exactly m/2 samples each, emitted
-    in draw order. Each draw is written into the next free row of one
-    (m, n) array, which keeps it if it is accepted.
+    are resampled. A class's first m/2 accepted draws are training samples
+    and its next test_size/2 are held out; each part keeps draw order. Each
+    draw is written into the next free training row (into the next free
+    held-out row once the training set is full) and is copied to the
+    held-out set if it turns out to belong there. Both parts carry w as
+    their separator.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    if m % 2:
-        raise ValueError("m must be even so each class can hold m/2 samples")
-    check_synthetic_margin(m, margin)
+    if m % 2 or test_size % 2 or test_size < 0:
+        raise ValueError("m and test_size must be even and nonnegative so each class "
+                         "can hold half of each")
+    check_synthetic_margin(m + test_size, margin)
     rng = make_rng(seed, STREAM_DATA)
     w = rng.standard_normal(n)
     wn = float(np.linalg.norm(w))
-    feats = np.empty((m, n))
-    labels = np.empty(m, dtype=int)
-    remaining = {1: m // 2, -1: m // 2}
-    j = 0
-    while j < m:
-        a = rng.standard_normal(out=feats[j])
+    feats, labels = np.empty((m, n)), np.empty(m, dtype=int)
+    held_feats, held_labels = np.empty((test_size, n)), np.empty(test_size, dtype=int)
+    train_left = {1: m // 2, -1: m // 2}
+    held_left = {1: test_size // 2, -1: test_size // 2}
+    j = h = 0
+    while j < m or h < test_size:
+        a = rng.standard_normal(out=feats[j] if j < m else held_feats[h])
         score = float(np.dot(w, a))
         if abs(score) / wn < margin:
             continue
         lab = 1 if score > 0 else -1
-        if remaining[lab]:
-            remaining[lab] -= 1
+        if train_left[lab]:
+            train_left[lab] -= 1
             labels[j] = lab
             j += 1
-    return LabeledDataset(feats, labels, name=f"synthetic-logistic-{n}d", separator=w)
+        elif held_left[lab]:
+            held_left[lab] -= 1
+            if j < m:
+                held_feats[h] = a
+            held_labels[h] = lab
+            h += 1
+    name = f"synthetic-logistic-{n}d"
+    return (LabeledDataset(feats, labels, name=name, separator=w),
+            LabeledDataset(held_feats, held_labels, name=name + "-heldout", separator=w))
 
 
 @dataclass(frozen=True)

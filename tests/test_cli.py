@@ -82,14 +82,17 @@ class TestSyntheticSplit:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 25), st.integers(0, 25), st.integers(0, 1000))
     def test_bitwise_equal_to_fancy_index_split(self, n, train_half, test_half, seed):
-        pool = make_synthetic_logistic(n, 2 * (train_half + test_half), 0.3, seed=seed)
-        want = reference_split(pool.features, pool.labels, 2 * train_half)
-        train, test = cli._split_balanced(pool, 2 * train_half)
+        m, test_size = 2 * train_half, 2 * test_half
+        pool, _ = make_synthetic_logistic(n, m + test_size, 0.3, seed=seed)
+        want = reference_split(pool.features, pool.labels, m)
+        train, test = make_synthetic_logistic(n, m, 0.3, seed=seed, test_size=test_size)
         got = (train.features, train.labels, test.features, test.labels)
         for part, ref in zip(got, want):
             assert part.dtype == ref.dtype and part.shape == ref.shape
             assert part.tobytes() == ref.tobytes()
-        assert train.separator is pool.separator and test.separator is pool.separator
+        assert train.separator.tobytes() == pool.separator.tobytes()
+        assert test.separator is train.separator
+        assert (train.name, test.name) == (pool.name, pool.name + "-heldout")
 
     def test_build_datasets_holds_the_pool_once(self):
         cfg = _make_cfg([("problem", "logistic-synthetic"), ("n", "256"), ("m", "4000"),
@@ -130,6 +133,24 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\nbogus = 1\n")
         assert cli.main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("setting", ["s_values=1,1", "methods=fism,irig,fism"])
+    def test_repeated_grid_entry_is_config_error(self, tmp_path, setting):
+        path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out), "--set", setting]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["test_images_path", "test_labels_path"])
+    def test_half_set_heldout_pair_is_config_error(self, tmp_path, key):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(np.zeros((4, 2, 2), dtype=np.uint8), images)
+        write_idx(np.array([0, 1, 0, 1], dtype=np.uint8), labels)
+        path = _config(tmp_path, f"problem = logistic-mnist\nimages_path = {images}\n"
+                                 f"labels_path = {labels}\n{key} = missing.idx\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["test_size=1", "margin=9"])
     def test_synthetic_data_config_error_exit_code(self, tmp_path, setting):

@@ -90,6 +90,15 @@ class TestResolve:
         with pytest.raises(ConfigError):
             cfg.resolve()
 
+    @pytest.mark.parametrize("key, raw", [("methods", "fism,fism"), ("s_values", "1,2,1")])
+    def test_rejects_repeated_grid_entry(self, key, raw):
+        cfg = ExperimentConfig()
+        for k, value in [("problem", "location"), (key, raw)]:
+            cfg.set_key(k, value)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == key
+
     @pytest.mark.parametrize("problem", ["selection-1d", "location", "logistic-synthetic"])
     def test_rejects_s_values_above_m(self, problem):
         cfg = ExperimentConfig()
@@ -151,6 +160,17 @@ class TestResolve:
         with pytest.raises(ConfigError) as err:
             cfg.resolve()
         assert err.value.key == "pos_digit"
+
+    @pytest.mark.parametrize("key, missing", [("test_images_path", "test_labels_path"),
+                                              ("test_labels_path", "test_images_path")])
+    def test_rejects_half_set_heldout_pair(self, key, missing):
+        # checked before any file is read: the named file does not exist
+        cfg = ExperimentConfig()
+        for k, value in [("problem", "logistic-mnist"), (key, "missing.idx")]:
+            cfg.set_key(k, value)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == missing
 
     @pytest.mark.parametrize("name", ["location", "logistic-mnist", "logistic-synthetic",
                                       "selection-1d"])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from helpers import reference_synthetic_logistic, write_idx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbilevel.data import (MAX_SYNTHETIC_DRAWS, DigitDataset, FormatError, LabeledDataset,
-                             check_synthetic_margin, filter_binary, load_digit_images,
-                             make_location_instance, make_synthetic_logistic, read_idx)
+from fedbilevel.data import (MAX_SYNTHETIC_DRAWS, FormatError, LabeledDataset,
+                             check_synthetic_margin, load_binary_digits, make_location_instance,
+                             make_synthetic_logistic, read_idx)
 from fedbilevel.rng import STREAM_DATA, make_rng
 
 
@@ -59,35 +60,54 @@ class TestReadIdx:
         labels = tmp_path / "lab.idx"
         write_idx(np.full((2, 28, 28), 255, dtype=np.uint8), images)
         write_idx(np.array([0, 1], dtype=np.uint8), labels)
-        ds = load_digit_images(images, labels)
+        ds = load_binary_digits(images, labels, pos_digit=1, neg_digit=0)
         assert ds.features.shape == (2, 784)
         assert np.all(ds.features >= 0.0) and np.all(ds.features <= 1.0)
         assert np.all(ds.features == 1.0)
 
 
 class TestFilterBinary:
-    def _digits(self, digits):
-        digits = np.asarray(digits)
-        feats = np.arange(len(digits), dtype=float).reshape(-1, 1)
-        return DigitDataset(feats, digits)
+    def _load(self, tmp_path, digits, pos_digit, neg_digit):
+        """One-pixel images whose pixel value is the sample's position."""
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(np.arange(len(digits)).reshape(-1, 1, 1), images)
+        write_idx(np.asarray(digits), labels)
+        return load_binary_digits(images, labels, pos_digit=pos_digit, neg_digit=neg_digit)
 
-    def test_relabeling_preserves_order(self):
-        out = filter_binary(self._digits([0, 1, 7, 0]), pos_digit=1, neg_digit=0)
+    def test_relabeling_preserves_order(self, tmp_path):
+        out = self._load(tmp_path, [0, 1, 7, 0], pos_digit=1, neg_digit=0)
         assert list(out.labels) == [-1, 1, -1]
-        assert list(out.features.ravel()) == [0.0, 1.0, 3.0]
+        assert out.features.tobytes() == (np.array([[0.0], [1.0], [3.0]]) / 255.0).tobytes()
 
-    def test_single_class_warns(self):
+    def test_single_class_warns(self, tmp_path):
         with pytest.warns(UserWarning):
-            out = filter_binary(self._digits([3, 3, 3]), pos_digit=1, neg_digit=3)
+            out = self._load(tmp_path, [3, 3, 3], pos_digit=1, neg_digit=3)
         assert list(out.labels) == [-1, -1, -1]
 
-    def test_equal_digits_rejected(self):
+    def test_equal_digits_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            filter_binary(self._digits([0, 1]), pos_digit=1, neg_digit=1)
+            self._load(tmp_path, [0, 1], pos_digit=1, neg_digit=1)
 
-    def test_empty_result_rejected(self):
+    def test_empty_result_rejected(self, tmp_path):
         with pytest.raises(FormatError):
-            filter_binary(self._digits([5, 6]), pos_digit=1, neg_digit=0)
+            self._load(tmp_path, [5, 6], pos_digit=1, neg_digit=0)
+
+    def test_converts_only_the_kept_images(self, tmp_path):
+        count, side = 5000, 16
+        rng = np.random.default_rng(0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(rng.integers(0, 256, (count, side, side), dtype=np.uint8), images)
+        digits = np.full(count, 5, dtype=np.uint8)
+        digits[::10] = np.tile([0, 1], count // 20)
+        write_idx(digits, labels)
+        tracemalloc.start()
+        try:
+            out = load_binary_digits(images, labels, pos_digit=1, neg_digit=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.features.shape == (count // 10, side * side)
+        assert peak < count * side * side * 8  # the float bytes of every image
 
 
 class TestLabeledDataset:
@@ -102,38 +122,42 @@ class TestLabeledDataset:
 
 class TestSyntheticLogistic:
     def test_deterministic(self):
-        a = make_synthetic_logistic(2, 4, margin=0.5, seed=5)
-        b = make_synthetic_logistic(2, 4, margin=0.5, seed=5)
+        a, _ = make_synthetic_logistic(2, 4, margin=0.5, seed=5)
+        b, _ = make_synthetic_logistic(2, 4, margin=0.5, seed=5)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.separator, b.separator)
 
     def test_margin_enforced(self):
-        ds = make_synthetic_logistic(3, 40, margin=1.0, seed=2)
+        ds, _ = make_synthetic_logistic(3, 40, margin=1.0, seed=2)
         w = ds.separator / np.linalg.norm(ds.separator)
         assert np.all(np.abs(ds.features @ w) >= 1.0)
 
     def test_balanced(self):
-        ds = make_synthetic_logistic(2, 4, margin=0.1, seed=9)
+        ds, _ = make_synthetic_logistic(2, 4, margin=0.1, seed=9)
         assert int(np.sum(ds.labels == 1)) == 2
         assert int(np.sum(ds.labels == -1)) == 2
 
     def test_labels_match_separator(self):
-        ds = make_synthetic_logistic(4, 30, margin=0.2, seed=3)
+        ds, _ = make_synthetic_logistic(4, 30, margin=0.2, seed=3)
         assert np.array_equal(np.sign(ds.features @ ds.separator), ds.labels)
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
             make_synthetic_logistic(2, 5, margin=0.5, seed=0)
+        for test_size in (3, -2):
+            with pytest.raises(ValueError):
+                make_synthetic_logistic(2, 4, margin=0.5, seed=0, test_size=test_size)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 20), st.floats(0.0, 2.0), st.integers(0, 1000))
     def test_bitwise_equal_to_list_reference(self, n, half, margin, seed):
-        ds = make_synthetic_logistic(n, 2 * half, margin, seed=seed)
+        ds, heldout = make_synthetic_logistic(n, 2 * half, margin, seed=seed)
         want = reference_synthetic_logistic(n, 2 * half, margin, make_rng(seed, STREAM_DATA))
         for got, ref in zip((ds.features, ds.labels, ds.separator), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+        assert heldout.features.shape == (0, n) and len(heldout) == 0
 
     def test_margin_draw_budget(self):
         # margin 0 keeps every draw, so m draws are expected

@@ -57,15 +57,15 @@ def _row_lists(draw):
 
 class TestAccuracy:
     def test_separator_is_perfect(self):
-        ds = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
+        ds, _ = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
         assert accuracy(ds.separator, ds) == 1.0
 
     def test_anti_separator_is_zero(self):
-        ds = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
+        ds, _ = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
         assert accuracy(-ds.separator, ds) == 0.0
 
     def test_zero_vector_ties_to_half(self):
-        ds = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
+        ds, _ = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
         assert accuracy(np.zeros(5), ds) == 0.5  # ties predict +1, classes balanced
 
     def test_empty_dataset_rejected(self):
@@ -226,7 +226,7 @@ class TestRowTypes:
 
     @staticmethod
     def _problems():
-        ds = make_synthetic_logistic(4, 40, margin=0.3, seed=2)
+        ds, _ = make_synthetic_logistic(4, 40, margin=0.3, seed=2)
         yield selection_1d_problem(), (1.0, 0.55, 1.0, 0.4), None
         yield (location_problem(make_location_instance(3, 12, seed=4),
                                 partition_data(12, 3, seed=4)), (1.0, 0.8, 1.0, 0.1), 1e-5)

@@ -371,7 +371,7 @@ def _block_case(name):
         inst = make_location_instance(3, 12, seed=5)
         prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
         return prob, make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12), np.array([4.0, -3.0, 2.0])
-    ds = make_synthetic_logistic(5, 40, margin=0.3, seed=8)
+    ds, _ = make_synthetic_logistic(5, 40, margin=0.3, seed=8)
     prob = logistic_problem(ds, partition_data(40, 4, SHUFFLED, seed=8))
     return prob, make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=40), np.full(5, 0.5)
 
