@@ -46,8 +46,6 @@ def _build_datasets(cfg: ExperimentConfig) -> dict:
         if len(heldout):
             ctx["test"] = heldout
     elif cfg.problem == "logistic-mnist":
-        if not cfg.images_path or not cfg.labels_path:
-            raise FormatError("logistic-mnist needs images_path and labels_path")
         ctx["train"] = load_binary_digits(cfg.images_path, cfg.labels_path, cfg.pos_digit,
                                           cfg.neg_digit, name="mnist")
         if cfg.test_images_path:  # the config sets the held-out pair together or not at all

@@ -245,8 +245,16 @@ class ExperimentConfig:
             raise ConfigError("test_images_path and test_labels_path must be set together",
                               key="test_labels_path" if self.test_images_path
                               else "test_images_path")
-        if self.problem == "logistic-mnist" and self.pos_digit == self.neg_digit:
-            raise ConfigError("pos_digit and neg_digit must differ", key="pos_digit")
+        if self.problem == "logistic-mnist":
+            if self.pos_digit == self.neg_digit:
+                raise ConfigError("pos_digit and neg_digit must differ", key="pos_digit")
+            for key in ("pos_digit", "neg_digit"):
+                if not 0 <= getattr(self, key) <= 9:
+                    raise ConfigError(f"{key} must be a digit from 0 to 9, got "
+                                      f"{getattr(self, key)}", key=key)
+            for key in ("images_path", "labels_path"):
+                if not getattr(self, key):
+                    raise ConfigError(f"logistic-mnist needs {key}", key=key)
 
     def echo_dict(self) -> dict:
         out = {}

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +78,7 @@ def load_binary_digits(images_path, labels_path, pos_digit: int, neg_digit: int,
 
     Kept samples stay in file order, labeled +1 (``pos_digit``) or -1
     (``neg_digit``); only their pixels are flattened and scaled to [0, 1].
+    A digit with no sample in the file is a ``FormatError``.
     """
     if pos_digit == neg_digit:
         raise ValueError("positive and negative digits must differ")
@@ -90,12 +90,12 @@ def load_binary_digits(images_path, labels_path, pos_digit: int, neg_digit: int,
         raise FormatError(f"{labels_path}: expected a rank-1 label vector")
     if images.shape[0] != digits.shape[0]:
         raise FormatError("image and label counts differ")
-    keep = (digits == pos_digit) | (digits == neg_digit)
-    if not np.any(keep):
-        raise FormatError(f"no samples with digit {pos_digit} or {neg_digit}")
-    labels = np.where(digits[keep] == pos_digit, 1, -1)
-    if np.all(labels == labels[0]):
-        warnings.warn("binary filter produced a single-class dataset", stacklevel=2)
+    is_pos, is_neg = digits == pos_digit, digits == neg_digit
+    for digit, found in ((pos_digit, is_pos), (neg_digit, is_neg)):
+        if not found.any():  # one class, or none, is nothing to classify
+            raise FormatError(f"{labels_path}: no samples with digit {digit}")
+    keep = is_pos | is_neg
+    labels = np.where(is_pos[keep], 1, -1)
     feats = images[keep].reshape(labels.size, images.shape[1] * images.shape[2]).astype(float)
     feats /= 255.0
     return LabeledDataset(feats, labels, name=name)

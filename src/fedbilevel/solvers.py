@@ -10,14 +10,20 @@ formed once per client pass (FISM) or once per step (IRIG), and no function
 value is computed on the solver path.
 So the two methods coincide bitwise when one client holds one function.
 
-``run_solver`` runs rounds in blocks of up to ``_BLOCK`` and then takes the
-block's metrics in a few vectorized calls: one ``inner.values`` on the new
-iterates and the running averages, one ``outer.values`` and one stack of
-step norms. Each of these gives a row the bits a one-point call gives, so
-the records do not depend on the block length. A non-finite objective value
-stops a run with ``stop_reason="non-finite"``; the rounds computed after it
-in its block are discarded. With a tolerance set, a block is one round, so
-a run computes no round that it does not record.
+``run_solver`` builds each method's iterate kernel once per run, a map from
+(x, gamma, lam) to the round's next iterate; ``fism_round`` and
+``irig_round`` are that kernel plus the state update. It runs rounds in
+blocks of up to ``_BLOCK``, calling only the schedule and the kernel per
+round, and then does the block's bookkeeping at once: the running averages
+as a cumulative sum and the counters as ranges, which carry the bits of
+their round-by-round updates, and the metrics in a few vectorized calls:
+one ``inner.values`` on the new iterates and the running averages, one
+``outer.values`` and one stack of step norms. Each of these gives a row the
+bits a one-point call gives, so the records do not depend on the block
+length. A non-finite objective value stops a run with
+``stop_reason="non-finite"``; the rounds computed after it in its block are
+discarded. With a tolerance set, a block is one round, so a run computes no
+round that it does not record.
 
 Two or more clients are stepped together as the rows of one stack (lanes),
 each row getting the bits ``client_local_pass`` gives it, and averaged in
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,34 +109,72 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
     if x_start.shape != outer_subgrad.shape:
         raise ValueError("outer subgradient dimension does not match the iterate")
     co = (gamma * lam / m_total) * outer_subgrad
-    subgrad = inner.subgrad
+    subgrad, lo, hi = inner.subgrad, box.lo, box.hi
     x = x_start
     for i in indices:
-        x = _local_step(x, subgrad(i, x), co, gamma, box.lo, box.hi)
+        x = _local_step(x, subgrad(i, x), co, gamma, lo, hi)
     return x
 
 
-def _lane_average(x_start: np.ndarray, co: np.ndarray, gamma: float,
-                  problem: ProblemSpec) -> np.ndarray:
-    # Every client's pass at once, lane j of problem.lanes as row j, and the
+def _lane_average(X: np.ndarray, co: np.ndarray, gamma: float, problem: ProblemSpec,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # Every client's pass at once, lane j of problem.lanes as row j of X, co
+    # (the scaled outer term client_local_pass forms), lo and hi, and the
     # average of the ends in client order. A lane leaves after its last step.
-    # co is the scaled outer term client_local_pass forms.
     order, blocks = problem.lanes
-    shape = (len(order), 1)
-    co = np.tile(co, shape)
-    lo, hi = np.tile(problem.constraint.lo, shape), np.tile(problem.constraint.hi, shape)
-    X = np.tile(x_start, shape)
+    subgrads = problem.inner.subgrads
     ends = list(X)
     for k, block in blocks:
         ends[k:len(X)] = X[k:]
         X, co, lo, hi = X[:k], co[:k], lo[:k], hi[:k]
         for idx in block:
-            X = _local_step(X, problem.inner.subgrads(idx, X), co, gamma, lo, hi)
+            X = _local_step(X, subgrads(idx, X), co, gamma, lo, hi)
     ends[:len(X)] = X
     acc = ends[order.index(0)]
     for c in range(1, len(order)):
         acc = acc + ends[order.index(c)]
     return acc / len(order)
+
+
+# An iterate kernel maps (x, gamma, lam) to the round's next iterate and
+# nothing else; the factories below look the problem's constants up once.
+_Kernel = Callable[[np.ndarray, float, float], np.ndarray]
+
+
+def _fism_kernel(problem: ProblemSpec) -> _Kernel:
+    # Freeze the outer subgradient at x, run every client's pass on it (two
+    # or more as lanes) and average the ends in ascending client index.
+    m, inner, box = problem.n_inner, problem.inner, problem.constraint
+    outer_subgrad = problem.outer.subgrad
+    if len(problem.clients) == 1:  # x / 1 is x: one client's end is the average
+        indices = problem.clients[0]
+
+        def step(x, gamma, lam):
+            return client_local_pass(x, outer_subgrad(x), gamma, lam, m, inner, indices, box)
+        return step
+    shape = (len(problem.clients), 1)
+    lo, hi = np.tile(box.lo, shape), np.tile(box.hi, shape)
+
+    def step(x, gamma, lam):
+        co = np.tile((gamma * lam / m) * outer_subgrad(x), shape)
+        return _lane_average(np.tile(x, shape), co, gamma, problem, lo, hi)
+    return step
+
+
+def _irig_kernel(problem: ProblemSpec) -> _Kernel:
+    # A sequential pass over all inner functions in global order, with a
+    # fresh outer subgradient at every local step.
+    m = problem.n_inner
+    order = tuple(chain.from_iterable(problem.clients))
+    lo, hi = problem.constraint.lo, problem.constraint.hi
+    subgrad, outer_subgrad = problem.inner.subgrad, problem.outer.subgrad
+
+    def step(x, gamma, lam):
+        coef = gamma * lam / m
+        for i in order:
+            x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, lo, hi)
+        return x
+    return step
 
 
 def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
@@ -142,14 +186,7 @@ def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     before the update. Counters grow by (total inner functions, 1).
     """
     gamma, lam = sched.at(state.k)
-    outer_subgrad = problem.outer.subgrad(state.x)
-    m = problem.n_inner
-    if len(problem.clients) == 1:  # x / 1 is x: one client's end is the average
-        x_next = client_local_pass(state.x, outer_subgrad, gamma, lam, m, problem.inner,
-                                   problem.clients[0], problem.constraint)
-    else:
-        x_next = _lane_average(state.x, (gamma * lam / m) * outer_subgrad, gamma, problem)
-    return _advance(state, x_next, gamma, m, 1)
+    return _advance(state, _fism_kernel(problem)(state.x, gamma, lam), gamma, problem.n_inner, 1)
 
 
 def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
@@ -158,13 +195,7 @@ def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> 
     step. Counters grow by (total inner functions, total inner functions)."""
     gamma, lam = sched.at(state.k)
     m = problem.n_inner
-    coef = gamma * lam / m
-    lo, hi = problem.constraint.lo, problem.constraint.hi
-    subgrad, outer_subgrad = problem.inner.subgrad, problem.outer.subgrad
-    x = state.x
-    for i in chain.from_iterable(problem.clients):
-        x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, lo, hi)
-    return _advance(state, x, gamma, m, m)
+    return _advance(state, _irig_kernel(problem)(state.x, gamma, lam), gamma, m, m)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -219,6 +250,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     with stop reason ``"non-finite"``; rounds already computed past it are
     discarded, and an error raised in the block past it is dropped by
     replaying the block one round at a time.
+    A row's ``wall_clock_sec`` times that round's iterate update alone.
     ``costs`` must price exactly ``problem.client_sizes`` updates (default:
     unit costs, no communication). ``observe``, when given, is called with
     the projected initial state and then with the state after every recorded
@@ -228,69 +260,85 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         raise ValueError("max_rounds must be >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    x0 = project_box(np.asarray(x_init, dtype=float), problem.constraint)
+    x = project_box(np.asarray(x_init, dtype=float), problem.constraint)
     if costs is None:
         costs = uniform_costs(problem.client_sizes)
     if costs.sizes != problem.client_sizes:
         raise ValueError(f"cost model prices client sizes {costs.sizes}, "
                          f"problem has {problem.client_sizes}")
     t_round = round_time(costs, method)
-    state = RoundState.initial(x0)
     if observe is not None:
-        observe(state)
-    rows: list[RoundRow] = []
+        observe(RoundState.initial(x))
+    k, avg_num, avg_den, inner_evals, outer_evals = 1, np.zeros_like(x), 0.0, 0, 0
     m = problem.n_inner
-    f_cur = problem.inner_objective(state.x)
-    h_cur = problem.outer_objective(state.x)
+    step = (_fism_kernel if method == FISM else _irig_kernel)(problem)
+    outer_per_round = 1 if method == FISM else m
+    at, perf_counter = sched.at, time.perf_counter
+    rows: list[RoundRow] = []
+    f_cur = problem.inner_objective(x)
+    h_cur = problem.outer_objective(x)
     cum_time = 0.0
     stop_reason = "max_rounds"
     block = _BLOCK if tol is None else 1
     while stop_reason == "max_rounds" and len(rows) < max_rounds:
-        prev = state
-        states: list[RoundState] = []
-        walls: list[float] = []
+        # A round is its iterate update alone; everything else is per block.
+        x_next, iterates, gammas, walls = x, [x], [], []
         try:
-            for _ in range(min(block, max_rounds - len(rows))):
-                wall0 = time.perf_counter()
-                if method == FISM:
-                    state = fism_round(state, sched, problem)
-                else:
-                    state = irig_round(state, sched, problem)
-                walls.append(time.perf_counter() - wall0)
-                states.append(state)
-            b = len(states)
-            xs = np.array([prev.x] + [s.x for s in states])
-            avgs = (np.array([s.avg_num for s in states])
-                    / np.array([[s.avg_den] for s in states]))
-            f_all = problem.inner.values(np.concatenate((xs[1:], avgs))).tolist()
-            h_all = problem.outer.values(xs[1:]).tolist()
+            for j in range(k, k + min(block, max_rounds - len(rows))):
+                gamma, lam = at(j)
+                wall0 = perf_counter()
+                x_next = step(x_next, gamma, lam)
+                walls.append(perf_counter() - wall0)
+                iterates.append(x_next)
+                gammas.append(gamma)
+            computed = len(gammas)
+            xs = np.concatenate(iterates).reshape(computed + 1, -1)
+            # Sequential adds: row j carries the bits of the repeated
+            # avg_num + gamma * x, and dens[j] those of avg_den + gamma.
+            nums = np.add.accumulate(
+                np.concatenate((avg_num[None], np.array(gammas)[:, None] * xs[:-1])))
+            dens = list(accumulate(gammas, initial=avg_den))
+            f_all = problem.inner.values(
+                np.concatenate((xs[1:], nums[1:] / np.array(dens[1:])[:, None])))
+            h_all = problem.outer.values(xs[1:])
         except Exception:
             # The block may have run past the round that stops the run.
             # Replay from its start one round at a time, so an error from
             # a round that would never be recorded does not surface.
             if block == 1:
                 raise
-            block, state = 1, prev
+            block = 1
             continue
-        # Rows in round order; ``state`` ends at the last recorded round.
-        for state, wall, f_next, f_avg, h_next, step_norm in zip(
-                states, walls, f_all[:b], f_all[b:], h_all, _step_norms(xs)):
-            cum_time += t_round
-            # Positional, in RoundRow's field order: keywords cost more per row.
-            rows.append(RoundRow(prev.k, f_cur, f_cur / m, f_avg, h_cur, step_norm, t_round,
-                                 cum_time, state.inner_evals, state.outer_evals, wall))
-            if observe is not None:
-                observe(state)
-            if not (math.isfinite(f_next) and math.isfinite(h_next)
-                    and math.isfinite(f_avg)):
-                stop_reason = "non-finite"
-            elif tol is not None and stopping_criterion(prev.x, state.x, f_cur, f_next,
-                                                        h_cur, h_next, tol):
-                stop_reason = "tolerance"
-            f_cur, h_cur = f_next, h_next
-            prev = state
-            if stop_reason != "max_rounds":
-                break
+        # The run stops at the first round with a non-finite value; the
+        # rounds computed past it are discarded.
+        finite = np.isfinite(np.concatenate((f_all, h_all))).reshape(3, computed).all(axis=0)
+        b = computed if finite.all() else int(finite.argmin()) + 1
+        f_next, h_next = f_all[:b].tolist(), h_all[:b].tolist()
+        if not finite[b - 1]:
+            stop_reason = "non-finite"
+        elif tol is not None and stopping_criterion(x, iterates[1], f_cur, f_next[0],
+                                                    h_cur, h_next[0], tol):
+            stop_reason = "tolerance"  # with a tolerance a block is one round
+        f_prev, h_prev = [f_cur, *f_next[:-1]], [h_cur, *h_next[:-1]]
+        totals = list(accumulate(repeat(t_round, b), initial=cum_time))
+        inner_counts = range(inner_evals + m, inner_evals + m * b + 1, m)
+        outer_counts = range(outer_evals + outer_per_round,
+                             outer_evals + outer_per_round * b + 1, outer_per_round)
+        # Columns in RoundRow's field order; zip stops after the b-th round.
+        # tuple.__new__ makes the same RoundRow at half the cost of
+        # RoundRow's own __new__, which is Python code.
+        rows.extend(map(tuple.__new__, repeat(RoundRow), zip(
+            range(k, k + b), f_prev, [f / m for f in f_prev], f_all[computed:computed + b].tolist(),
+            h_prev, _step_norms(xs[:b + 1]), repeat(t_round), totals[1:], inner_counts,
+            outer_counts, walls)))
+        if observe is not None:
+            for j in range(1, b + 1):
+                observe(RoundState(iterates[j], k + j, nums[j], dens[j], inner_counts[j - 1],
+                                   outer_counts[j - 1]))
+        x, k, avg_num, avg_den = iterates[b], k + b, nums[b], dens[b]
+        inner_evals, outer_evals = inner_counts[-1], outer_counts[-1]
+        cum_time, f_cur, h_cur = totals[b], f_next[-1], h_next[-1]
+    state = RoundState(x, k, avg_num, avg_den, inner_evals, outer_evals)
     return RunRecord(
         method=method,
         problem_id=problem.name,

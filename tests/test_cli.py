@@ -160,6 +160,34 @@ class TestMain:
         assert code == 2
         assert not out.exists()  # rejected before any data is drawn
 
+    @pytest.mark.parametrize("paths", ["", "images_path = images.idx\n",
+                                       "labels_path = labels.idx\n"])
+    def test_mnist_without_data_paths_is_config_error(self, tmp_path, capsys, paths):
+        path = _config(tmp_path, f"problem = logistic-mnist\n{paths}")
+        out = tmp_path / "a" / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 2
+        assert "config error: logistic-mnist needs" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("setting", ["pos_digit=12", "neg_digit=-1"])
+    def test_mnist_digit_outside_0_to_9_is_config_error(self, tmp_path, setting):
+        path = _config(tmp_path, "problem = logistic-mnist\n"
+                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--set", setting]) == 2
+        assert not out.exists()
+
+    def test_mnist_digit_absent_from_the_labels_is_data_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(np.zeros((4, 2, 2), dtype=np.uint8), images)
+        write_idx(np.array([0, 3, 0, 3], dtype=np.uint8), labels)
+        path = _config(tmp_path, f"problem = logistic-mnist\nimages_path = {images}\n"
+                                 f"labels_path = {labels}\npos_digit = 1\nneg_digit = 0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        assert "no samples with digit 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_exit_code(self, tmp_path):
         path = _config(tmp_path, "problem = logistic-mnist\n"
                                  "images_path = missing.idx\nlabels_path = missing.idx\n")

@@ -111,7 +111,8 @@ class TestResolve:
     def test_mnist_client_counts_not_checked_against_m(self):
         # logistic-mnist takes m from the data, not from the m key
         cfg = ExperimentConfig()
-        for key, value in [("problem", "logistic-mnist"), ("m", "4"), ("s_values", "8")]:
+        for key, value in [("problem", "logistic-mnist"), ("m", "4"), ("s_values", "8"),
+                           ("images_path", "images.idx"), ("labels_path", "labels.idx")]:
             cfg.set_key(key, value)
         assert cfg.resolve().s_values == (8,)
 
@@ -160,6 +161,34 @@ class TestResolve:
         with pytest.raises(ConfigError) as err:
             cfg.resolve()
         assert err.value.key == "pos_digit"
+
+    @pytest.mark.parametrize("key, raw", [("pos_digit", "12"), ("neg_digit", "-1"),
+                                          ("pos_digit", "10")])
+    def test_rejects_mnist_digit_outside_0_to_9(self, key, raw):
+        cfg = ExperimentConfig()
+        for k, value in [("problem", "logistic-mnist"), ("images_path", "images.idx"),
+                         ("labels_path", "labels.idx"), (key, raw)]:
+            cfg.set_key(k, value)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("unset", [("images_path",), ("labels_path",),
+                                       ("images_path", "labels_path")])
+    def test_rejects_mnist_without_data_paths(self, unset):
+        # a missing key, rejected before any file is read
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "logistic-mnist")
+        for key in {"images_path", "labels_path"} - set(unset):
+            cfg.set_key(key, "present.idx")
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == unset[0]
+
+    def test_mnist_paths_not_required_by_other_problems(self):
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "logistic-synthetic")
+        assert cfg.resolve().images_path == ""
 
     @pytest.mark.parametrize("key, missing", [("test_images_path", "test_labels_path"),
                                               ("test_labels_path", "test_images_path")])

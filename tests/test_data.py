@@ -79,10 +79,10 @@ class TestFilterBinary:
         assert list(out.labels) == [-1, 1, -1]
         assert out.features.tobytes() == (np.array([[0.0], [1.0], [3.0]]) / 255.0).tobytes()
 
-    def test_single_class_warns(self, tmp_path):
-        with pytest.warns(UserWarning):
-            out = self._load(tmp_path, [3, 3, 3], pos_digit=1, neg_digit=3)
-        assert list(out.labels) == [-1, -1, -1]
+    @pytest.mark.parametrize("pos_digit, neg_digit", [(1, 3), (3, 1)])
+    def test_single_class_rejected(self, tmp_path, pos_digit, neg_digit):
+        with pytest.raises(FormatError, match="no samples with digit 1"):
+            self._load(tmp_path, [3, 3, 3], pos_digit=pos_digit, neg_digit=neg_digit)
 
     def test_equal_digits_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -14,13 +14,14 @@ from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, ball_dist_eval, balls_inn
 from fedbilevel import solvers
 from fedbilevel.data import make_location_instance, make_synthetic_logistic
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, partition_data,
-                                   uniform_costs)
+                                   round_time, uniform_costs)
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
+from fedbilevel.metrics import RoundRow
 from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosses, OracleFamily,
-                                QuadAnchor)
+                                QuadAnchor, project_box)
 from fedbilevel.problem import (BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients,
                                 make_schedule)
-from fedbilevel.solvers import (RoundState, _norm, _step_norms, client_local_pass,
+from fedbilevel.solvers import (_BLOCK, RoundState, _norm, _step_norms, client_local_pass,
                                 fism_round, irig_round, run_solver, stopping_criterion,
                                 weighted_average)
 
@@ -421,13 +422,17 @@ class TestBlockLength:
 
     def test_tolerance_run_computes_only_recorded_rounds(self, monkeypatch):
         calls = {"n": 0}
-        inner_round = solvers.fism_round
+        make_kernel = solvers._fism_kernel
 
-        def counted(*args, **kwargs):
-            calls["n"] += 1
-            return inner_round(*args, **kwargs)
+        def counted_kernel(problem):
+            step = make_kernel(problem)
 
-        monkeypatch.setattr(solvers, "fism_round", counted)
+            def counted(*args):
+                calls["n"] += 1
+                return step(*args)
+            return counted
+
+        monkeypatch.setattr(solvers, "_fism_kernel", counted_kernel)
         prob = selection_1d_problem()
         sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=1)
         rec = run_solver(prob, sched, FISM, np.array([0.9]), 100_000, tol=1e-3)
@@ -472,6 +477,79 @@ class TestBlockLength:
         expected = [_norm(xs[j + 1] - xs[j]) for j in range(rows - 1)]
         got = _step_norms(xs)
         assert struct.pack(f"<{rows - 1}d", *got) == struct.pack(f"<{rows - 1}d", *expected)
+
+
+def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
+    """(rows without wall_clock_sec, states, final_avg_x) from one public
+    fism_round/irig_round per round, each state built by ``_advance``, and
+    the metrics from the one-point objectives: what run_solver records,
+    without its block bookkeeping."""
+    round_fn = fism_round if method == FISM else irig_round
+    m = problem.n_inner
+    t_round = round_time(uniform_costs(problem.client_sizes), method)
+    state = RoundState.initial(project_box(np.asarray(x_init, dtype=float), problem.constraint))
+    states, rows = [state], []
+    f_cur, h_cur = problem.inner_objective(state.x), problem.outer_objective(state.x)
+    total = 0.0
+    for _ in range(max_rounds):
+        nxt = round_fn(state, sched, problem)
+        f_next, h_next = problem.inner_objective(nxt.x), problem.outer_objective(nxt.x)
+        f_avg = problem.inner_objective(weighted_average(nxt))
+        total += t_round
+        rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, _norm(nxt.x - state.x),
+                             t_round, total, nxt.inner_evals, nxt.outer_evals, None))
+        states.append(nxt)
+        stop = not all(map(math.isfinite, (f_next, h_next, f_avg))) or (
+            tol is not None
+            and stopping_criterion(state.x, nxt.x, f_cur, f_next, h_cur, h_next, tol))
+        state, f_cur, h_cur = nxt, f_next, h_next
+        if stop:
+            break
+    return rows, states, weighted_average(state)
+
+
+class TestBlockBookkeeping:
+    """run_solver takes the running averages, counters, stop row and rows
+    of a block of rounds at once. Every record must carry the bits of a
+    loop of the public rounds."""
+
+    @staticmethod
+    def _assert_matches_reference(monkeypatch, block, problem, sched, x0, method, rounds,
+                                  tol=None):
+        monkeypatch.setattr(solvers, "_BLOCK", block)
+        observed = []
+        rec = run_solver(problem, sched, method, x0, rounds, tol=tol, observe=observed.append)
+        rows, states, final_avg = _reference_run(problem, sched, method, x0, rounds, tol)
+        assert [repr(row._replace(wall_clock_sec=None)) for row in rec.rows] == list(map(repr, rows))
+        assert all(type(row.wall_clock_sec) is float for row in rec.rows)
+        assert rec.final_avg_x.tobytes() == final_avg.tobytes()
+        assert rec.final_x.tobytes() == states[-1].x.tobytes()
+
+        def fields(s):
+            return (s.k, s.x.tobytes(), s.avg_num.tobytes(), repr(s.avg_den), s.inner_evals,
+                    s.outer_evals)
+        assert list(map(fields, observed)) == list(map(fields, states))
+        return rec
+
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    @pytest.mark.parametrize("name", ["selection-1d", "location", "logistic-synthetic"])
+    def test_fixed_rounds(self, monkeypatch, block, method, name):
+        rec = self._assert_matches_reference(monkeypatch, block, *_block_case(name), method, 75)
+        assert rec.rounds == 75
+
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    def test_non_finite_stop_mid_block(self, monkeypatch, block, method):
+        rec = self._assert_matches_reference(monkeypatch, block, _nan_below(2.2),
+                                             _small_steps_1d(), np.array([4.0]), method, 500)
+        assert (rec.stop_reason, rec.rounds) == ("non-finite", 55)
+
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    def test_tolerance_stop(self, monkeypatch, method):
+        rec = self._assert_matches_reference(monkeypatch, _BLOCK, *_block_case("location"),
+                                             method, 5000, tol=1e-4)
+        assert rec.stop_reason == "tolerance" and rec.rounds < 5000
 
 
 class TestEquivalenceProperty:
