@@ -8,17 +8,22 @@ Subcommands:
   inspect <file>    print a saved run summary
 
 Every run writes a JSON summary and a JSONL stream of per-round rows
-(optionally a CSV of the same rows) into the output directory; a run that
-stops on a non-finite objective value writes its files too and counts as a
-failure. Exit codes: 0 all runs complete, 1 partial run failures, 2 invalid
-configuration, 3 data errors.
+(optionally a CSV of the same rows) into the output directory as soon as it
+finishes; a run that stops on a non-finite objective value writes its files
+too and counts as a failure. Each file is written under a temporary name and
+moved into place, so an interrupted sweep leaves only complete files. Exit
+codes: 0 all runs complete, 1 partial run failures, 2 invalid configuration,
+3 data errors (including a file that cannot be written).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
+from collections.abc import Callable
 from itertools import takewhile
 from pathlib import Path
 
@@ -80,14 +85,18 @@ def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
     return CostModel(per, np.full(len(sizes), comm[0]) if len(comm) == 1 else comm)
 
 
-def execute(cfg: ExperimentConfig, grid: bool,
-            progress=print) -> tuple[list[tuple[str, RunRecord]], list[tuple[str, str]]]:
-    """Run the configured experiment; returns (records, failures)."""
+def execute(cfg: ExperimentConfig, grid: bool, emit: Callable[[str, RunRecord], None],
+            progress=print) -> list[tuple[str, str]]:
+    """Run the configured experiment, handing each finished run to
+    ``emit(run_id, record)``; returns the failures as (run_id, message).
+
+    No record is kept once ``emit`` returns, so memory holds one run at a
+    time. An exception from ``emit`` stops the sweep.
+    """
     ctx = _build_datasets(cfg)
     methods = cfg.methods if grid else cfg.methods[:1]
     s_values = cfg.s_values if grid else cfg.s_values[:1]
     repeats = cfg.repeats if grid else 1
-    records: list[tuple[str, RunRecord]] = []
     failures: list[tuple[str, str]] = []
     for method in methods:
         for n_clients in s_values:
@@ -100,14 +109,15 @@ def execute(cfg: ExperimentConfig, grid: bool,
                     failures.append((run_id, f"{type(exc).__name__}: {exc}"))
                     progress(f"{run_id}: FAILED ({exc})")
                     continue
-                records.append((run_id, record))
+                emit(run_id, record)
                 progress(f"{run_id}: {record.rounds} rounds, stop={record.stop_reason}, "
                          f"final inner={record.final_inner_value:.6g}, "
                          f"outer={record.final_outer_value:.6g}")
                 if record.stop_reason == "non-finite":
                     failures.append((run_id, f"non-finite objective value in round "
                                              f"{record.rounds}"))
-    return records, failures
+                del record  # else it stays alive while the next run computes
+    return failures
 
 
 def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
@@ -127,41 +137,55 @@ def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
     return record
 
 
-def write_outputs(records: list[tuple[str, RunRecord]], out_dir: Path,
-                  write_csv: bool, summary: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for run_id, record in records:
-        write_run_json(record, out_dir / f"{run_id}.json")
-        write_rows_jsonl(record, out_dir / f"{run_id}.jsonl")
-        if write_csv:
-            write_rows_csv(record, out_dir / f"{run_id}.csv")
-    if summary:
-        _write_summary(records, out_dir / "summary.csv")
+# The fields of a run summary that summary.csv averages.
+SUMMARY_FIELDS = ("problem_id", "method", "n_clients", "rounds", "total_time_units",
+                  "final_inner_value", "final_outer_value", "test_accuracy")
 
 
-def _write_summary(records: list[tuple[str, RunRecord]], path: Path) -> None:
-    groups: dict[tuple[str, int], list[RunRecord]] = {}
-    order: list[tuple[str, int]] = []
-    for _, record in records:
-        key = (record.method, record.n_clients)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(record)
+def _write_atomic(write, data, path: Path) -> None:
+    """``write(data, tmp)`` to a temporary name beside ``path``, then move it
+    into place, so ``path`` is never left half written. An OSError names
+    ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(data, tmp)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def write_outputs(run_id: str, record: RunRecord, out_dir: Path, write_csv: bool) -> None:
+    """Write one run's ``.jsonl`` (and ``.csv``), then its ``.json``, into
+    ``out_dir``: a run whose summary exists has all its files."""
+    _write_atomic(write_rows_jsonl, record, out_dir / f"{run_id}.jsonl")
+    if write_csv:
+        _write_atomic(write_rows_csv, record, out_dir / f"{run_id}.csv")
+    _write_atomic(write_run_json, record, out_dir / f"{run_id}.json")
+
+
+def write_summary(summaries: list[dict], path: Path) -> None:
+    """Write ``summary.csv``: per-(method, S) means of run summaries, which
+    need only the ``SUMMARY_FIELDS``."""
+    groups: dict[tuple[str, int], list[dict]] = {}
+    for summary in summaries:
+        groups.setdefault((summary["method"], summary["n_clients"]), []).append(summary)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["problem", "method", "n_clients", "repeats", "rounds_mean",
                          "sim_time_mean", "final_inner_mean", "final_outer_mean",
                          "test_accuracy_mean"])
-        for key in order:
-            runs = groups[key]
-            accs = [r.test_accuracy for r in runs if r.test_accuracy is not None]
+        for (method, n_clients), runs in groups.items():
+            accs = [r["test_accuracy"] for r in runs if r["test_accuracy"] is not None]
             writer.writerow([
-                runs[0].problem_id, key[0], key[1], len(runs),
-                float(np.mean([r.rounds for r in runs])),
-                float(np.mean([r.rows[-1].total_time_units for r in runs])),
-                float(np.mean([r.final_inner_value for r in runs])),
-                float(np.mean([r.final_outer_value for r in runs])),
+                runs[0]["problem_id"], method, n_clients, len(runs),
+                float(np.mean([r["rounds"] for r in runs])),
+                float(np.mean([r["total_time_units"] for r in runs])),
+                float(np.mean([r["final_inner_value"] for r in runs])),
+                float(np.mean([r["final_outer_value"] for r in runs])),
                 float(np.mean(accs)) if accs else "",
             ])
 
@@ -180,10 +204,20 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
     # The directories this invocation makes, deepest first: a data error
     # removes them again, as long as they are empty.
     created = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
+    summaries: list[dict] = []
+
+    def emit(run_id: str, record: RunRecord) -> None:
+        write_outputs(run_id, record, out_dir, cfg.write_csv)
+        summary = record.summary_dict()
+        summaries.append({key: summary[key] for key in SUMMARY_FIELDS})
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable place fails before any run
-        records, failures = execute(cfg, grid=grid)
+        failures = execute(cfg, grid=grid, emit=emit)
+        if grid:
+            _write_atomic(write_summary, summaries, out_dir / "summary.csv")
     except (FormatError, FileNotFoundError, OSError) as exc:
+        # The runs written so far stay: removal stops at the first non-empty directory.
         print(f"data error: {exc}", file=sys.stderr)
         for path in created:
             try:
@@ -191,7 +225,6 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
             except OSError:  # not empty, or never made
                 break
         return 3
-    write_outputs(records, out_dir, cfg.write_csv, summary=grid)
     if failures:
         for run_id, message in failures:
             print(f"failed: {run_id}: {message}", file=sys.stderr)

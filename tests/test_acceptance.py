@@ -221,7 +221,10 @@ def test_c09_classification_desk_scale():
                        ("seed", "11")]:
         cfg.set_key(key, value)
     cfg.resolve()
-    records, failures = cli.execute(cfg, grid=True, progress=lambda *a: None)
+    records = []
+    failures = cli.execute(cfg, grid=True,
+                           emit=lambda run_id, record: records.append((run_id, record)),
+                           progress=lambda *a: None)
     elapsed = time.perf_counter() - t0
     accs = [rec.test_accuracy for _, rec in records]
     mean_acc = float(np.mean(accs))

@@ -1,7 +1,9 @@
 import csv
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +39,19 @@ def _make_cfg(pairs):
     return cfg.resolve()
 
 
+def _execute(cfg):
+    """``cli.execute`` with an ``emit`` that keeps every record; returns
+    (records, failures)."""
+    records = []
+    failures = cli.execute(cfg, grid=True, emit=lambda run_id, record: records.append(
+        (run_id, record)), progress=_quiet)
+    return records, failures
+
+
 class TestExecute:
     def test_selection_default_converges_both_methods(self):
         cfg = _make_cfg([("problem", "selection-1d"), ("max_rounds", "5000")])
-        records, failures = cli.execute(cfg, grid=True, progress=_quiet)
+        records, failures = _execute(cfg)
         assert not failures
         assert len(records) == 2  # fism + irig
         for _, record in records:
@@ -50,7 +61,7 @@ class TestExecute:
         cfg = _make_cfg([("problem", "location"), ("n", "10"), ("m", "500"),
                          ("methods", "fism"), ("s_values", "1,2,4,8"),
                          ("max_rounds", "15"), ("tol", "none"), ("seed", "1")])
-        records, failures = cli.execute(cfg, grid=True, progress=_quiet)
+        records, failures = _execute(cfg)
         assert not failures
         times = [rec.rows[-1].total_time_units for _, rec in records]
         assert times == sorted(times, reverse=True)
@@ -62,9 +73,11 @@ class TestExecute:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
-            records, failures = cli.execute(cfg, grid=True, progress=_quiet)
+            out.mkdir()
+            records, failures = _execute(cfg)
             assert not failures
-            cli.write_outputs(records, out, write_csv=False, summary=True)
+            cli.write_summary([record.summary_dict() for _, record in records],
+                              out / "summary.csv")
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
     def test_failed_run_is_isolated(self):
@@ -72,10 +85,103 @@ class TestExecute:
         cfg = _make_cfg([("problem", "selection-1d"), ("m", "4"),
                          ("s_values", "2,4"), ("methods", "fism"),
                          ("client_cost_scale", "1,1"), ("max_rounds", "10")])
-        records, failures = cli.execute(cfg, grid=True, progress=_quiet)
+        records, failures = _execute(cfg)
         assert len(records) == 1
         assert len(failures) == 1
         assert "S4" in failures[0][0]
+
+
+class TestStreaming:
+    """A sweep writes each run when it finishes and keeps no finished record."""
+
+    SWEEP = "problem = selection-1d\nmax_rounds = 40\nrepeats = 2\n"
+    RUN_IDS = ["selection-1d_fism_S1_rep0", "selection-1d_fism_S1_rep1",
+               "selection-1d_irig_S1_rep0", "selection-1d_irig_S1_rep1"]
+
+    def _sweep(self, tmp_path, monkeypatch, before_run):
+        """Sweep ``SWEEP`` into ``tmp_path/out``, calling ``before_run(out,
+        refs)`` as each ``run_solver`` call starts, where ``refs`` holds weak
+        references to the records of the earlier calls; returns (refs, exit
+        code)."""
+        orig = cli.run_solver
+        refs = []
+        out = tmp_path / "out"
+
+        def run_solver(*args, **kwargs):
+            before_run(out, refs)
+            result = orig(*args, **kwargs)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(cli, "run_solver", run_solver)
+        path = _config(tmp_path, self.SWEEP)
+        code = cli.main(["sweep", str(path), "--out", str(out)])
+        return refs, code
+
+    def test_previous_record_is_freed_before_the_next_run(self, tmp_path, monkeypatch, capsys):
+        alive = []
+
+        def before_run(out, refs):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+
+        refs, code = self._sweep(tmp_path, monkeypatch, before_run)
+        assert code == 0 and len(refs) == 4
+        assert alive == [[], [False], [False, False], [False, False, False]]
+
+    def test_finished_runs_are_on_disk_before_the_next_run(self, tmp_path, monkeypatch,
+                                                          capsys):
+        seen = []
+
+        def before_run(out, refs):
+            seen.append(sorted(path.name for path in out.iterdir()))
+
+        _, code = self._sweep(tmp_path, monkeypatch, before_run)
+        assert code == 0 and len(seen) == 4
+        for k, names in enumerate(seen):
+            assert names == sorted(f"{run_id}.{ext}" for run_id in self.RUN_IDS[:k]
+                                   for ext in ("json", "jsonl"))
+        assert json.loads((tmp_path / "out" / f"{self.RUN_IDS[0]}.json").read_text())[
+            "rounds"] == 40
+
+    def test_write_error_stops_the_sweep_and_keeps_written_runs(self, tmp_path, monkeypatch,
+                                                               capsys):
+        orig = cli.write_rows_jsonl
+        calls = []
+
+        def write_rows_jsonl(record, path):
+            calls.append(path)
+            if len(calls) == 2:  # the second run: part of the file, then a full disk
+                Path(path).write_text('{"k": 1', encoding="utf-8")
+                raise OSError(28, "No space left on device")
+            orig(record, path)
+
+        monkeypatch.setattr(cli, "write_rows_jsonl", write_rows_jsonl)
+        path = _config(tmp_path, self.SWEEP)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 3
+        assert len(calls) == 2  # no run after the failed one
+        first = self.RUN_IDS[0]
+        assert sorted(p.name for p in out.iterdir()) == [f"{first}.json", f"{first}.jsonl"]
+        summary = json.loads((out / f"{first}.json").read_text())
+        rows = (out / f"{first}.jsonl").read_text().splitlines()
+        assert summary["rounds"] == len(rows) == 40
+        assert [json.loads(row)["k"] for row in rows] == list(range(1, 41))
+        err = capsys.readouterr().err
+        assert "data error" in err and f"{self.RUN_IDS[1]}.jsonl" in err
+
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "run.json"
+        target.write_text("old", encoding="utf-8")
+
+        def write(data, path):
+            Path(path).write_text(data, encoding="utf-8")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_atomic(write, "new", target)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        assert target.read_text(encoding="utf-8") == "old"
 
 
 class TestSyntheticSplit:
