@@ -2,15 +2,18 @@
 
 Records serialize to a JSON summary plus a JSONL stream of per-round rows
 (optionally a CSV of the same rows); the row field names are part of the
-documented output schema, see README.
+documented output schema, see README. A solver run keeps its rows as one
+typed column per field and reads them back as ``RoundRow`` values.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -41,9 +44,53 @@ class RoundRow(NamedTuple):
 ROW_FIELDS = RoundRow._fields
 
 
+def _as_rows(columns) -> map:
+    # tuple.__new__ makes the same RoundRow at half the cost of RoundRow's
+    # own __new__, which is Python code.
+    return map(tuple.__new__, repeat(RoundRow), zip(*columns))
+
+
+class _ColumnRows(Sequence):
+    """A run's rows held as one typed column per ``RoundRow`` field, in
+    field order: ``'q'`` for the round index and the two counters, ``'d'``
+    for the rest. A row takes 88 bytes, against about 400 as a ``RoundRow``
+    of boxed numbers in a list.
+
+    Read-only to its readers: an index (negative too) gives a ``RoundRow``,
+    a slice a list of them, and iteration zips the columns. Each value reads
+    back as the exact ``int`` or ``float`` that was stored.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self) -> None:
+        self._columns = tuple(array("q" if name in ("k", "inner_subgrad_evals",
+                                                     "outer_subgrad_evals") else "d")
+                              for name in ROW_FIELDS)
+
+    def extend(self, *columns: list) -> None:
+        """Append a block of rows given as one list per field, in field
+        order (``array.fromlist`` takes a list at twice the speed of
+        ``extend``)."""
+        for column, values in zip(self._columns, columns, strict=True):
+            column.fromlist(values)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(_as_rows(column[index] for column in self._columns))
+        return tuple.__new__(RoundRow, [column[index] for column in self._columns])
+
+    def __iter__(self):
+        return _as_rows(self._columns)
+
+
 @dataclass
 class RunRecord:
-    """Everything a single solver run produces."""
+    """Everything a single solver run produces. ``rows`` is any sequence of
+    ``RoundRow``: typed columns from ``run_solver``, or a plain list."""
 
     method: str
     problem_id: str
@@ -55,7 +102,7 @@ class RunRecord:
     n_inner: int
     dimension: int
     seed: int
-    rows: list[RoundRow]
+    rows: Sequence[RoundRow]
     final_x: np.ndarray
     final_avg_x: np.ndarray
     final_inner_value: float

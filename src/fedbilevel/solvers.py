@@ -20,7 +20,8 @@ their round-by-round updates, and the metrics in a few vectorized calls:
 one ``inner.values`` on the new iterates and the running averages, one
 ``outer.values`` and one stack of step norms. Each of these gives a row the
 bits a one-point call gives, so the records do not depend on the block
-length. A non-finite objective value stops a run with
+length. The block's rows are appended to the record's typed columns, one
+list per field. A non-finite objective value stops a run with
 ``stop_reason="non-finite"``; the rounds computed after it in its block are
 discarded. With a tolerance set, a block is one round, so a run computes no
 round that it does not record.
@@ -47,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .federation import FISM, METHODS, CostModel, round_time, uniform_costs
-from .metrics import RoundRow, RunRecord
+from .metrics import RunRecord, _ColumnRows
 from .oracles import InnerFamily, project_box
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
 
@@ -274,7 +275,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     step = (_fism_kernel if method == FISM else _irig_kernel)(problem)
     outer_per_round = 1 if method == FISM else m
     at, perf_counter = sched.at, time.perf_counter
-    rows: list[RoundRow] = []
+    rows = _ColumnRows()
     f_cur = problem.inner_objective(x)
     h_cur = problem.outer_objective(x)
     cum_time = 0.0
@@ -321,16 +322,13 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
             stop_reason = "tolerance"  # with a tolerance a block is one round
         f_prev, h_prev = [f_cur, *f_next[:-1]], [h_cur, *h_next[:-1]]
         totals = list(accumulate(repeat(t_round, b), initial=cum_time))
-        inner_counts = range(inner_evals + m, inner_evals + m * b + 1, m)
-        outer_counts = range(outer_evals + outer_per_round,
-                             outer_evals + outer_per_round * b + 1, outer_per_round)
-        # Columns in RoundRow's field order; zip stops after the b-th round.
-        # tuple.__new__ makes the same RoundRow at half the cost of
-        # RoundRow's own __new__, which is Python code.
-        rows.extend(map(tuple.__new__, repeat(RoundRow), zip(
-            range(k, k + b), f_prev, [f / m for f in f_prev], f_all[computed:computed + b].tolist(),
-            h_prev, _step_norms(xs[:b + 1]), repeat(t_round), totals[1:], inner_counts,
-            outer_counts, walls)))
+        inner_counts = list(range(inner_evals + m, inner_evals + m * b + 1, m))
+        outer_counts = list(range(outer_evals + outer_per_round,
+                                  outer_evals + outer_per_round * b + 1, outer_per_round))
+        # The block's b rows as columns, in RoundRow's field order.
+        rows.extend(list(range(k, k + b)), f_prev, [f / m for f in f_prev],
+                    f_all[computed:computed + b].tolist(), h_prev, _step_norms(xs[:b + 1]),
+                    [t_round] * b, totals[1:], inner_counts, outer_counts, walls[:b])
         if observe is not None:
             for j in range(1, b + 1):
                 observe(RoundState(iterates[j], k + j, nums[j], dens[j], inner_counts[j - 1],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from fedbilevel.data import LabeledDataset, make_location_instance, make_synthetic_logistic
 from fedbilevel.federation import METHODS, partition_data, round_time, uniform_costs
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
-from fedbilevel.metrics import (_CHUNK, RoundRow, RunRecord, accuracy, write_rows_csv,
-                                write_rows_jsonl, write_run_json)
+from fedbilevel.metrics import (_CHUNK, ROW_FIELDS, RoundRow, RunRecord, accuracy,
+                                write_rows_csv, write_rows_jsonl, write_run_json)
 from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
 from fedbilevel.solvers import run_solver
@@ -246,3 +247,60 @@ class TestRowTypes:
                     int if name in ("k", "inner_subgrad_evals", "outer_subgrad_evals")
                     else float for name in RoundRow._fields]
         assert "non-finite" in stops
+
+
+class TestColumnRows:
+    """A solver run keeps its rows as typed columns; read back, they are the
+    rows a list would hold, and they write the same bytes."""
+
+    @staticmethod
+    def _run(gamma1, rounds, method="fism"):
+        sched = make_schedule(gamma1, 0.55, 1, 0.4, mu_H=1, m=1)
+        return run_solver(selection_1d_problem(), sched, method, np.array([3.0]), rounds)
+
+    def test_sequence_reads_match_a_list(self):
+        rows = self._run(1, 2 * _CHUNK + 5).rows
+        listed = list(rows)
+        assert len(rows) == len(listed) == 2 * _CHUNK + 5
+        assert all(type(row) is RoundRow for row in listed)
+        for index in (0, 1, _CHUNK, -1, -len(rows)):
+            assert rows[index] == listed[index]
+            assert type(rows[index]) is RoundRow
+        for part in (slice(3, 40), slice(-7, None), slice(None, None, -3), slice(5, 5)):
+            assert rows[part] == listed[part]
+        assert list(reversed(rows)) == listed[::-1]
+        assert rows.index(listed[17]) == 17 and listed[17] in rows
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(TypeError):
+            rows[0] = listed[1]
+
+    @pytest.mark.parametrize("gamma1, rounds", [(1, 3 * _CHUNK + 1), (1e308, 40)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_writes_the_bytes_of_a_list(self, tmp_path, gamma1, rounds, method):
+        rec = self._run(gamma1, rounds, method)
+        listed = dataclasses.replace(rec, rows=list(rec.rows))
+        if gamma1 == 1e308:  # the inf goes through the json.dumps chunk
+            assert rec.stop_reason == "non-finite"
+            assert not all(map(math.isfinite, rec.rows[-1]))
+        for name, record in (("columns", rec), ("list", listed)):
+            write_rows_jsonl(record, tmp_path / f"{name}.jsonl")
+            write_rows_csv(record, tmp_path / f"{name}.csv")
+        for suffix in (".jsonl", ".csv"):
+            columns = (tmp_path / f"columns{suffix}").read_bytes()
+            assert columns == (tmp_path / f"list{suffix}").read_bytes()
+            assert columns.count(b"\n") == len(rec.rows) + (suffix == ".csv")
+        assert rec.summary_dict() == listed.summary_dict()
+
+    def test_run_rows_stay_below_two_words_a_value(self):
+        rounds = 20_000
+        problem = selection_1d_problem()
+        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=1)
+        tracemalloc.start()
+        try:
+            rec = run_solver(problem, sched, "fism", np.array([3.0]), rounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rec.rows) == rounds
+        assert peak < 2 * 8 * len(ROW_FIELDS) * rounds  # boxed RoundRows take 7.8 MB
