@@ -13,7 +13,7 @@ finishes; a run that stops on a non-finite objective value writes its files
 too and counts as a failure. Each file is written under a temporary name and
 moved into place, so an interrupted sweep leaves only complete files. Exit
 codes: 0 all runs complete, 1 partial run failures, 2 invalid configuration,
-3 data errors (including a file that cannot be written).
+3 data errors (including data too large for memory and an unwritable file).
 """
 from __future__ import annotations
 
@@ -216,7 +216,7 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
         failures = execute(cfg, grid=grid, emit=emit)
         if grid:
             _write_atomic(write_summary, summaries, out_dir / "summary.csv")
-    except (FormatError, FileNotFoundError, OSError) as exc:
+    except (FormatError, FileNotFoundError, OSError, MemoryError) as exc:
         # The runs written so far stay: removal stops at the first non-empty directory.
         print(f"data error: {exc}", file=sys.stderr)
         for path in created:

@@ -225,6 +225,8 @@ class ExperimentConfig:
             raise ConfigError("tol must be positive or none", key="tol")
         if self.partition not in STRATEGIES:
             raise ConfigError(f"partition must be one of {STRATEGIES}", key="partition")
+        if not self.comm_cost:
+            raise ConfigError("comm_cost must hold one value or one per client", key="comm_cost")
         if self.unit_cost < 0 or any(c < 0 for c in self.comm_cost):
             raise ConfigError("costs must be nonnegative", key="unit_cost")
         if self.client_cost_scale is not None and any(c < 0 for c in self.client_cost_scale):

@@ -2,8 +2,8 @@
 
 Records serialize to a JSON summary plus a JSONL stream of per-round rows
 (optionally a CSV of the same rows); the row field names are part of the
-documented output schema, see README. A solver run keeps its rows as one
-typed column per field and reads them back as ``RoundRow`` values.
+documented output schema, see README. A record keeps its rows as one typed
+column per field, which the writers read; indexing reads ``RoundRow``s back.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -61,36 +61,36 @@ class _ColumnRows(Sequence):
     back as the exact ``int`` or ``float`` that was stored.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("columns",)
 
     def __init__(self) -> None:
-        self._columns = tuple(array("q" if name in ("k", "inner_subgrad_evals",
-                                                     "outer_subgrad_evals") else "d")
-                              for name in ROW_FIELDS)
+        self.columns = tuple(array("q" if name in ("k", "inner_subgrad_evals",
+                                                    "outer_subgrad_evals") else "d")
+                             for name in ROW_FIELDS)
 
     def extend(self, *columns: list) -> None:
         """Append a block of rows given as one list per field, in field
         order (``array.fromlist`` takes a list at twice the speed of
         ``extend``)."""
-        for column, values in zip(self._columns, columns, strict=True):
+        for column, values in zip(self.columns, columns, strict=True):
             column.fromlist(values)
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(_as_rows(column[index] for column in self._columns))
-        return tuple.__new__(RoundRow, [column[index] for column in self._columns])
+            return list(_as_rows(column[index] for column in self.columns))
+        return tuple.__new__(RoundRow, [column[index] for column in self.columns])
 
     def __iter__(self):
-        return _as_rows(self._columns)
+        return _as_rows(self.columns)
 
 
 @dataclass
 class RunRecord:
-    """Everything a single solver run produces. ``rows`` is any sequence of
-    ``RoundRow``: typed columns from ``run_solver``, or a plain list."""
+    """Everything a single solver run produces. ``rows`` holds the per-round
+    rows as typed columns, filled by ``run_solver`` through ``extend``."""
 
     method: str
     problem_id: str
@@ -102,7 +102,7 @@ class RunRecord:
     n_inner: int
     dimension: int
     seed: int
-    rows: Sequence[RoundRow]
+    rows: _ColumnRows
     final_x: np.ndarray
     final_avg_x: np.ndarray
     final_inner_value: float
@@ -117,7 +117,7 @@ class RunRecord:
         return len(self.rows)
 
     def summary_dict(self) -> dict:
-        last = self.rows[-1] if self.rows else None
+        column = dict(zip(ROW_FIELDS, self.rows.columns))
         return {
             "method": self.method,
             "problem_id": self.problem_id,
@@ -132,9 +132,9 @@ class RunRecord:
             "stop_reason": self.stop_reason,
             "final_inner_value": self.final_inner_value,
             "final_outer_value": self.final_outer_value,
-            "total_time_units": last.total_time_units if last else 0.0,
-            "inner_subgrad_evals": last.inner_subgrad_evals if last else 0,
-            "outer_subgrad_evals": last.outer_subgrad_evals if last else 0,
+            "total_time_units": column["total_time_units"][-1] if self.rows else 0.0,
+            "inner_subgrad_evals": column["inner_subgrad_evals"][-1] if self.rows else 0,
+            "outer_subgrad_evals": column["outer_subgrad_evals"][-1] if self.rows else 0,
             "test_accuracy": self.test_accuracy,
             "final_x": [float(v) for v in self.final_x],
             "final_avg_x": [float(v) for v in self.final_avg_x],
@@ -149,41 +149,32 @@ def write_run_json(record: RunRecord, path) -> None:
 
 
 # A JSONL line is ``json.dumps(row._asdict())`` byte for byte. The keys never
-# change, so they live in one template, whose ``%r`` writes an exact int or a
-# finite exact float as json does (int.__repr__, float.__repr__). Rows go
-# ``_CHUNK`` at a time: a chunk holding anything else (NaN, inf, bool, a numpy
-# scalar) is written by json.dumps itself. Lines are formatted one at a time,
-# so peak memory does not grow with the record.
+# change, so they live in one template, whose ``%r`` writes an int or a finite
+# float as json does. Rows are zipped from the columns ``_CHUNK`` at a time; a
+# chunk with a ``'d'`` column slice whose sum is not finite (a NaN, an infinity
+# or an overflow) is written by json.dumps itself. Lines are formatted one at
+# a time, so peak memory does not grow with the record.
 _LINE = "{" + ", ".join(f"{json.dumps(name)}: %r" for name in ROW_FIELDS) + "}\n"
 _CHUNK = 128
 
 
-def _plain(values: list) -> bool:
-    """True when every value is an exact int or a finite exact float."""
-    if not {*map(type, values)} <= {int, float}:
-        return False
-    try:
-        return math.isfinite(sum(values))  # a NaN or an infinity propagates
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def write_rows_jsonl(record: RunRecord, path) -> None:
-    rows = record.rows
+    columns = record.rows.columns
     with open(path, "w", encoding="utf-8") as f:
-        for start in range(0, len(rows), _CHUNK):
-            chunk = rows[start:start + _CHUNK]
-            if _plain(list(chain.from_iterable(chunk))):
-                f.writelines(map(_LINE.__mod__, chunk))
+        for start in range(0, len(record.rows), _CHUNK):
+            parts = [column[start:start + _CHUNK] for column in columns]
+            if all(math.isfinite(sum(part)) for part in parts if part.typecode == "d"):
+                f.writelines(map(_LINE.__mod__, zip(*parts)))
             else:
-                f.writelines(json.dumps(row._asdict()) + "\n" for row in chunk)
+                f.writelines(json.dumps(dict(zip(ROW_FIELDS, row))) + "\n"
+                             for row in zip(*parts))
 
 
 def write_rows_csv(record: RunRecord, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(ROW_FIELDS)
-        writer.writerows(record.rows)
+        writer.writerows(zip(*record.rows.columns))
 
 
 def accuracy(x: np.ndarray, ds: "LabeledDataset") -> float:

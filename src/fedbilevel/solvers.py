@@ -250,7 +250,8 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     iterate or the running average) ends the run after logging that round,
     with stop reason ``"non-finite"``; rounds already computed past it are
     discarded, and an error raised in the block past it is dropped by
-    replaying the block one round at a time.
+    replaying the block one round at a time. numpy's floating-point warnings
+    are silenced for the whole run, which classifies a non-finite stop itself.
     A row's ``wall_clock_sec`` times that round's iterate update alone.
     ``costs`` must price exactly ``problem.client_sizes`` updates (default:
     unit costs, no communication). ``observe``, when given, is called with
@@ -276,67 +277,69 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     outer_per_round = 1 if method == FISM else m
     at, perf_counter = sched.at, time.perf_counter
     rows = _ColumnRows()
-    f_cur = problem.inner_objective(x)
-    h_cur = problem.outer_objective(x)
-    cum_time = 0.0
-    stop_reason = "max_rounds"
-    block = _BLOCK if tol is None else 1
-    while stop_reason == "max_rounds" and len(rows) < max_rounds:
-        # A round is its iterate update alone; everything else is per block.
-        x_next, iterates, gammas, walls = x, [x], [], []
-        try:
-            for j in range(k, k + min(block, max_rounds - len(rows))):
-                gamma, lam = at(j)
-                wall0 = perf_counter()
-                x_next = step(x_next, gamma, lam)
-                walls.append(perf_counter() - wall0)
-                iterates.append(x_next)
-                gammas.append(gamma)
-            computed = len(gammas)
-            xs = np.concatenate(iterates).reshape(computed + 1, -1)
-            # Sequential adds: row j carries the bits of the repeated
-            # avg_num + gamma * x, and dens[j] those of avg_den + gamma.
-            nums = np.add.accumulate(
-                np.concatenate((avg_num[None], np.array(gammas)[:, None] * xs[:-1])))
-            dens = list(accumulate(gammas, initial=avg_den))
-            f_all = problem.inner.values(
-                np.concatenate((xs[1:], nums[1:] / np.array(dens[1:])[:, None])))
-            h_all = problem.outer.values(xs[1:])
-        except Exception:
-            # The block may have run past the round that stops the run.
-            # Replay from its start one round at a time, so an error from
-            # a round that would never be recorded does not surface.
-            if block == 1:
-                raise
-            block = 1
-            continue
-        # The run stops at the first round with a non-finite value; the
-        # rounds computed past it are discarded.
-        finite = np.isfinite(np.concatenate((f_all, h_all))).reshape(3, computed).all(axis=0)
-        b = computed if finite.all() else int(finite.argmin()) + 1
-        f_next, h_next = f_all[:b].tolist(), h_all[:b].tolist()
-        if not finite[b - 1]:
-            stop_reason = "non-finite"
-        elif tol is not None and stopping_criterion(x, iterates[1], f_cur, f_next[0],
-                                                    h_cur, h_next[0], tol):
-            stop_reason = "tolerance"  # with a tolerance a block is one round
-        f_prev, h_prev = [f_cur, *f_next[:-1]], [h_cur, *h_next[:-1]]
-        totals = list(accumulate(repeat(t_round, b), initial=cum_time))
-        inner_counts = list(range(inner_evals + m, inner_evals + m * b + 1, m))
-        outer_counts = list(range(outer_evals + outer_per_round,
-                                  outer_evals + outer_per_round * b + 1, outer_per_round))
-        # The block's b rows as columns, in RoundRow's field order.
-        rows.extend(list(range(k, k + b)), f_prev, [f / m for f in f_prev],
-                    f_all[computed:computed + b].tolist(), h_prev, _step_norms(xs[:b + 1]),
-                    [t_round] * b, totals[1:], inner_counts, outer_counts, walls[:b])
-        if observe is not None:
-            for j in range(1, b + 1):
-                observe(RoundState(iterates[j], k + j, nums[j], dens[j], inner_counts[j - 1],
-                                   outer_counts[j - 1]))
-        x, k, avg_num, avg_den = iterates[b], k + b, nums[b], dens[b]
-        inner_evals, outer_evals = inner_counts[-1], outer_counts[-1]
-        cum_time, f_cur, h_cur = totals[b], f_next[-1], h_next[-1]
-    state = RoundState(x, k, avg_num, avg_den, inner_evals, outer_evals)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_cur = problem.inner_objective(x)
+        h_cur = problem.outer_objective(x)
+        cum_time = 0.0
+        stop_reason = "max_rounds"
+        block = _BLOCK if tol is None else 1
+        while stop_reason == "max_rounds" and len(rows) < max_rounds:
+            # A round is its iterate update alone; everything else is per block.
+            x_next, iterates, gammas, walls = x, [x], [], []
+            try:
+                for j in range(k, k + min(block, max_rounds - len(rows))):
+                    gamma, lam = at(j)
+                    wall0 = perf_counter()
+                    x_next = step(x_next, gamma, lam)
+                    walls.append(perf_counter() - wall0)
+                    iterates.append(x_next)
+                    gammas.append(gamma)
+                computed = len(gammas)
+                xs = np.concatenate(iterates).reshape(computed + 1, -1)
+                # Sequential adds: row j carries the bits of the repeated
+                # avg_num + gamma * x, and dens[j] those of avg_den + gamma.
+                nums = np.add.accumulate(
+                    np.concatenate((avg_num[None], np.array(gammas)[:, None] * xs[:-1])))
+                dens = list(accumulate(gammas, initial=avg_den))
+                f_all = problem.inner.values(
+                    np.concatenate((xs[1:], nums[1:] / np.array(dens[1:])[:, None])))
+                h_all = problem.outer.values(xs[1:])
+            except Exception:
+                # The block may have run past the round that stops the run.
+                # Replay from its start one round at a time, so an error from
+                # a round that would never be recorded does not surface.
+                if block == 1:
+                    raise
+                block = 1
+                continue
+            # The run stops at the first round with a non-finite value; the
+            # rounds computed past it are discarded.
+            finite = np.isfinite(np.concatenate((f_all, h_all))).reshape(3, computed).all(axis=0)
+            b = computed if finite.all() else int(finite.argmin()) + 1
+            f_next, h_next = f_all[:b].tolist(), h_all[:b].tolist()
+            if not finite[b - 1]:
+                stop_reason = "non-finite"
+            elif tol is not None and stopping_criterion(x, iterates[1], f_cur, f_next[0],
+                                                        h_cur, h_next[0], tol):
+                stop_reason = "tolerance"  # with a tolerance a block is one round
+            f_prev, h_prev = [f_cur, *f_next[:-1]], [h_cur, *h_next[:-1]]
+            totals = list(accumulate(repeat(t_round, b), initial=cum_time))
+            inner_counts = list(range(inner_evals + m, inner_evals + m * b + 1, m))
+            outer_counts = list(range(outer_evals + outer_per_round,
+                                      outer_evals + outer_per_round * b + 1, outer_per_round))
+            # The block's b rows as columns, in RoundRow's field order.
+            rows.extend(list(range(k, k + b)), f_prev, [f / m for f in f_prev],
+                        f_all[computed:computed + b].tolist(), h_prev, _step_norms(xs[:b + 1]),
+                        [t_round] * b, totals[1:], inner_counts, outer_counts, walls[:b])
+            if observe is not None:
+                for j in range(1, b + 1):
+                    observe(RoundState(iterates[j], k + j, nums[j], dens[j], inner_counts[j - 1],
+                                       outer_counts[j - 1]))
+            x, k, avg_num, avg_den = iterates[b], k + b, nums[b], dens[b]
+            inner_evals, outer_evals = inner_counts[-1], outer_counts[-1]
+            cum_time, f_cur, h_cur = totals[b], f_next[-1], h_next[-1]
+        state = RoundState(x, k, avg_num, avg_den, inner_evals, outer_evals)
+        final_avg_x = weighted_average(state)
     return RunRecord(
         method=method,
         problem_id=problem.name,
@@ -345,7 +348,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         seed=seed,
         rows=rows,
         final_x=state.x,
-        final_avg_x=weighted_average(state),
+        final_avg_x=final_avg_x,
         final_inner_value=f_cur,
         final_outer_value=h_cur,
         stop_reason=stop_reason,

@@ -17,6 +17,8 @@ rest reach into the package only through these calls:
   as the CLI does; ``estimate_bounds`` draws from ``make_rng(seed,
   STREAM_BOUNDS)``.
 - ``rate_diagnostic`` reads only the rows of a ``RunRecord``.
+- ``record_of_rows`` builds a ``RunRecord`` by hand: it fills a
+  ``metrics._ColumnRows`` with ``extend``, the one way rows enter a record.
 - ``write_idx`` writes the IDX layout that ``read_idx`` reads, from the
   format's own constants.
 """
@@ -28,6 +30,7 @@ from itertools import chain
 
 import numpy as np
 
+from fedbilevel.metrics import ROW_FIELDS, RunRecord, _ColumnRows
 from fedbilevel.oracles import EvalResult, project_box
 from fedbilevel.rng import STREAM_BOUNDS, STREAM_INIT, make_rng, open_uniform
 
@@ -273,6 +276,18 @@ def rate_diagnostic(record, f_star: float, window: float = 0.8,
     ks = np.array([r.k for r in tail], dtype=float)
     logs = np.log(np.clip(gaps, clip, None))
     return float(np.polyfit(np.log(ks), logs, 1)[0])
+
+
+def record_of_rows(rows, **fields) -> RunRecord:
+    """A ``RunRecord`` holding ``rows`` (tuples in ``RoundRow`` field
+    order) as typed columns; ``fields`` override the placeholder metadata."""
+    columns = _ColumnRows()
+    columns.extend(*([row[i] for row in rows] for i in range(len(ROW_FIELDS))))
+    x = np.zeros(1)
+    meta = dict(method="fism", problem_id="fake", gamma1=1, a=0.5, lambda1=1, b=0.4,
+                n_clients=1, n_inner=1, dimension=1, seed=0, final_x=x, final_avg_x=x,
+                final_inner_value=0.0, final_outer_value=0.0, stop_reason="max_rounds")
+    return RunRecord(rows=columns, **(meta | fields))
 
 
 def write_idx(tensor: np.ndarray, path) -> None:

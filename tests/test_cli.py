@@ -305,6 +305,16 @@ class TestMain:
         assert cli.main(["sweep", str(path), "--out", str(tmp_path / "a" / "b")]) == 3
         assert not (tmp_path / "a").exists()
 
+    def test_memory_error_building_data_is_data_error(self, tmp_path, monkeypatch, capsys):
+        def make_synthetic_logistic(*args, **kwargs):
+            raise MemoryError("Unable to allocate the features")
+
+        monkeypatch.setattr(cli, "make_synthetic_logistic", make_synthetic_logistic)
+        out = tmp_path / "a" / "out"
+        assert cli.main(["sweep", str(SYNTHETIC_CFG), "--out", str(out)]) == 3
+        assert "data error: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_data_error_keeps_directories_that_existed(self, tmp_path):
         path = _config(tmp_path, "problem = logistic-mnist\n"
                                  "images_path = missing.idx\nlabels_path = missing.idx\n")
@@ -323,6 +333,13 @@ class TestMain:
                                  "s_values = 2,4\nmethods = fism\nmax_rounds = 10\n")
         out = tmp_path / "out"
         assert cli.main(["sweep", str(path), "--out", str(out)]) == 1
+
+    def test_empty_comm_cost_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(SYNTHETIC_CFG), "--out", str(out),
+                         "--set", "comm_cost="]) == 2
+        assert "comm_cost" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_s_values_above_m_is_config_error(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\n")

@@ -153,6 +153,15 @@ class TestResolve:
             cfg.resolve()
         assert err.value.key == key
 
+    def test_rejects_empty_comm_cost(self):
+        # every run would fail pricing its clients
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "logistic-synthetic")
+        cfg.set_key("comm_cost", "")
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "comm_cost"
+
     def test_rejects_equal_mnist_digits(self):
         cfg = ExperimentConfig()
         for key, value in [("problem", "logistic-mnist"), ("pos_digit", "3"),

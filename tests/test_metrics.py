@@ -1,36 +1,28 @@
-import dataclasses
+import csv
+import io
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (RateDiagnosticUnavailable, ball_dist_eval, outer_quad_anchor_eval,
-                     rate_diagnostic)
+                     rate_diagnostic, record_of_rows)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedbilevel.data import LabeledDataset, make_location_instance, make_synthetic_logistic
 from fedbilevel.federation import METHODS, partition_data, round_time, uniform_costs
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
-from fedbilevel.metrics import (_CHUNK, ROW_FIELDS, RoundRow, RunRecord, accuracy,
-                                write_rows_csv, write_rows_jsonl, write_run_json)
+from fedbilevel.metrics import (_CHUNK, ROW_FIELDS, RoundRow, accuracy, write_rows_csv,
+                                write_rows_jsonl, write_run_json)
 from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
 from fedbilevel.solvers import run_solver
 
 
-def _rows_record(rows):
-    x = np.zeros(1)
-    return RunRecord(method="fism", problem_id="fake", gamma1=1, a=0.5, lambda1=1,
-                     b=0.4, n_clients=1, n_inner=1, dimension=1, seed=0, rows=rows,
-                     final_x=x, final_avg_x=x, final_inner_value=0.0,
-                     final_outer_value=0.0, stop_reason="max_rounds")
-
-
 def _fake_record(gaps, f_star=0.0):
-    return _rows_record([
+    return record_of_rows([
         RoundRow(k=k, inner_value=0.0, inner_value_mean=0.0,
                  inner_value_avg_iterate=f_star + g, outer_value=0.0,
                  step_norm=0.0, round_time_units=1.0, total_time_units=float(k),
@@ -39,18 +31,21 @@ def _fake_record(gaps, f_star=0.0):
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-                                1.7976931348623157e308, math.nan, math.inf, -math.inf])
+                                1.7976931348623157e308, -1.7976931348623157e308,
+                                math.nan, math.inf, -math.inf])
 _FLOATS = st.floats() | _EDGE_FLOATS
 _FLOAT_LIKE = _FLOATS | _FLOATS.map(np.float64)
-_INTS = st.integers(min_value=-2**80, max_value=2**80) | st.sampled_from([2**1100, -2**1100])
+_INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1) | st.sampled_from(
+    [-2**63, 2**63 - 1])
+_INT_FIELDS = ("k", "inner_subgrad_evals", "outer_subgrad_evals")
 
 
 @st.composite
 def _row_lists(draw):
-    """Rows whose columns are all floats, all ints, or a mix with bools; the
-    count sits at 0, 1, or one below, at or above a write chunk."""
-    kinds = [draw(st.sampled_from([_FLOAT_LIKE, _INTS, _FLOAT_LIKE | _INTS | st.booleans()]))
-             for _ in RoundRow._fields]
+    """Rows from the columns' domain: int64 ints for the integer fields, any
+    float or numpy float64 for the rest; the count sits at 0, 1, or one
+    below, at or above a write chunk."""
+    kinds = [_INT64 if name in _INT_FIELDS else _FLOAT_LIKE for name in ROW_FIELDS]
     base = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=6))
     count = draw(st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]))
     return [RoundRow(*base[i % len(base)]) for i in range(count)]
@@ -140,11 +135,7 @@ class TestRecordOutputs:
                          0.001),
                 RoundRow(2, 1e-300, 5e-301, 0.30000000000000004, float("-inf"), 0.0,
                          0.7, 1.7, 4, 2, 2e-06)]
-        x = np.zeros(1)
-        return RunRecord(method="fism", problem_id="golden", gamma1=1, a=0.5,
-                         lambda1=1, b=0.4, n_clients=2, n_inner=2, dimension=1, seed=0,
-                         rows=rows, final_x=x, final_avg_x=x, final_inner_value=0.0,
-                         final_outer_value=0.0, stop_reason="max_rounds")
+        return record_of_rows(rows, problem_id="golden", n_clients=2, n_inner=2)
 
     def test_row_writers_golden_bytes(self, tmp_path):
         rec = self._golden_record()
@@ -170,30 +161,33 @@ class TestRecordOutputs:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=_row_lists())
     def test_jsonl_lines_are_json_dumps(self, tmp_path, rows):
-        write_rows_jsonl(_rows_record(rows), tmp_path / "run.jsonl")
+        write_rows_jsonl(record_of_rows(rows), tmp_path / "run.jsonl")
         with open(tmp_path / "run.jsonl", encoding="utf-8") as f:
             lines = f.readlines()
         assert lines == [json.dumps(row._asdict()) + "\n" for row in rows]
 
-    def test_jsonl_rejects_what_json_rejects(self, tmp_path):
-        row = RoundRow(np.int64(1), *([0.0] * 10))
+    def test_columns_reject_what_they_cannot_hold(self):
+        # The columns hold int64s and doubles: a value outside them is refused
+        # as the record is built, before any writer sees it.
+        with pytest.raises(OverflowError):
+            record_of_rows([RoundRow(2**63, *([0.0] * 7), 1, 1, 0.0)])
         with pytest.raises(TypeError):
-            json.dumps(row._asdict())
-        with pytest.raises(TypeError):
-            write_rows_jsonl(_rows_record([row]), tmp_path / "run.jsonl")
+            record_of_rows([RoundRow(1, "0.5", *([0.0] * 6), 1, 1, 0.0)])
 
     def test_jsonl_writes_in_bounded_chunks(self, tmp_path):
         rng = np.random.default_rng(3)
         rows = [RoundRow(k, *rng.random(7).tolist(), k, k, float(rng.random()))
                 for k in range(1, 20_001)]
-        own = sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+        record = record_of_rows(rows)
         tracemalloc.start()
         try:
-            write_rows_jsonl(_rows_record(rows), tmp_path / "run.jsonl")
+            write_rows_jsonl(record, tmp_path / "run.jsonl")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < own / 4  # a whole-record text buffer is larger than the rows
+        # A quarter of these rows as boxed RoundRows (8.08 MB); a whole-record
+        # text buffer is larger.
+        assert peak < 2_020_000
 
     def test_rows_are_immutable(self):
         row = self._golden_record().rows[0]
@@ -251,7 +245,8 @@ class TestRowTypes:
 
 class TestColumnRows:
     """A solver run keeps its rows as typed columns; read back, they are the
-    rows a list would hold, and they write the same bytes."""
+    rows a list would hold, and they write the bytes json and csv write for
+    those rows."""
 
     @staticmethod
     def _run(gamma1, rounds, method="fism"):
@@ -279,18 +274,26 @@ class TestColumnRows:
     @pytest.mark.parametrize("method", METHODS)
     def test_writes_the_bytes_of_a_list(self, tmp_path, gamma1, rounds, method):
         rec = self._run(gamma1, rounds, method)
-        listed = dataclasses.replace(rec, rows=list(rec.rows))
+        listed = list(rec.rows)
         if gamma1 == 1e308:  # the inf goes through the json.dumps chunk
             assert rec.stop_reason == "non-finite"
-            assert not all(map(math.isfinite, rec.rows[-1]))
-        for name, record in (("columns", rec), ("list", listed)):
-            write_rows_jsonl(record, tmp_path / f"{name}.jsonl")
-            write_rows_csv(record, tmp_path / f"{name}.csv")
-        for suffix in (".jsonl", ".csv"):
-            columns = (tmp_path / f"columns{suffix}").read_bytes()
-            assert columns == (tmp_path / f"list{suffix}").read_bytes()
-            assert columns.count(b"\n") == len(rec.rows) + (suffix == ".csv")
-        assert rec.summary_dict() == listed.summary_dict()
+            assert not all(map(math.isfinite, listed[-1]))
+        write_rows_jsonl(rec, tmp_path / "run.jsonl")
+        write_rows_csv(rec, tmp_path / "run.csv")
+        expected_csv = io.StringIO(newline="")
+        writer = csv.writer(expected_csv)
+        writer.writerow(ROW_FIELDS)
+        writer.writerows(listed)
+        assert (tmp_path / "run.jsonl").read_text(encoding="utf-8") == "".join(
+            json.dumps(row._asdict()) + "\n" for row in listed)
+        assert (tmp_path / "run.csv").read_bytes() == expected_csv.getvalue().encode()
+        summary = rec.summary_dict()
+        assert [summary[name] for name in ROW_FIELDS[-4:-1]] == list(listed[-1][-4:-1])
+
+    def test_summary_of_no_rows(self):
+        summary = record_of_rows([]).summary_dict()
+        assert [summary[name] for name in ("rounds", *ROW_FIELDS[-4:-1])] == [0, 0.0, 0, 0]
+        assert type(summary["total_time_units"]) is float
 
     def test_run_rows_stay_below_two_words_a_value(self):
         rounds = 20_000

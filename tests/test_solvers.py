@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +545,21 @@ class TestBlockBookkeeping:
         rec = self._assert_matches_reference(monkeypatch, block, _nan_below(2.2),
                                              _small_steps_1d(), np.array([4.0]), method, 500)
         assert (rec.stop_reason, rec.rounds) == ("non-finite", 55)
+
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    def test_non_finite_stop_raises_no_numpy_warning(self, method):
+        # gamma1 = 1e308 overflows in round 1. The run classifies the stop
+        # itself, so numpy's floating-point warnings stay inside it.
+        args = (selection_1d_problem(), make_schedule(1e308, 0.55, 1, 0.4, mu_H=1, m=1),
+                method, np.array([3.0]), 40)
+        with np.errstate(all="ignore"):
+            rows, _, _ = _reference_run(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = run_solver(*args)
+        assert rec.stop_reason == "non-finite"
+        assert [repr(row._replace(wall_clock_sec=None)) for row in rec.rows] == [
+            repr(row) for row in rows]
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
     def test_tolerance_stop(self, monkeypatch, method):
