@@ -229,6 +229,9 @@ class ExperimentConfig:
             raise ConfigError("comm_cost must hold one value or one per client", key="comm_cost")
         if self.unit_cost < 0 or any(c < 0 for c in self.comm_cost):
             raise ConfigError("costs must be nonnegative", key="unit_cost")
+        if self.client_cost_scale == ():
+            raise ConfigError("client_cost_scale must hold one value per client",
+                              key="client_cost_scale")
         if self.client_cost_scale is not None and any(c < 0 for c in self.client_cost_scale):
             raise ConfigError("client_cost_scale entries must be nonnegative",
                               key="client_cost_scale")

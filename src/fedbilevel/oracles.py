@@ -4,10 +4,13 @@ The inner objective is a *family* of m convex per-sample functions. A family
 answers ``subgrad(i, x)`` (one subgradient of sample i), ``subgrads(idx, X)``
 (row c bitwise ``subgrad(idx[c], X[c])``, for a stack of client lanes) and
 ``values(X)``, the inner totals at every row of a (k, n) stack of points in
-one vectorized call (all the per-round metrics need). The built-in families
-hold the problem arrays: :class:`LogisticLosses` (features and labels) and
-:class:`BallDistances` (centers and radii). :class:`OracleFamily` adapts
-custom ``x -> EvalResult`` closures.
+one call (all the per-round metrics need), for a stack of any height. The
+built-in families hold the problem arrays: :class:`LogisticLosses` (features
+and labels) and :class:`BallDistances` (centers and radii). Their ``values``
+bound its working memory: it takes the stack in row slices, and the samples
+in slices within them, under one fixed byte budget, and gives the bits of a
+one-slice call. :class:`OracleFamily` adapts custom ``x -> EvalResult``
+closures.
 
 Outer objectives expose ``value(x)``, ``subgrad(x)`` and ``values(X)``, the
 values at the rows of a stack, each bitwise equal to ``value`` on that row:
@@ -52,8 +55,10 @@ class InnerFamily(Protocol):
         """Row c: ``subgrad(idx[c], X[c])``, bitwise. Must not write to X."""
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """The k inner totals (sums over all m samples) at the rows of X;
-        a row's total must not depend on the other rows."""
+        """The k inner totals (sums over all m samples) at the rows of X,
+        for a stack of any height k; a row's total must not depend on the
+        other rows. The built-in families work through X in slices, so
+        their working memory does not grow with k."""
 
 
 class OuterObjective(Protocol):
@@ -83,6 +88,45 @@ def _sigmoid(z: float) -> float:
 # rows carry the bits of the 1-d ``np.dot`` that ``subgrad`` uses, so a
 # client's iterates do not depend on how many lanes ran beside it; ``values``
 # sums in numpy's order and may differ from per-sample sums at ulp level.
+
+# The built-in ``values`` work through a stack in row slices, and through the
+# samples in slices within a row slice, so that one call holds about this many
+# bytes of temporaries at any stack height.
+_VALUES_BYTES = 1 << 20
+_SAMPLE_SLICE = 1024
+
+
+def _slice_shape(k: int, m: int, width: int) -> tuple[int, int]:
+    """Rows and samples per slice for a k-row stack over m samples, where a
+    (point, sample) pair holds one float64 in the (rows, m) buffer that is
+    summed and ``width`` more in a sample slice's temporaries. Both fit in
+    ``_VALUES_BYTES`` while m <= _VALUES_BYTES / 8 - 2 * width; past that a
+    slice is one row and one sample."""
+    floats = _VALUES_BYTES // 8
+    samples = max(1, min(m, _SAMPLE_SLICE, (floats - m) // (2 * width)))
+    return max(1, min(k, floats // (m + width * samples))), samples
+
+
+def _sliced_sums(X: np.ndarray, m: int, width: int,
+                 terms: Callable[[np.ndarray, np.ndarray, int], None]) -> np.ndarray:
+    """The k totals of the per-sample terms at the rows of X, one row slice at
+    a time: ``terms(rows, z, samples)`` fills the C-order (rows, m) buffer z
+    with the rows' terms, ``samples`` samples at a time. Each row is summed
+    pairwise over its own contiguous m terms, so a total has the bits of a
+    one-slice call and does not depend on the other rows."""
+    rows, samples = _slice_shape(len(X), m, width)
+    buf = np.empty((min(rows, len(X)), m))
+    if len(buf) == len(X):  # one row slice: its sums are the totals
+        terms(X, buf, samples)
+        return buf.sum(axis=1)
+    totals = np.empty(len(X))
+    for r in range(0, len(X), rows):
+        part = X[r:r + rows]
+        z = buf[:len(part)]
+        terms(part, z, samples)
+        z.sum(axis=1, out=totals[r:r + len(part)])
+    return totals
+
 
 class LogisticLosses:
     """Per-sample logistic losses log(1 + exp(-b_i <a_i, x>)) over the rows
@@ -116,14 +160,19 @@ class LogisticLosses:
         return np.multiply(A, np.array(coef)[:, None], out=A)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        # One dot per (sample, point) margin, sample-major so the features
-        # are read once: a row's total does not depend on the other rows of
-        # X, as it can with X @ features.T, whose BLAS kernels vary with
-        # the stack height. C order keeps each row's sum pairwise; the sign
-        # and logaddexp are applied in place on that one buffer.
-        z = np.ascontiguousarray(np.vecdot(self.features[:, None, :], X).T)
-        np.multiply(z, -self.labels, out=z)
-        return np.logaddexp(0.0, z, out=z).sum(axis=1)
+        # width 2: a sample slice's margins beside the previous slice's
+        return _sliced_sums(X, len(self), 2, self._terms)
+
+    def _terms(self, X: np.ndarray, z: np.ndarray, samples: int) -> None:
+        # One dot per (sample, point) margin, sample-major so a slice of the
+        # features is read once per row slice: a margin does not depend on
+        # the other rows of X, as it can with X @ features.T, whose BLAS
+        # kernels vary with the stack height.
+        for j in range(0, z.shape[1], samples):
+            margins = np.vecdot(self.features[j:j + samples, None, :], X)
+            np.multiply(margins, -self.labels[j:j + samples, None], out=margins)
+            z[:, j:j + samples] = margins.T
+        np.logaddexp(0.0, z, out=z)
 
 
 class BallDistances:
@@ -159,9 +208,16 @@ class BallDistances:
                          where=dist > self.radii.take(idx)[:, None])
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        d = X[:, None, :] - self.centers
-        dist = np.sqrt(np.einsum("kmn,kmn->km", d, d))
-        return np.maximum(dist - self.radii, 0.0).sum(axis=1)
+        return _sliced_sums(X, len(self), X.shape[-1], self._terms)
+
+    def _terms(self, X: np.ndarray, z: np.ndarray, samples: int) -> None:
+        for j in range(0, z.shape[1], samples):
+            d = X[:, None, :] - self.centers[j:j + samples]
+            np.einsum("kmn,kmn->km", d, d, out=z[:, j:j + samples])
+            del d  # or the next slice's differences are made beside these
+        np.sqrt(z, out=z)
+        np.subtract(z, self.radii, out=z)
+        np.maximum(z, 0.0, out=z)
 
 
 class OracleFamily:

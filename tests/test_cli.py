@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import math
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbilevel import cli
-from fedbilevel.config import ExperimentConfig
+from fedbilevel.config import PROBLEMS, SCHEDULE_PRESETS, ExperimentConfig
 from fedbilevel.data import make_synthetic_logistic
+from fedbilevel.federation import METHODS, STRATEGIES
 from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec
 
@@ -341,6 +343,13 @@ class TestMain:
         assert "comm_cost" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_client_cost_scale_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(SYNTHETIC_CFG), "--out", str(out),
+                         "--set", "client_cost_scale="]) == 2
+        assert "client_cost_scale" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_s_values_above_m_is_config_error(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\n")
         out = tmp_path / "out"
@@ -433,3 +442,95 @@ class TestMain:
         assert cli.main(["inspect", str(record)]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "schedule" in err
+
+
+# Override domains for the CLI property: each key's valid range on small
+# instances (m <= 50, n <= 20, max_rounds <= 5) plus edge values. ``{data}``
+# stands for a directory holding a small IDX image/label pair.
+_INT_EDGES = ("0", "-1", "1e3", "nan", "inf", "", "none")
+_FLOAT_EDGES = ("0", "-0.0", "-1", "nan", "inf", "-inf", "", "none", "1e308", "5e-324")
+
+
+def _int_key(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(_INT_EDGES))
+
+
+def _float_key(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(_FLOAT_EDGES))
+
+
+def _list_key(entry):
+    # empty lists and repeated entries included
+    return st.lists(entry, max_size=4).map(",".join)
+
+
+_PATHS = st.sampled_from(["", "{data}/images.idx", "{data}/labels.idx", "{data}/missing.idx"])
+_OVERRIDES = {
+    "problem": st.sampled_from(PROBLEMS + ("bogus",)),
+    "n": _int_key(1, 20),
+    "m": _int_key(1, 50),
+    "seed": st.one_of(st.integers(-2**70, 2**70).map(str), st.sampled_from(_INT_EDGES)),
+    "methods": _list_key(st.sampled_from(METHODS + ("sgd",))),
+    "s_values": _list_key(st.integers(-1, 60).map(str)),
+    "schedule_preset": st.sampled_from(tuple(SCHEDULE_PRESETS) + ("bogus",)),
+    "gamma1": _float_key(1e-3, 1e3),
+    "a": _float_key(0.0, 2.0),
+    "lambda1": _float_key(1e-3, 1e3),
+    "b": _float_key(0.0, 2.0),
+    "max_rounds": _int_key(1, 5),
+    "tol": _float_key(1e-12, 1.0),
+    "repeats": _int_key(1, 2),
+    "margin": _float_key(0.0, 1.0),
+    "test_size": _int_key(0, 20),
+    "pos_digit": _int_key(0, 9),
+    "neg_digit": _int_key(0, 9),
+    "images_path": _PATHS,
+    "labels_path": _PATHS,
+    "test_images_path": _PATHS,
+    "test_labels_path": _PATHS,
+    "partition": st.sampled_from(STRATEGIES + ("bogus",)),
+    "unit_cost": _float_key(0.0, 10.0),
+    "comm_cost": _list_key(_float_key(0.0, 10.0)),
+    "client_cost_scale": _list_key(_float_key(0.0, 10.0)),
+    "write_csv": st.sampled_from(["true", "false", "maybe"]),
+}
+_SETTING = st.one_of(
+    st.sampled_from(sorted(_OVERRIDES)).flatmap(
+        lambda key: _OVERRIDES[key].map(lambda raw: f"{key}={raw}")),
+    st.sampled_from(["colour=red", "max_rounds", "=1"]))
+
+
+class TestCliProperty:
+    """No ``--set`` override, however invalid, escapes ``main`` as an
+    exception, and each exit code leaves the outputs it promises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.sampled_from(PROBLEMS), command=st.sampled_from(["run", "sweep"]),
+           settings_=st.lists(_SETTING, max_size=6),
+           seed=st.none() | st.integers(-2**70, 2**70))
+    def test_main_exits_0_to_3_and_leaves_clean_outputs(self, base, command, settings_, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data = tmp / "data"
+            data.mkdir()
+            rng = np.random.default_rng(0)
+            write_idx(rng.integers(0, 256, (40, 4, 5)), data / "images.idx")
+            write_idx(np.arange(40) % 3, data / "labels.idx")
+            path = _config(data, f"problem = {base}\nn = 4\nm = 12\nmax_rounds = 3\n"
+                                 f"test_size = 10\ns_values = 1, 2\n"
+                                 f"images_path = {data}/images.idx\n"
+                                 f"labels_path = {data}/labels.idx\n")
+            out = tmp / "a" / "out"
+            argv = [command, str(path), "--out", str(out)]
+            for setting in settings_:
+                argv += ["--set", setting.replace("{data}", str(data))]
+            if seed is not None:
+                argv += ["--seed", str(seed)]
+            code = cli.main(argv)
+            assert code in (0, 1, 2, 3)
+            assert not list(tmp.rglob("*.tmp"))
+            if code == 2:
+                assert not (tmp / "a").exists()  # rejected before anything is written
+            if code == 3:
+                for made in (out, tmp / "a"):
+                    assert not made.exists() or any(made.iterdir())

@@ -162,6 +162,15 @@ class TestResolve:
             cfg.resolve()
         assert err.value.key == "comm_cost"
 
+    def test_rejects_empty_client_cost_scale(self):
+        # no client count matches a zero length, so every run would fail
+        cfg = ExperimentConfig()
+        cfg.set_key("problem", "logistic-synthetic")
+        cfg.set_key("client_cost_scale", "")
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "client_cost_scale"
+
     def test_rejects_equal_mnist_digits(self):
         cfg = ExperimentConfig()
         for key, value in [("problem", "logistic-mnist"), ("pos_digit", "3"),

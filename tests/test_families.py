@@ -5,6 +5,7 @@ must match them bitwise (the solvers' iterates depend on it), its vectorized
 totals must match their per-sample sums up to summation-order rounding.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import ball_dist_eval, left_to_right_sum, logistic_eval, outer_quad_anchor_eval
 
+from fedbilevel import oracles
 from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, OracleFamily,
                                 OracleObjective, QuadAnchor, project_box)
 from fedbilevel.problem import BoxConstraint
@@ -162,6 +164,66 @@ class TestBlockStacks:
             pair = fam.values(np.array([X[j], A[j]]))
             assert pair.tobytes() == block[[j, b + j]].tobytes()
             assert fam.values(X[j:j + 1]).tobytes() == block[j:j + 1].tobytes()
+
+
+def _family(kind, m, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-5.0, 5.0, (m, n))
+    if kind == "balls":
+        return BallDistances(rows, rng.uniform(0.01, 5.0, m))
+    return LogisticLosses(rows, rng.choice([-1.0, 1.0], m))
+
+
+class TestSlicedValues:
+    """The built-in families take ``values`` in row slices of the stack, and
+    in sample slices within a row slice, so that one call's temporaries stay
+    under a byte budget; every total must carry the bits of a one-slice call
+    and of its own one-row stack."""
+
+    @pytest.mark.parametrize("kind", ["balls", "logistic"])
+    @pytest.mark.parametrize("m, n", [(1, 1), (37, 3), (300, 7), (1100, 2)])
+    @pytest.mark.parametrize("rows, samples", [(1, 2), (5, 7), (25, 1024), (63, 3)])
+    def test_sliced_totals_equal_one_slice_and_one_row(self, kind, m, n, rows, samples,
+                                                       monkeypatch):
+        fam = _family(kind, m, n, seed=m + n)
+        X = np.random.default_rng(rows).uniform(-5.0, 5.0, (64, n))
+        shape = oracles._slice_shape
+        monkeypatch.setattr(oracles, "_slice_shape", lambda k, m, width: (k, m))
+        whole = fam.values(X)
+        monkeypatch.setattr(oracles, "_slice_shape",
+                            lambda k, m, width: (min(k, rows), min(m, samples)))
+        for height in sorted({1, rows, rows + 1, 64}):
+            sliced = fam.values(X[:height])
+            assert sliced.tobytes() == whole[:height].tobytes()
+        for j in range(64):
+            assert fam.values(X[j:j + 1]).tobytes() == whole[j:j + 1].tobytes()
+        monkeypatch.setattr(oracles, "_slice_shape", shape)
+        assert fam.values(X).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("kind", ["balls", "logistic"])
+    def test_working_memory_stays_in_the_budget(self, kind):
+        # One call on one stack would hold 2 k m float64s of margins
+        # (logistic) or k m n of differences (balls): 3 and 12 MB here.
+        m, n, k = 3000, 8, 64
+        fam = _family(kind, m, n, seed=1)
+        X = np.random.default_rng(2).uniform(-5.0, 5.0, (k, n))
+        seen, terms = [], fam._terms
+        fam._terms = lambda part, z, samples: (seen.append((len(part), samples)),
+                                               terms(part, z, samples))
+        whole = fam.values(X)
+        del fam._terms
+        assert len(seen) > 1 and seen[0][1] < m  # several row and sample slices
+        tracemalloc.start()
+        try:
+            totals = fam.values(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert totals.tobytes() == whole.tobytes()
+        # the slack covers a broadcasting ufunc's buffers (two of
+        # np.getbufsize() float64s) and a few small arrays beside the slices
+        slack = 2 * 8 * np.getbufsize() + 32 * 1024
+        assert peak <= oracles._VALUES_BYTES + slack
 
 
 class TestOuterValues:
