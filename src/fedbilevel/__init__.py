@@ -18,8 +18,8 @@ from .oracles import (BallDistances, EvalResult, InnerFamily, L1Quad, LogisticLo
                       project_box)
 from .problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
 from .rng import PRNG_ID, make_rng
-from .solvers import (RoundState, client_local_pass, fism_round, irig_round, run_solver,
-                      stopping_criterion, weighted_average)
+from .solvers import (RoundState, client_local_pass, run_solver, stopping_criterion,
+                      weighted_average)
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "LocationInstance", "LogisticLosses", "Oracle", "OracleFamily", "OracleObjective",
     "OuterObjective", "PRNG_ID", "ProblemSpec", "QuadAnchor", "RoundRow", "RoundState",
     "RunRecord", "SHUFFLED", "StepSchedule", "accuracy", "client_local_pass",
-    "fism_round", "irig_round", "load_binary_digits", "location_problem",
-    "logistic_problem", "make_location_instance", "make_rng", "make_schedule",
+    "load_binary_digits", "location_problem", "logistic_problem",
+    "make_location_instance", "make_rng", "make_schedule",
     "make_synthetic_logistic", "partition_data", "project_box", "read_idx",
     "round_time", "run_solver", "selection_1d_problem", "stopping_criterion",
     "uniform_costs", "weighted_average", "write_rows_csv", "write_rows_jsonl",

@@ -116,9 +116,6 @@ def _sliced_sums(X: np.ndarray, m: int, width: int,
     one-slice call and does not depend on the other rows."""
     rows, samples = _slice_shape(len(X), m, width)
     buf = np.empty((min(rows, len(X)), m))
-    if len(buf) == len(X):  # one row slice: its sums are the totals
-        terms(X, buf, samples)
-        return buf.sum(axis=1)
     totals = np.empty(len(X))
     for r in range(0, len(X), rows):
         part = X[r:r + rows]
@@ -220,9 +217,19 @@ class BallDistances:
         np.maximum(z, 0.0, out=z)
 
 
+def _shape_checked(g, x: np.ndarray):
+    # A closure's subgradient enters the solvers here: one of another shape
+    # would broadcast against the iterate, or fail only on some paths.
+    if np.shape(g) != x.shape:
+        raise ValueError(f"subgradient has shape {np.shape(g)}, point has shape {x.shape}")
+    return g
+
+
 class OracleFamily:
     """Adapter for custom inner functions given as ``x -> EvalResult``
-    closures. ``values`` sums the closures' values left to right."""
+    closures. ``values`` sums the closures' values left to right. A
+    subgradient must have the shape of its point, or ``ValueError`` is
+    raised."""
 
     def __init__(self, oracles: Sequence[Oracle]):
         self.oracles = tuple(oracles)
@@ -231,10 +238,11 @@ class OracleFamily:
         return len(self.oracles)
 
     def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.oracles[i](x).subgrad
+        return _shape_checked(self.oracles[i](x).subgrad, x)
 
     def subgrads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.array([self.oracles[i](x).subgrad for i, x in zip(idx.tolist(), X)])
+        return _shape_checked(
+            np.array([self.oracles[i](x).subgrad for i, x in zip(idx.tolist(), X)]), X)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         # reduce, not builtin sum: sum is compensated from Python 3.12 on
@@ -284,7 +292,8 @@ class QuadAnchor:
 
 class OracleObjective:
     """Adapter for a custom outer objective given as an ``x -> EvalResult``
-    closure."""
+    closure. A subgradient must have the shape of its point, or
+    ``ValueError`` is raised."""
 
     def __init__(self, fn: Oracle):
         self.fn = fn
@@ -296,4 +305,4 @@ class OracleObjective:
         return np.array([self.value(x) for x in X])
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x).subgrad
+        return _shape_checked(self.fn(x).subgrad, x)

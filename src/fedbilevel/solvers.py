@@ -11,17 +11,16 @@ value is computed on the solver path.
 So the two methods coincide bitwise when one client holds one function.
 
 ``run_solver`` builds each method's iterate kernel once per run, a map from
-(x, gamma, lam) to the round's next iterate; ``fism_round`` and
-``irig_round`` are that kernel plus the state update. It runs rounds in
-blocks of up to ``_BLOCK``, calling only the schedule and the kernel per
-round, and then does the block's bookkeeping at once: the running averages
-as a cumulative sum and the counters as ranges, which carry the bits of
-their round-by-round updates, and the metrics in a few vectorized calls:
-one ``inner.values`` on the new iterates and the running averages, one
-``outer.values`` and one stack of step norms. Each of these gives a row the
-bits a one-point call gives, so the records do not depend on the block
-length. The block's rows are appended to the record's typed columns, one
-list per field. A non-finite objective value stops a run with
+(x, gamma, lam) to the round's next iterate; it is the only round path. It
+runs rounds in blocks of up to ``_BLOCK``, calling only the schedule and the
+kernel per round, and then does the block's bookkeeping at once: the
+running averages as a cumulative sum and the counters as ranges, which
+carry the bits of their round-by-round updates, and the metrics in a few
+vectorized calls: one ``inner.values`` on the new iterates and the running
+averages, one ``outer.values`` and one stack of step norms. Each of these
+gives a row the bits a one-point call gives, so the records do not depend
+on the block length. The block's rows are appended to the record's typed
+columns, one list per field. A non-finite objective value stops a run with
 ``stop_reason="non-finite"``; the rounds computed after it in its block are
 discarded. With a tolerance set, a block is one round, so a run computes no
 round that it does not record.
@@ -85,16 +84,6 @@ def _local_step(x: np.ndarray, g: np.ndarray, co: np.ndarray, gamma: float,
     return np.minimum(np.maximum(x - gamma * g - co, lo), hi)
 
 
-def _advance(state: RoundState, x_next: np.ndarray, gamma: float, inner_evals: int,
-             outer_evals: int) -> RoundState:
-    # The state after a round that moved state.x to x_next with stepsize
-    # gamma: the averages pick up the round's starting iterate, and the
-    # counters grow by the round's evaluations.
-    return RoundState(x_next, state.k + 1, state.avg_num + gamma * state.x,
-                      state.avg_den + gamma, state.inner_evals + inner_evals,
-                      state.outer_evals + outer_evals)
-
-
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
                       gamma: float, lam: float, m_total: int, inner: InnerFamily,
                       indices: Sequence[int], box: BoxConstraint) -> np.ndarray:
@@ -147,7 +136,9 @@ def _fism_kernel(problem: ProblemSpec) -> _Kernel:
     # or more as lanes) and average the ends in ascending client index.
     m, inner, box = problem.n_inner, problem.inner, problem.constraint
     outer_subgrad = problem.outer.subgrad
-    if len(problem.clients) == 1:  # x / 1 is x: one client's end is the average
+    if len(problem.clients) == 1:
+        # x / 1 is x: one client's end is the average. The scalar pass gives
+        # a lane's bits at 1.4-2.5x its speed (n=784 to n=1), so S = 1 keeps it.
         indices = problem.clients[0]
 
         def step(x, gamma, lam):
@@ -176,27 +167,6 @@ def _irig_kernel(problem: ProblemSpec) -> _Kernel:
             x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, lo, hi)
         return x
     return step
-
-
-def fism_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
-    """One federated round: freeze the outer subgradient at the current
-    iterate, run every client's local pass on it (two or more as lanes),
-    average the results in ascending client index.
-
-    The weighted-average accumulators pick up the round's starting iterate
-    before the update. Counters grow by (total inner functions, 1).
-    """
-    gamma, lam = sched.at(state.k)
-    return _advance(state, _fism_kernel(problem)(state.x, gamma, lam), gamma, problem.n_inner, 1)
-
-
-def irig_round(state: RoundState, sched: StepSchedule, problem: ProblemSpec) -> RoundState:
-    """One incremental-baseline round: a sequential pass over all inner
-    functions in global order, with a fresh outer subgradient at every local
-    step. Counters grow by (total inner functions, total inner functions)."""
-    gamma, lam = sched.at(state.k)
-    m = problem.n_inner
-    return _advance(state, _irig_kernel(problem)(state.x, gamma, lam), gamma, m, m)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -6,7 +6,7 @@ from the objective definitions (no calls into the package's oracle or solver
 code) so they can serve as an independent check of the library path. The
 rest reach into the package only through these calls:
 
-- ``chained_fism_round`` builds a federated round from the scalar client
+- ``chained_client_passes`` builds a federated round from the scalar client
   pass, one client after another, to check the lane path against it: it
   calls ``client_local_pass``, ``StepSchedule.at`` and the problem's
   ``outer.subgrad``.
@@ -175,7 +175,7 @@ def outer_quad_anchor_eval(x: np.ndarray, anchor: np.ndarray) -> EvalResult:
     return EvalResult(0.5 * float(np.dot(d, d)), d)
 
 
-def chained_fism_round(state, sched, problem) -> np.ndarray:
+def chained_client_passes(state, sched, problem) -> np.ndarray:
     """The next FISM iterate from one ``client_local_pass`` per client, in
     ascending client index, summed left to right and divided by S."""
     from fedbilevel.solvers import client_local_pass

@@ -25,7 +25,7 @@ from fedbilevel.rng import make_rng
 from fedbilevel.selfcheck import (finite_difference_failures, lane_subgrad_failures,
                                   projection_failures, stacked_value_failures,
                                   subgradient_inequality_failures)
-from fedbilevel.solvers import RoundState, client_local_pass, fism_round, run_solver
+from fedbilevel.solvers import client_local_pass, run_solver
 
 
 def _check(name: str, condition: bool, detail: str = ""):
@@ -123,16 +123,16 @@ def test_c06_drift_bound():
     cf, ch = estimate_bounds(prob, samples=1000, seed=3)
     sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=50)
     x0 = make_rng(3, 2).uniform(-10.0, 10.0, 5)
-    state = RoundState.initial(x0)
+    states = []
+    run_solver(prob, sched, FISM, x0, 10, observe=states.append)
     violations = 0
     checked = 0
     worst = 0.0
-    chains_match = True
-    for _ in range(10):
+    chains_match = len(states) == 11
+    for state, new_state in zip(states, states[1:]):
         gamma, lam = sched.at(state.k)
         unit = gamma * (cf + lam * ch / 50) * 1.01
         outer_subgrad = prob.outer.subgrad(state.x)
-        new_state = fism_round(state, sched, prob)
         ends = []
         for group in prob.clients:
             # the client's local path, one single-function pass at a time
@@ -156,7 +156,6 @@ def test_c06_drift_bound():
         for x_end in ends[1:]:
             acc = acc + x_end
         chains_match = chains_match and (acc / len(ends)).tobytes() == new_state.x.tobytes()
-        state = new_state
     _check("C6 drift bound", violations == 0 and chains_match,
            f"{checked} local iterates checked, worst drift/bound = {worst:.3f}, "
            f"chained paths reproduce the round bitwise: {chains_match}")

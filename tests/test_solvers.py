@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, ball_dist_eval, balls_inner,
-                     chained_fism_round, counting, grid_min_selection_composite,
+                     chained_client_passes, counting, grid_min_selection_composite,
                      outer_quad_anchor_eval, reference_solve, zero_oracle)
 
 from fedbilevel import solvers
@@ -23,8 +23,7 @@ from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosse
 from fedbilevel.problem import (BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients,
                                 make_schedule)
 from fedbilevel.solvers import (_BLOCK, RoundState, _norm, _step_norms, client_local_pass,
-                                fism_round, irig_round, run_solver, stopping_criterion,
-                                weighted_average)
+                                run_solver, stopping_criterion, weighted_average)
 
 
 def _schedule_1d():
@@ -53,10 +52,16 @@ def _nan_below(threshold):
         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
 
 
+def _observed_states(*args, **kwargs):
+    """The states run_solver observes: the projected initial one, then one
+    per round."""
+    states = []
+    run_solver(*args, observe=states.append, **kwargs)
+    return states
+
+
 def _observed_iterates(*args, **kwargs):
-    xs = []
-    run_solver(*args, observe=lambda state: xs.append(state.x), **kwargs)
-    return xs
+    return [state.x for state in _observed_states(*args, **kwargs)]
 
 
 class TestClientLocalPass:
@@ -112,11 +117,13 @@ class TestFismRound:
         prob = selection_1d_problem()
         sched = _schedule_1d()
         x0 = np.array([4.0])
-        state = fism_round(RoundState.initial(x0), sched, prob)
         gamma, lam = sched.at(1)
+        x1 = solvers._fism_kernel(prob)(x0, gamma, lam)
         direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, 1, prob.inner,
                                    prob.clients[0], prob.constraint)
-        assert np.array_equal(state.x, direct)
+        assert np.array_equal(x1, direct)
+        state = _observed_states(prob, sched, FISM, x0, 1)[1]
+        assert state.x.tobytes() == x1.tobytes()
         assert state.k == 2
         assert (state.inner_evals, state.outer_evals) == (1, 1)
 
@@ -124,11 +131,11 @@ class TestFismRound:
         prob = selection_1d_problem((1, 1))
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=2)
         x0 = np.array([4.0])
-        state = fism_round(RoundState.initial(x0), sched, prob)
         gamma, lam = sched.at(1)
+        x1 = solvers._fism_kernel(prob)(x0, gamma, lam)
         direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, 2, prob.inner,
                                    prob.clients[0], prob.constraint)
-        assert state.x == pytest.approx(direct, abs=1e-15)
+        assert x1 == pytest.approx(direct, abs=1e-15)
 
     def test_frozen_outer_subgradient_once_per_round(self):
         outer, outer_calls = counting(lambda x: outer_quad_anchor_eval(x, np.array([2.0])))
@@ -144,9 +151,11 @@ class TestFismRound:
         prob = ProblemSpec.from_oracles(dimension=1, clients=wrapped_clients, outer=outer,
                                         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
-        state = RoundState.initial(np.array([3.0]))
-        for _ in range(5):
-            state = fism_round(state, sched, prob)
+        # The kernel alone: a run would add the metrics' outer evaluations.
+        step = solvers._fism_kernel(prob)
+        x = np.array([3.0])
+        for k in range(1, 6):
+            x = step(x, *sched.at(k))
         assert outer_calls["n"] == 5  # exactly one outer evaluation per round
         assert sum(c["n"] for c in inner_counters) == 5 * 4
 
@@ -156,23 +165,49 @@ class TestIrigRound:
         prob = selection_1d_problem()
         sched = _schedule_1d()
         x0 = np.array([4.0])
-        a = fism_round(RoundState.initial(x0), sched, prob)
-        b = irig_round(RoundState.initial(x0), sched, prob)
-        assert a.x.tobytes() == b.x.tobytes()
-        assert (b.inner_evals, b.outer_evals) == (1, 1)
+        gamma, lam = sched.at(1)
+        a = solvers._fism_kernel(prob)(x0, gamma, lam)
+        b = solvers._irig_kernel(prob)(x0, gamma, lam)
+        assert a.tobytes() == b.tobytes()
+        state = _observed_states(prob, sched, IRIG, x0, 1)[1]
+        assert state.x.tobytes() == b.tobytes()
+        assert (state.inner_evals, state.outer_evals) == (1, 1)
 
     def test_zero_stepsize_is_identity(self):
+        # The kernel alone: a run's weighted average is undefined at gamma = 0.
         prob = selection_1d_problem((3,))
-        sched = StepSchedule(gamma1=0.0, a=0.0, lambda1=1.0, b=0.0)  # degenerate, test-only
         x0 = np.array([4.0])
-        state = irig_round(RoundState.initial(x0), sched, prob)
-        assert np.array_equal(state.x, x0)
+        assert np.array_equal(solvers._irig_kernel(prob)(x0, 0.0, 1.0), x0)
 
     def test_global_order_and_counts(self):
         prob = selection_1d_problem((2, 2))
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
-        state = irig_round(RoundState.initial(np.array([3.0])), sched, prob)
+        state = _observed_states(prob, sched, IRIG, np.array([3.0]), 1)[1]
         assert (state.inner_evals, state.outer_evals) == (4, 4)
+
+
+class TestClosureSubgradientShape:
+    """A closure's subgradient of the wrong shape raises ValueError on every
+    round path, instead of broadcasting against the iterate."""
+
+    @pytest.mark.parametrize("method,sizes", [(FISM, (2,)), (FISM, (1, 1)), (IRIG, (1, 1))],
+                             ids=["fism-S1", "fism-S2", "irig"])
+    @pytest.mark.parametrize("wrong", ["inner", "outer"])
+    def test_wrong_shape_raises(self, method, sizes, wrong):
+        def ball(x):
+            res = ball_dist_eval(x, np.zeros(2), 0.5)
+            return res._replace(subgrad=res.subgrad[:1]) if wrong == "inner" else res
+
+        def outer(x):
+            res = outer_quad_anchor_eval(x, np.array([2.0, 1.0]))
+            return res._replace(subgrad=res.subgrad[:1]) if wrong == "outer" else res
+
+        prob = ProblemSpec.from_oracles(
+            dimension=2, clients=[[ball] * size for size in sizes], outer=outer,
+            constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0)
+        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=2)
+        with pytest.raises(ValueError):
+            run_solver(prob, sched, method, np.array([3.0, -1.0]), 5)
 
 
 class TestWeightedAverage:
@@ -183,7 +218,7 @@ class TestWeightedAverage:
 
     def test_single_round_returns_first_iterate(self):
         prob = selection_1d_problem()
-        state = fism_round(RoundState.initial(np.array([4.0])), _schedule_1d(), prob)
+        state = _observed_states(prob, _schedule_1d(), FISM, np.array([4.0]), 1)[1]
         assert np.array_equal(weighted_average(state), [4.0])
 
     def test_weighted_mean(self):
@@ -241,8 +276,9 @@ class TestStoppingCriterion:
         # stopping_criterion relies on _norm giving np.linalg.norm's bits
         if strided:
             v = v[::2]
-        expected = float(np.linalg.norm(v))
-        got = _norm(v)
+        with np.errstate(over="ignore"):  # the drawn floats overflow the dot on purpose
+            expected = float(np.linalg.norm(v))
+            got = _norm(v)
         if math.isnan(expected):
             assert math.isnan(got)
         else:
@@ -481,19 +517,23 @@ class TestBlockLength:
 
 
 def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
-    """(rows without wall_clock_sec, states, final_avg_x) from one public
-    fism_round/irig_round per round, each state built by ``_advance``, and
-    the metrics from the one-point objectives: what run_solver records,
-    without its block bookkeeping."""
-    round_fn = fism_round if method == FISM else irig_round
+    """(rows without wall_clock_sec, states, final_avg_x) from one kernel call
+    per round, each state advanced one round at a time, and the metrics from
+    the one-point objectives: what run_solver records, without its block
+    bookkeeping."""
+    step = (solvers._fism_kernel if method == FISM else solvers._irig_kernel)(problem)
     m = problem.n_inner
+    outer_per_round = 1 if method == FISM else m
     t_round = round_time(uniform_costs(problem.client_sizes), method)
     state = RoundState.initial(project_box(np.asarray(x_init, dtype=float), problem.constraint))
     states, rows = [state], []
     f_cur, h_cur = problem.inner_objective(state.x), problem.outer_objective(state.x)
     total = 0.0
     for _ in range(max_rounds):
-        nxt = round_fn(state, sched, problem)
+        gamma, lam = sched.at(state.k)
+        nxt = RoundState(step(state.x, gamma, lam), state.k + 1, state.avg_num + gamma * state.x,
+                         state.avg_den + gamma, state.inner_evals + m,
+                         state.outer_evals + outer_per_round)
         f_next, h_next = problem.inner_objective(nxt.x), problem.outer_objective(nxt.x)
         f_avg = problem.inner_objective(weighted_average(nxt))
         total += t_round
@@ -512,7 +552,7 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
 class TestBlockBookkeeping:
     """run_solver takes the running averages, counters, stop row and rows
     of a block of rounds at once. Every record must carry the bits of a
-    loop of the public rounds."""
+    loop of single rounds."""
 
     @staticmethod
     def _assert_matches_reference(monkeypatch, block, problem, sched, x0, method, rounds,
@@ -657,21 +697,29 @@ def _lane_problem(kind, sizes, seed, shuffled):
 
 
 class TestLaneRound:
-    """fism_round steps the clients of a round together as lanes. Every round
+    """A FISM run steps the clients of a round together as lanes. Every round
     must carry the bits of one client_local_pass per client, summed left to
     right in ascending client index, and must write to nothing it was given."""
 
     @staticmethod
-    def _rounds_match_chained(prob, x0, rounds=4):
+    def _observed_one_round_blocks(prob, x0, rounds):
+        # One round per block, so each state is observed, and its iterate
+        # copied, before the next round steps from it.
         sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=prob.n_inner)
-        state = RoundState.initial(x0)
-        for _ in range(rounds):
-            x_before = state.x.copy()
-            expected = chained_fism_round(state, sched, prob)
-            nxt = fism_round(state, sched, prob)
-            assert nxt.x.tobytes() == expected.tobytes()
-            assert state.x.tobytes() == x_before.tobytes()
-            state = nxt
+        observed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_BLOCK", 1)
+            run_solver(prob, sched, FISM, x0, rounds,
+                       observe=lambda state: observed.append((state, state.x.tobytes())))
+        assert len(observed) == rounds + 1
+        assert all(state.x.tobytes() == x_bytes for state, x_bytes in observed)
+        return sched, [state for state, _ in observed]
+
+    @classmethod
+    def _rounds_match_chained(cls, prob, x0, rounds=4):
+        sched, states = cls._observed_one_round_blocks(prob, x0, rounds)
+        for state, nxt in zip(states, states[1:]):
+            assert nxt.x.tobytes() == chained_client_passes(state, sched, prob).tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(sizes=client_sizes(), kind=st.sampled_from(["balls", "logistic"]),
@@ -709,12 +757,7 @@ class TestLaneRound:
         arrays_before = [a.copy() for a in vars(prob.inner).values()
                          if isinstance(a, np.ndarray)]
         lo, hi = prob.constraint.lo.copy(), prob.constraint.hi.copy()
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=prob.n_inner)
-        state = RoundState.initial(np.full(prob.dimension, 0.5))
-        x_before = state.x.copy()
-        for _ in range(3):
-            fism_round(state, sched, prob)
-        assert state.x.tobytes() == x_before.tobytes()
+        self._observed_one_round_blocks(prob, np.full(prob.dimension, 0.5), 3)
         arrays_after = [a for a in vars(prob.inner).values() if isinstance(a, np.ndarray)]
         assert len(arrays_after) == 2
         assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays_before, arrays_after))
