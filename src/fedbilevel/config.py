@@ -14,8 +14,6 @@ from pathlib import Path
 from .data import check_synthetic_margin
 from .federation import METHODS, SHUFFLED, STRATEGIES
 
-PROBLEMS = ("selection-1d", "location", "logistic-synthetic", "logistic-mnist")
-
 # Named stepsize presets: (gamma1, a, lambda1, b).
 SCHEDULE_PRESETS = {
     "classification": (10.0, 0.8, 1.0, 0.1),
@@ -23,28 +21,18 @@ SCHEDULE_PRESETS = {
     "selection": (1.0, 0.55, 1.0, 0.4),
 }
 
-_PROBLEM_PRESET = {
-    "selection-1d": "selection",
-    "location": "location",
-    "logistic-synthetic": "classification",
-    "logistic-mnist": "classification",
-}
-
-# Problems whose inner-function count is the ``m`` key; logistic-mnist takes
-# it from the data, so its client counts are checked per run.
-_M_FROM_CONFIG = ("selection-1d", "location", "logistic-synthetic")
-
 # Float keys (or lists of floats) that must hold finite numbers when set.
 _FINITE_KEYS = ("gamma1", "a", "lambda1", "b", "tol", "unit_cost", "comm_cost",
                 "client_cost_scale")
 
 _PROBLEM_DEFAULTS = {
-    # problem: (n, m, max_rounds, tol)
-    "selection-1d": (1, 1, 20_000, None),
-    "location": (10, 500, 100_000, 1e-5),
-    "logistic-synthetic": (20, 400, 200, None),
-    "logistic-mnist": (784, 11_000, 200, None),
+    # problem: (n, m, max_rounds, tol, schedule preset)
+    "selection-1d": (1, 1, 20_000, None, "selection"),
+    "location": (10, 500, 100_000, 1e-5, "location"),
+    "logistic-synthetic": (20, 400, 200, None, "classification"),
+    "logistic-mnist": (784, 11_000, 200, None, "classification"),
 }
+PROBLEMS = tuple(_PROBLEM_DEFAULTS)
 
 
 class ConfigError(ValueError):
@@ -164,7 +152,7 @@ class ExperimentConfig:
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}",
                               key="problem")
-        n_def, m_def, rounds_def, tol_def = _PROBLEM_DEFAULTS[self.problem]
+        n_def, m_def, rounds_def, tol_def, preset_def = _PROBLEM_DEFAULTS[self.problem]
         if self.n is None:
             self.n = n_def
         if self.m is None:
@@ -173,7 +161,7 @@ class ExperimentConfig:
             self.max_rounds = rounds_def
         if "tol" not in self.provided:
             self.tol = tol_def
-        preset = self.schedule_preset or _PROBLEM_PRESET[self.problem]
+        preset = self.schedule_preset or preset_def
         if preset not in SCHEDULE_PRESETS:
             raise ConfigError(f"schedule_preset must be one of {tuple(SCHEDULE_PRESETS)}, "
                               f"got {preset!r}", key="schedule_preset")
@@ -210,7 +198,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must not repeat an entry", key=key)
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be positive", key="n")
-        if self.problem in _M_FROM_CONFIG and max(self.s_values) > self.m:
+        if self.problem == "selection-1d" and self.n != 1:
+            raise ConfigError(f"selection-1d has dimension 1, got n = {self.n}", key="n")
+        # logistic-mnist takes its inner-function count from the data, not
+        # from the m key, so its client counts are checked per run.
+        if self.problem != "logistic-mnist" and max(self.s_values) > self.m:
             raise ConfigError(f"s_values must not exceed m = {self.m} (each client needs "
                               f"at least one inner function)", key="s_values")
         if self.repeats < 1:

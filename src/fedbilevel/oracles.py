@@ -12,10 +12,10 @@ in slices within them, under one fixed byte budget, and gives the bits of a
 one-slice call. :class:`OracleFamily` adapts custom ``x -> EvalResult``
 closures.
 
-Outer objectives expose ``value(x)``, ``subgrad(x)`` and ``values(X)``, the
-values at the rows of a stack, each bitwise equal to ``value`` on that row:
-:class:`L1Quad`, :class:`QuadAnchor`, and the :class:`OracleObjective`
-adapter.
+Outer objectives expose ``subgrad(x)`` and ``values(X)``, the values at the
+rows of a stack of any height, a row's value not depending on the other
+rows: :class:`L1Quad`, :class:`QuadAnchor`, and the :class:`OracleObjective`
+adapter. A one-point value is ``values(x[None])[0]``.
 
 At nondifferentiable points the minimum-norm subgradient is returned
 (sign(0) = 0 for the L1 term, the zero vector inside closed balls), which
@@ -62,12 +62,11 @@ class InnerFamily(Protocol):
 
 
 class OuterObjective(Protocol):
-    def value(self, x: np.ndarray) -> float: ...
-
     def subgrad(self, x: np.ndarray) -> np.ndarray: ...
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """``value`` at every row of X, bitwise."""
+        """The k values at the rows of X, for a stack of any height k; a
+        row's value must not depend on the other rows."""
 
 
 def project_box(x: np.ndarray, box: "BoxConstraint") -> np.ndarray:
@@ -255,9 +254,6 @@ class OracleFamily:
 class L1Quad:
     """Sparsity-plus-norm selection objective: sum |x_d| + 0.5 sum x_d^2."""
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.sum(np.abs(x)) + 0.5 * np.dot(x, x))
-
     def values(self, X: np.ndarray) -> np.ndarray:
         # vecdot rows carry np.dot's bits (a row sum carries np.sum's)
         return np.abs(X).sum(axis=1) + 0.5 * np.vecdot(X, X)
@@ -271,10 +267,6 @@ class QuadAnchor:
 
     def __init__(self, anchor: Sequence[float] | np.ndarray):
         self.anchor = np.asarray(anchor, dtype=float)
-
-    def value(self, x: np.ndarray) -> float:
-        d = self.subgrad(x)
-        return 0.5 * float(np.dot(d, d))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1:] != self.anchor.shape:
@@ -292,17 +284,14 @@ class QuadAnchor:
 
 class OracleObjective:
     """Adapter for a custom outer objective given as an ``x -> EvalResult``
-    closure. A subgradient must have the shape of its point, or
-    ``ValueError`` is raised."""
+    closure, called once per row of ``values``. A subgradient must have the
+    shape of its point, or ``ValueError`` is raised."""
 
     def __init__(self, fn: Oracle):
         self.fn = fn
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.fn(x).value)
-
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.value(x) for x in X])
+        return np.array([float(self.fn(x).value) for x in X])
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return _shape_checked(self.fn(x).subgrad, x)

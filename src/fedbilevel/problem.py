@@ -4,11 +4,13 @@ A problem is an inner family of m convex per-sample functions (see
 ``oracles``), the clients' shares of it as ordered index tuples, an outer
 strongly convex selection objective, and a box constraint. The solvers step
 through each client's local order (several at once, along ``lanes``); the
-metrics read ``inner.values`` on stacked points. Stepsize schedules live
-here too. All types are immutable after construction.
+metrics read ``inner.values`` and ``outer.values`` on stacked points, the
+only way either objective gives a value. Stepsize schedules live here too.
+All types are immutable after construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -133,20 +135,16 @@ class ProblemSpec:
     def client_sizes(self) -> tuple[int, ...]:
         return tuple(len(group) for group in self.clients)
 
-    def inner_objective(self, x: np.ndarray) -> float:
-        return float(self.inner.values(np.reshape(x, (1, -1)))[0])
-
-    def outer_objective(self, x: np.ndarray) -> float:
-        return float(self.outer.value(x))
-
 
 @dataclass(frozen=True)
 class StepSchedule:
     """Power-law stepsizes gamma1/k^a and regularization weights lambda1/k^b.
 
-    ``feasible`` records whether gamma1 * lambda1 * mu_H <= 2m held at
-    construction; infeasible combinations are flagged, never rejected, so
-    small unit-test instances can still run arbitrary schedules.
+    gamma1 and lambda1 must be positive, a and b nonnegative, all four
+    finite, or ``ValueError`` is raised. ``feasible`` records whether
+    gamma1 * lambda1 * mu_H <= 2m held at construction; infeasible
+    combinations are flagged, never rejected, so small unit-test instances
+    can still run arbitrary schedules.
     """
 
     gamma1: float
@@ -154,6 +152,18 @@ class StepSchedule:
     lambda1: float
     b: float
     feasible: bool = True
+
+    def __post_init__(self):
+        # Every range check below is False for NaN, so finiteness comes first.
+        for name in ("gamma1", "a", "lambda1", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.gamma1 <= 0:
+            raise ValueError(f"gamma1 must be positive, got {self.gamma1}")
+        if self.lambda1 <= 0:
+            raise ValueError(f"lambda1 must be positive, got {self.lambda1}")
+        if self.a < 0 or self.b < 0:
+            raise ValueError("exponents must be nonnegative so the sequences are nonincreasing")
 
     def at(self, k: int) -> tuple[float, float]:
         """Stepsize and regularization weight for round k >= 1."""
@@ -165,12 +175,7 @@ class StepSchedule:
 
 def make_schedule(gamma1: float, a: float, lambda1: float, b: float,
                   mu_H: float, m: int) -> StepSchedule:
-    """Validated schedule constructor; sets the feasibility flag."""
-    if gamma1 <= 0:
-        raise ValueError(f"gamma1 must be positive, got {gamma1}")
-    if lambda1 <= 0:
-        raise ValueError(f"lambda1 must be positive, got {lambda1}")
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be nonnegative so the sequences are nonincreasing")
-    feasible = gamma1 * lambda1 * mu_H <= 2 * m
-    return StepSchedule(float(gamma1), float(a), float(lambda1), float(b), feasible)
+    """A schedule of the four parameters as floats, with the feasibility flag
+    set; ``StepSchedule`` validates them."""
+    gamma1, a, lambda1, b = float(gamma1), float(a), float(lambda1), float(b)
+    return StepSchedule(gamma1, a, lambda1, b, gamma1 * lambda1 * mu_H <= 2 * m)

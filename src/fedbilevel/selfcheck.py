@@ -1,25 +1,27 @@
 """Seeded self-checks of the objects the solvers call.
 
-The inner families (probed through one-row ``LogisticLosses`` and
-``BallDistances`` families: ``subgrad(0, x)`` against their ``values``) and
-the outer objectives (``L1Quad`` and ``QuadAnchor`` through ``value`` and
-``subgrad``) are checked for finite-difference agreement at smooth points
-and the subgradient inequality on random pairs; their ``values`` on a stack
-must give every row the bits a one-point call gives, which the block-wise
-run metrics rely on, and every family's ``subgrads`` must give each row the
-bits of ``subgrad`` (``np.vecdot`` against ``np.dot`` rows), which the client
-lanes of a round rely on. Projection is checked for idempotence and
-nonexpansiveness. Used by both the test suite (at full sample counts) and
-the CLI ``selftest`` subcommand (at lighter counts).
+Four probes are checked, each a ``(values, subgrad, smooth)`` case: the
+inner families through one-row ``LogisticLosses`` and ``BallDistances``
+families (``values`` against ``subgrad(0, x)``) and the outer objectives
+``L1Quad`` and ``QuadAnchor``. A probe's one-point value is
+``values(x[None])[0]``. Each is checked for finite-difference agreement at
+smooth points and the subgradient inequality on random pairs, and its
+``values`` on a stack must give every row the bits a one-row call gives,
+which the block-wise run metrics rely on. Every family's ``subgrads`` must
+give each row the bits of ``subgrad`` (``np.vecdot`` against ``np.dot``
+rows), which the client lanes of a round rely on. Projection is checked for
+idempotence and nonexpansiveness. Used by both the test suite (at full
+sample counts) and the CLI ``selftest`` subcommand (at lighter counts).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .oracles import (BallDistances, EvalResult, L1Quad, LogisticLosses, OracleFamily,
-                      OuterObjective, QuadAnchor, project_box)
+                      QuadAnchor, project_box)
 from .problem import BoxConstraint
 from .rng import STREAM_CHECKS, make_rng
 
@@ -27,32 +29,20 @@ _DIM = 7
 _STACK = 5
 
 
-class _OneRow:
-    """A one-row inner family as a single function, with the ``value``,
-    ``subgrad`` and ``values`` of an outer objective."""
-
-    def __init__(self, family):
-        self.family = family
-        self.values = family.values
-
-    def value(self, x: np.ndarray) -> float:
-        return float(self.values(x[None, :])[0])
-
-    def subgrad(self, x: np.ndarray) -> np.ndarray:
-        return self.family.subgrad(0, x)
+# A case is (values, subgrad, smooth): a probe's stacked values and one-point
+# subgradient, and a predicate that guards the finite-difference stencil
+# away from kinks. A family is probed as its one sample.
+_Case = tuple[Callable, Callable, Callable]
 
 
-# A case is (probe, is_smooth predicate): the probe is an outer objective or
-# a one-row family seen as one; the predicate guards the finite-difference
-# stencil away from kinks.
-
-def _logistic_case(rng) -> tuple[OuterObjective, Callable]:
+def _logistic_case(rng) -> _Case:
     a = rng.standard_normal(_DIM)
     b = 1.0 if rng.random() < 0.5 else -1.0
-    return _OneRow(LogisticLosses(a[None, :], [b])), (lambda x: True)
+    family = LogisticLosses(a[None, :], [b])
+    return family.values, partial(family.subgrad, 0), (lambda x: True)
 
 
-def _ball_case(rng) -> tuple[OuterObjective, Callable]:
+def _ball_case(rng) -> _Case:
     c = rng.uniform(-2.0, 2.0, _DIM)
     r = float(rng.uniform(0.5, 1.5))
 
@@ -60,15 +50,18 @@ def _ball_case(rng) -> tuple[OuterObjective, Callable]:
         dist = float(np.linalg.norm(x - c))
         return dist > margin and abs(dist - r) > margin
 
-    return _OneRow(BallDistances(c[None, :], [r])), smooth
+    family = BallDistances(c[None, :], [r])
+    return family.values, partial(family.subgrad, 0), smooth
 
 
-def _l1_quad_case(rng) -> tuple[OuterObjective, Callable]:
-    return L1Quad(), (lambda x: float(np.min(np.abs(x))) > 1e-3)
+def _l1_quad_case(rng) -> _Case:
+    outer = L1Quad()
+    return outer.values, outer.subgrad, (lambda x: float(np.min(np.abs(x))) > 1e-3)
 
 
-def _quad_anchor_case(rng) -> tuple[OuterObjective, Callable]:
-    return QuadAnchor(rng.uniform(-2.0, 2.0, _DIM)), (lambda x: True)
+def _quad_anchor_case(rng) -> _Case:
+    outer = QuadAnchor(rng.uniform(-2.0, 2.0, _DIM))
+    return outer.values, outer.subgrad, (lambda x: True)
 
 
 _CASES: dict[str, Callable] = {
@@ -88,15 +81,15 @@ def finite_difference_failures(points: int = 500, seed: int = 2024, step: float 
         rng = make_rng(seed, STREAM_CHECKS)
         failures = 0
         for _ in range(points):
-            probe, smooth = case(rng)
+            values, subgrad, smooth = case(rng)
             x = rng.uniform(-4.0, 4.0, _DIM)
             while not smooth(x):
                 x = rng.uniform(-4.0, 4.0, _DIM)
-            g = probe.subgrad(x)
+            g = subgrad(x)
             for d in range(_DIM):
                 e = np.zeros(_DIM)
                 e[d] = step
-                fd = (probe.value(x + e) - probe.value(x - e)) / (2.0 * step)
+                fd = (values((x + e)[None])[0] - values((x - e)[None])[0]) / (2.0 * step)
                 if abs(fd - g[d]) > tol * (1.0 + abs(g[d])):
                     failures += 1
         out[name] = failures
@@ -111,10 +104,11 @@ def subgradient_inequality_failures(pairs: int = 100, seed: int = 2024,
         rng = make_rng(seed, STREAM_CHECKS)
         failures = 0
         for _ in range(pairs):
-            probe, _ = case(rng)
+            values, subgrad, _ = case(rng)
             x = rng.uniform(-4.0, 4.0, _DIM)
             y = rng.uniform(-4.0, 4.0, _DIM)
-            if probe.value(y) < probe.value(x) + float(np.dot(probe.subgrad(x), y - x)) - slack:
+            if (values(y[None])[0]
+                    < values(x[None])[0] + float(np.dot(subgrad(x), y - x)) - slack):
                 failures += 1
         out[name] = failures
     return out
@@ -122,16 +116,16 @@ def subgradient_inequality_failures(pairs: int = 100, seed: int = 2024,
 
 def stacked_value_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
     """Count per-case stacks of points whose ``values`` differ in any bit
-    from the one-point value of some row."""
+    from the one-row call on some row."""
     out: dict[str, int] = {}
     for name, case in _CASES.items():
         rng = make_rng(seed, STREAM_CHECKS)
         failures = 0
         for _ in range(stacks):
-            probe, _ = case(rng)
+            values, _, _ = case(rng)
             points = rng.uniform(-4.0, 4.0, (_STACK, _DIM))
-            single = np.array([probe.value(x) for x in points])
-            if probe.values(points).tobytes() != single.tobytes():
+            single = np.concatenate([values(x[None]) for x in points])
+            if values(points).tobytes() != single.tobytes():
                 failures += 1
         out[name] = failures
     return out

@@ -248,8 +248,8 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     at, perf_counter = sched.at, time.perf_counter
     rows = _ColumnRows()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_cur = problem.inner_objective(x)
-        h_cur = problem.outer_objective(x)
+        f_cur = float(problem.inner.values(x[None])[0])
+        h_cur = float(problem.outer.values(x[None])[0])
         cum_time = 0.0
         stop_reason = "max_rounds"
         block = _BLOCK if tol is None else 1

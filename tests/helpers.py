@@ -245,7 +245,7 @@ def estimate_bounds(problem, samples: int = 1000, seed: int = 0) -> tuple[float,
             g = float(np.linalg.norm(inner.subgrad(i, x)))
             if g > cf:
                 cf = g
-        ch = max(ch, float(np.linalg.norm(outer.subgrad(x))), abs(outer.value(x)))
+        ch = max(ch, float(np.linalg.norm(outer.subgrad(x))), abs(float(outer.values(x[None])[0])))
     return cf, ch
 
 

@@ -350,6 +350,13 @@ class TestMain:
         assert "client_cost_scale" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_selection_dimension_other_than_1_is_config_error(self, tmp_path, capsys):
+        path = _config(tmp_path, "problem = selection-1d\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--set", "n=5"]) == 2
+        assert "n = 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_s_values_above_m_is_config_error(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\n")
         out = tmp_path / "out"
@@ -516,7 +523,8 @@ class TestCliProperty:
             rng = np.random.default_rng(0)
             write_idx(rng.integers(0, 256, (40, 4, 5)), data / "images.idx")
             write_idx(np.arange(40) % 3, data / "labels.idx")
-            path = _config(data, f"problem = {base}\nn = 4\nm = 12\nmax_rounds = 3\n"
+            n = 1 if base == "selection-1d" else 4  # selection-1d has dimension 1
+            path = _config(data, f"problem = {base}\nn = {n}\nm = 12\nmax_rounds = 3\n"
                                  f"test_size = 10\ns_values = 1, 2\n"
                                  f"images_path = {data}/images.idx\n"
                                  f"labels_path = {data}/labels.idx\n")

@@ -108,6 +108,15 @@ class TestResolve:
             cfg.resolve()
         assert info.value.key == "s_values"
 
+    @pytest.mark.parametrize("n", ["2", "5"])
+    def test_rejects_selection_dimension_other_than_1(self, n):
+        # the selection problem is one-dimensional; another n was ignored
+        cfg = ExperimentConfig()
+        cfg.set_key("n", n)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "n"
+
     def test_mnist_client_counts_not_checked_against_m(self):
         # logistic-mnist takes m from the data, not from the m key
         cfg = ExperimentConfig()

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import ball_dist_eval, left_to_right_sum, logistic_eval, outer_quad_anchor_eval
+from helpers import (ball_dist_eval, counting, left_to_right_sum, logistic_eval,
+                     outer_l1_quad_eval, outer_quad_anchor_eval)
 
 from fedbilevel import oracles
 from fedbilevel.oracles import (BallDistances, L1Quad, LogisticLosses, OracleFamily,
@@ -232,12 +233,25 @@ class TestOuterValues:
     def test_rows_bitwise_equal_value(self, points, data):
         n, X, _ = points
         anchor = data.draw(arrays(np.float64, n, elements=coord))
-        outers = [L1Quad(), QuadAnchor(anchor),
-                  OracleObjective(lambda x: outer_quad_anchor_eval(x, anchor))]
-        for outer in outers:
+
+        def anchored(x):
+            return outer_quad_anchor_eval(x, anchor)
+
+        cases = [(L1Quad(), outer_l1_quad_eval), (QuadAnchor(anchor), anchored),
+                 (OracleObjective(anchored), anchored)]
+        for outer, oracle in cases:
             got = outer.values(X)
             assert got.shape == (len(X),)
-            assert got.tobytes() == np.array([outer.value(x) for x in X]).tobytes()
+            assert got.tobytes() == np.array([oracle(x).value for x in X]).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_oracle_objective_calls_closure_once_per_row(self, k):
+        fn, calls = counting(lambda x: outer_quad_anchor_eval(x, np.zeros(2)))
+        outer = OracleObjective(fn)
+        outer.values(np.ones((k, 2)))
+        assert calls["n"] == k
+        outer.subgrad(np.ones(2))
+        assert calls["n"] == k + 1
 
     def test_quad_anchor_rejects_other_dimension(self):
         with pytest.raises(ValueError):

@@ -140,7 +140,8 @@ class TestOracleProperties:
                 x = rng.uniform(-5, 5, 5)
                 y = rng.uniform(-5, 5, 5)
                 alpha = float(rng.uniform(0, 1))
-                lhs = outer.value(alpha * x + (1 - alpha) * y)
-                rhs = (alpha * outer.value(x) + (1 - alpha) * outer.value(y)
+                mix = alpha * x + (1 - alpha) * y
+                lhs, h_x, h_y = outer.values(np.stack((mix, x, y)))
+                rhs = (alpha * h_x + (1 - alpha) * h_y
                        - 0.5 * 1.0 * alpha * (1 - alpha) * float(np.dot(x - y, x - y)))
                 assert lhs <= rhs + 1e-9

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import ball_dist_eval, estimate_bounds, outer_quad_anchor_eval
@@ -5,7 +7,7 @@ from helpers import ball_dist_eval, estimate_bounds, outer_quad_anchor_eval
 from fedbilevel.federation import CONTIGUOUS, partition_data
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.data import make_location_instance
-from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
+from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
 from fedbilevel.rng import make_rng
 
 
@@ -67,15 +69,15 @@ class TestProblemSpec:
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         assert prob.clients == ((0, 1), (2,))
         x = np.array([1.25])
-        assert prob.inner_objective(x) == float(sum(fn(x).value for fn in fns))
-        assert prob.outer_objective(x) == 0.03125
+        assert prob.inner.values(x[None])[0] == float(sum(fn(x).value for fn in fns))
+        assert prob.outer.values(x[None])[0] == 0.03125
         assert np.array_equal(prob.outer.subgrad(x), [0.25])
 
     def test_objectives(self):
         prob = selection_1d_problem((2,))
         x = np.array([3.0])
-        assert prob.inner_objective(x) == pytest.approx(2 * 2.0)  # two copies of dist
-        assert prob.outer_objective(x) == pytest.approx(0.5)
+        assert prob.inner.values(x[None])[0] == pytest.approx(2 * 2.0)  # two copies of dist
+        assert prob.outer.values(x[None])[0] == pytest.approx(0.5)
 
 
 class TestMakeSchedule:
@@ -97,6 +99,21 @@ class TestMakeSchedule:
             make_schedule(0, 0.8, 1, 0.1, mu_H=1, m=1)
         with pytest.raises(ValueError):
             make_schedule(10, 0.8, -1, 0.1, mu_H=1, m=1)
+
+    def test_schedule_validates_itself(self):
+        # a run on it would step every round and fail only at the first average
+        with pytest.raises(ValueError, match="gamma1 must be positive"):
+            StepSchedule(0.0, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["gamma1", "a", "lambda1", "b"])
+    def test_rejects_non_finite(self, key, value):
+        params = dict(gamma1=1.0, a=0.5, lambda1=1.0, b=0.1)
+        params[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            StepSchedule(**params)
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            make_schedule(**params, mu_H=1, m=5)
 
 
 class TestScheduleAt:

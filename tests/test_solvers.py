@@ -519,7 +519,7 @@ class TestBlockLength:
 def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
     """(rows without wall_clock_sec, states, final_avg_x) from one kernel call
     per round, each state advanced one round at a time, and the metrics from
-    the one-point objectives: what run_solver records, without its block
+    one-row values calls: what run_solver records, without its block
     bookkeeping."""
     step = (solvers._fism_kernel if method == FISM else solvers._irig_kernel)(problem)
     m = problem.n_inner
@@ -527,15 +527,19 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
     t_round = round_time(uniform_costs(problem.client_sizes), method)
     state = RoundState.initial(project_box(np.asarray(x_init, dtype=float), problem.constraint))
     states, rows = [state], []
-    f_cur, h_cur = problem.inner_objective(state.x), problem.outer_objective(state.x)
+
+    def one_row(objective, x):
+        return float(objective.values(x[None])[0])
+
+    f_cur, h_cur = one_row(problem.inner, state.x), one_row(problem.outer, state.x)
     total = 0.0
     for _ in range(max_rounds):
         gamma, lam = sched.at(state.k)
         nxt = RoundState(step(state.x, gamma, lam), state.k + 1, state.avg_num + gamma * state.x,
                          state.avg_den + gamma, state.inner_evals + m,
                          state.outer_evals + outer_per_round)
-        f_next, h_next = problem.inner_objective(nxt.x), problem.outer_objective(nxt.x)
-        f_avg = problem.inner_objective(weighted_average(nxt))
+        f_next, h_next = one_row(problem.inner, nxt.x), one_row(problem.outer, nxt.x)
+        f_avg = one_row(problem.inner, weighted_average(nxt))
         total += t_round
         rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, _norm(nxt.x - state.x),
                              t_round, total, nxt.inner_evals, nxt.outer_evals, None))
