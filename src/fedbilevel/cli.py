@@ -56,6 +56,10 @@ def _build_datasets(cfg: ExperimentConfig) -> dict:
         if cfg.test_images_path:  # the config sets the held-out pair together or not at all
             ctx["test"] = load_binary_digits(cfg.test_images_path, cfg.test_labels_path,
                                              cfg.pos_digit, cfg.neg_digit, name="mnist-test")
+            train_px, test_px = (ctx[s].features.shape[1] for s in ("train", "test"))
+            if test_px != train_px:
+                raise FormatError(f"{cfg.test_images_path}: held-out images have {test_px} "
+                                  f"pixels, the training images {train_px}")
     return ctx
 
 

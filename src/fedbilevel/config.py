@@ -1,36 +1,45 @@
 """Flat ``key = value`` experiment configuration with typed parsing.
 
-One key per line, ``#`` comments and blank lines allowed. Values are typed
-per key (ints, floats, booleans, comma-separated lists, or the keyword
-``none``). Unknown keys are rejected with the offending line number. Any key
-can be overridden from the command line with ``--set key=value``.
+One key per line, ``#`` comments and blank lines allowed. Each key is a
+field of ``ExperimentConfig`` and its value is parsed by the field's type:
+an int, a float, a string, a boolean (``true``/``yes``/``1`` or
+``false``/``no``/``0``), or a comma-separated list for a tuple (empty parts
+skipped). ``tol`` also takes the keyword ``none``. Unknown keys are rejected
+with the offending line number. Any key can be overridden from the command
+line with ``--set key=value``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .data import check_synthetic_margin
 from .federation import METHODS, SHUFFLED, STRATEGIES
 
-# Named stepsize presets: (gamma1, a, lambda1, b).
+# Named stepsize presets.
 SCHEDULE_PRESETS = {
-    "classification": (10.0, 0.8, 1.0, 0.1),
-    "location": (1.0, 0.8, 1.0, 0.1),
-    "selection": (1.0, 0.55, 1.0, 0.4),
+    "classification": {"gamma1": 10.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
+    "location": {"gamma1": 1.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
+    "selection": {"gamma1": 1.0, "a": 0.55, "lambda1": 1.0, "b": 0.4},
 }
 
 # Float keys (or lists of floats) that must hold finite numbers when set.
 _FINITE_KEYS = ("gamma1", "a", "lambda1", "b", "tol", "unit_cost", "comm_cost",
                 "client_cost_scale")
 
+# Per-problem values of the keys left unset, and the problem's schedule preset.
 _PROBLEM_DEFAULTS = {
-    # problem: (n, m, max_rounds, tol, schedule preset)
-    "selection-1d": (1, 1, 20_000, None, "selection"),
-    "location": (10, 500, 100_000, 1e-5, "location"),
-    "logistic-synthetic": (20, 400, 200, None, "classification"),
-    "logistic-mnist": (784, 11_000, 200, None, "classification"),
+    "selection-1d": {"n": 1, "m": 1, "max_rounds": 20_000, "tol": None,
+                     "preset": "selection"},
+    "location": {"n": 10, "m": 500, "max_rounds": 100_000, "tol": 1e-5,
+                 "preset": "location"},
+    "logistic-synthetic": {"n": 20, "m": 400, "max_rounds": 200, "tol": None,
+                           "preset": "classification"},
+    "logistic-mnist": {"n": 784, "m": 11_000, "max_rounds": 200, "tol": None,
+                       "preset": "classification"},
 }
 PROBLEMS = tuple(_PROBLEM_DEFAULTS)
 
@@ -55,50 +64,6 @@ def _parse_opt_float(raw: str) -> float | None:
     if raw.lower() == "none":
         return None
     return float(raw)
-
-
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-_PARSERS = {
-    "problem": str,
-    "n": int,
-    "m": int,
-    "seed": int,
-    "methods": _parse_str_list,
-    "s_values": _parse_int_list,
-    "schedule_preset": str,
-    "gamma1": float,
-    "a": float,
-    "lambda1": float,
-    "b": float,
-    "max_rounds": int,
-    "tol": _parse_opt_float,
-    "repeats": int,
-    "margin": float,
-    "test_size": int,
-    "pos_digit": int,
-    "neg_digit": int,
-    "images_path": str,
-    "labels_path": str,
-    "test_images_path": str,
-    "test_labels_path": str,
-    "partition": str,
-    "unit_cost": float,
-    "comm_cost": _parse_float_list,
-    "client_cost_scale": _parse_float_list,
-    "out_dir": str,
-    "write_csv": _parse_bool,
-}
 
 
 @dataclass
@@ -134,7 +99,9 @@ class ExperimentConfig:
     client_cost_scale: tuple[float, ...] | None = None
     out_dir: str = "runs"
     write_csv: bool = False
-    provided: set = field(default_factory=set, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.provided: set[str] = set()  # the keys set by the text, not a key
 
     def set_key(self, key: str, raw: str, lineno: int | None = None) -> None:
         if key not in _PARSERS:
@@ -152,28 +119,16 @@ class ExperimentConfig:
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}",
                               key="problem")
-        n_def, m_def, rounds_def, tol_def, preset_def = _PROBLEM_DEFAULTS[self.problem]
-        if self.n is None:
-            self.n = n_def
-        if self.m is None:
-            self.m = m_def
-        if self.max_rounds is None:
-            self.max_rounds = rounds_def
-        if "tol" not in self.provided:
-            self.tol = tol_def
-        preset = self.schedule_preset or preset_def
+        defaults = dict(_PROBLEM_DEFAULTS[self.problem])
+        problem_preset = defaults.pop("preset")
+        preset = self.schedule_preset or problem_preset
         if preset not in SCHEDULE_PRESETS:
             raise ConfigError(f"schedule_preset must be one of {tuple(SCHEDULE_PRESETS)}, "
                               f"got {preset!r}", key="schedule_preset")
-        g1, a, l1, b = SCHEDULE_PRESETS[preset]
-        if self.gamma1 is None:
-            self.gamma1 = g1
-        if self.a is None:
-            self.a = a
-        if self.lambda1 is None:
-            self.lambda1 = l1
-        if self.b is None:
-            self.b = b
+        # An unset key is None, except tol, whose None may be a set "none".
+        for key, value in {**defaults, **SCHEDULE_PRESETS[preset]}.items():
+            if getattr(self, key) is None and key not in self.provided:
+                setattr(self, key, value)
         self._validate()
         return self
 
@@ -200,6 +155,9 @@ class ExperimentConfig:
             raise ConfigError("n and m must be positive", key="n")
         if self.problem == "selection-1d" and self.n != 1:
             raise ConfigError(f"selection-1d has dimension 1, got n = {self.n}", key="n")
+        if self.problem == "logistic-mnist" and "n" in self.provided:
+            raise ConfigError("logistic-mnist takes its dimension n from the images; "
+                              "n must not be set", key="n")
         # logistic-mnist takes its inner-function count from the data, not
         # from the m key, so its client counts are checked per run.
         if self.problem != "logistic-mnist" and max(self.s_values) > self.m:
@@ -256,8 +214,6 @@ class ExperimentConfig:
     def echo_dict(self) -> dict:
         out = {}
         for f in fields(self):
-            if f.name == "provided":
-                continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = list(value)
@@ -265,8 +221,22 @@ class ExperimentConfig:
         return out
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base if base is not None else ExperimentConfig()
+def _parser(hint):
+    """The parser of a key whose field has type ``hint``."""
+    if isinstance(hint, types.UnionType):  # X | None parses as X
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]: a comma list of X
+        part = _parser(typing.get_args(hint)[0])
+        return lambda raw: tuple(part(p.strip()) for p in raw.split(",") if p.strip())
+    return _parse_bool if hint is bool else hint
+
+
+_PARSERS = {key: _parser(hint) for key, hint in typing.get_type_hints(ExperimentConfig).items()}
+_PARSERS["tol"] = _parse_opt_float  # only for tol does "none" mean something
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

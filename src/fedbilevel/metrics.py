@@ -14,7 +14,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class RoundRow(NamedTuple):
 
 
 ROW_FIELDS = RoundRow._fields
+_TYPECODES = tuple({int: "q", float: "d"}[hint] for hint in get_type_hints(RoundRow).values())
 
 
 def _as_rows(columns) -> map:
@@ -52,9 +53,9 @@ def _as_rows(columns) -> map:
 
 class _ColumnRows(Sequence):
     """A run's rows held as one typed column per ``RoundRow`` field, in
-    field order: ``'q'`` for the round index and the two counters, ``'d'``
-    for the rest. A row takes 88 bytes, against about 400 as a ``RoundRow``
-    of boxed numbers in a list.
+    field order: ``'q'`` for an ``int`` field, ``'d'`` for a ``float`` one.
+    A row takes 88 bytes, against about 400 as a ``RoundRow`` of boxed
+    numbers in a list.
 
     Read-only to its readers: an index (negative too) gives a ``RoundRow``,
     a slice a list of them, and iteration zips the columns. Each value reads
@@ -64,9 +65,7 @@ class _ColumnRows(Sequence):
     __slots__ = ("columns",)
 
     def __init__(self) -> None:
-        self.columns = tuple(array("q" if name in ("k", "inner_subgrad_evals",
-                                                    "outer_subgrad_evals") else "d")
-                             for name in ROW_FIELDS)
+        self.columns = tuple(map(array, _TYPECODES))
 
     def extend(self, *columns: list) -> None:
         """Append a block of rows given as one list per field, in field

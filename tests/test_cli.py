@@ -357,6 +357,33 @@ class TestMain:
         assert "n = 5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mnist_dimension_key_is_config_error(self, tmp_path, capsys):
+        # the dimension comes from the images; a set n was ignored
+        path = _config(tmp_path, "problem = logistic-mnist\n"
+                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
+        out = tmp_path / "a" / "out"
+        assert cli.main(["run", str(path), "--out", str(out), "--set", "n=5"]) == 2
+        assert "n must not be set" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_heldout_image_size_mismatch_is_data_error(self, tmp_path, capsys):
+        # caught before any run, where it failed every run at its accuracy
+        rng = np.random.default_rng(0)
+        for name, shape in [("train", (40, 4, 5)), ("test", (40, 4, 6))]:
+            write_idx(rng.integers(0, 256, shape), tmp_path / f"{name}-images.idx")
+            write_idx(np.arange(40) % 3, tmp_path / f"{name}-labels.idx")
+        path = _config(tmp_path, f"problem = logistic-mnist\nmax_rounds = 3\n"
+                                 f"images_path = {tmp_path}/train-images.idx\n"
+                                 f"labels_path = {tmp_path}/train-labels.idx\n"
+                                 f"test_images_path = {tmp_path}/test-images.idx\n"
+                                 f"test_labels_path = {tmp_path}/test-labels.idx\n")
+        out = tmp_path / "a" / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "held-out images have 24 pixels, the training images 20" in err
+        assert "FAILED" not in err
+        assert not (tmp_path / "a").exists()
+
     def test_s_values_above_m_is_config_error(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\n")
         out = tmp_path / "out"
@@ -523,8 +550,9 @@ class TestCliProperty:
             rng = np.random.default_rng(0)
             write_idx(rng.integers(0, 256, (40, 4, 5)), data / "images.idx")
             write_idx(np.arange(40) % 3, data / "labels.idx")
-            n = 1 if base == "selection-1d" else 4  # selection-1d has dimension 1
-            path = _config(data, f"problem = {base}\nn = {n}\nm = 12\nmax_rounds = 3\n"
+            # selection-1d has dimension 1; logistic-mnist takes it from the images
+            n = {"selection-1d": "n = 1\n", "logistic-mnist": ""}.get(base, "n = 4\n")
+            path = _config(data, f"problem = {base}\n{n}m = 12\nmax_rounds = 3\n"
                                  f"test_size = 10\ns_values = 1, 2\n"
                                  f"images_path = {data}/images.idx\n"
                                  f"labels_path = {data}/labels.idx\n")

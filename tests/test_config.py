@@ -6,6 +6,42 @@ from fedbilevel.config import ConfigError, ExperimentConfig, load_config, parse_
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+# key, an accepted text and its value, a rejected text (None where no
+# text is rejected), and the keys set beside it so the rejection is
+# reached (at parse time or by resolve)
+_KEY_CASES = [
+    ("problem", "location", "location", "bogus", ()),
+    ("n", "10", 10, "1.5", ()),
+    ("m", "500", 500, "5e2", ()),
+    ("seed", "-3", -3, "x", ()),
+    ("methods", "fism, irig,", ("fism", "irig"), "fism,sgd", ()),
+    ("s_values", "1, 2,", (1, 2), "1,x", ()),
+    ("schedule_preset", "location", "location", "bogus", ()),
+    ("gamma1", "2.5", 2.5, "fast", ()),
+    ("a", "1", 1.0, "x", ()),
+    ("lambda1", "0.5", 0.5, "nan", ()),
+    ("b", "0", 0.0, "x", ()),
+    ("max_rounds", "75", 75, "7.5", ()),
+    ("tol", "none", None, "off", ()),
+    ("repeats", "3", 3, "three", ()),
+    ("margin", "0.25", 0.25, "wide", ()),
+    ("test_size", "10", 10, "ten", ()),
+    ("pos_digit", "3", 3, "3.0", ()),
+    ("neg_digit", "2", 2, "two", ()),
+    ("images_path", "data/a.idx", "data/a.idx", "",
+     (("problem", "logistic-mnist"), ("labels_path", "b.idx"))),
+    ("labels_path", "data/b.idx", "data/b.idx", "",
+     (("problem", "logistic-mnist"), ("images_path", "a.idx"))),
+    ("test_images_path", "t.idx", "t.idx", "", (("test_labels_path", "u.idx"),)),
+    ("test_labels_path", "u.idx", "u.idx", "", (("test_images_path", "t.idx"),)),
+    ("partition", "contiguous-balanced", "contiguous-balanced", "bogus", ()),
+    ("unit_cost", "2", 2.0, "cheap", ()),
+    ("comm_cost", "1, 2", (1.0, 2.0), "1,x", ()),
+    ("client_cost_scale", "1, 2", (1.0, 2.0), "1,x", ()),
+    ("out_dir", "runs/x", "runs/x", None, ()),  # any text names a directory
+    ("write_csv", "yes", True, "maybe", ()),
+]
+
 
 class TestParsing:
     def test_basic_types(self):
@@ -45,6 +81,27 @@ write_csv = true
     def test_tol_none(self):
         cfg = parse_config_text("problem = location\ntol = none\n").resolve()
         assert cfg.tol is None
+
+    @pytest.mark.parametrize("key, text, value, rejected, context", _KEY_CASES,
+                             ids=[case[0] for case in _KEY_CASES])
+    def test_every_key_parses_as_its_type(self, key, text, value, rejected, context):
+        parsed = getattr(parse_config_text(f"{key} = {text}\n"), key)
+        assert parsed == value
+        assert type(parsed) is type(value)
+        if isinstance(value, tuple):
+            assert list(map(type, parsed)) == list(map(type, value))
+        if rejected is None:
+            return
+        cfg = ExperimentConfig()
+        for k, raw in (("problem", "location"),) + context:
+            cfg.set_key(k, raw)
+        with pytest.raises(ConfigError) as err:
+            cfg.set_key(key, rejected)
+            cfg.resolve()
+        assert err.value.key == key
+
+    def test_every_key_has_a_parse_case(self):
+        assert [case[0] for case in _KEY_CASES] == list(ExperimentConfig().echo_dict())
 
 
 class TestResolve:
@@ -124,6 +181,17 @@ class TestResolve:
                            ("images_path", "images.idx"), ("labels_path", "labels.idx")]:
             cfg.set_key(key, value)
         assert cfg.resolve().s_values == (8,)
+
+    @pytest.mark.parametrize("n", ["5", "784"])
+    def test_rejects_mnist_dimension_key(self, n):
+        # logistic-mnist takes its dimension from the images; a set n was ignored
+        cfg = ExperimentConfig()
+        for key, value in [("problem", "logistic-mnist"), ("images_path", "images.idx"),
+                           ("labels_path", "labels.idx"), ("n", n)]:
+            cfg.set_key(key, value)
+        with pytest.raises(ConfigError) as err:
+            cfg.resolve()
+        assert err.value.key == "n"
 
     def test_rejects_odd_synthetic_m(self):
         cfg = ExperimentConfig()

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import fedbilevel
+from fedbilevel.config import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +22,11 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_configuration_table_names_every_key():
+    text = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    table = text.split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    named = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(ExperimentConfig().echo_dict())
