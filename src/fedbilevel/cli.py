@@ -136,8 +136,9 @@ def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
                         seed=run_seed, costs=costs)
     if "test" in ctx:
         record.test_accuracy = accuracy(record.final_x, ctx["test"])
-    record.config = dict(cfg.echo_dict(), method=method, n_clients=n_clients,
-                         repeat=rep, run_seed=run_seed)
+    # n and m echo the problem as built: logistic-mnist reads both from its images.
+    record.config = dict(cfg.echo_dict(), n=problem.dimension, m=problem.n_inner,
+                         method=method, n_clients=n_clients, repeat=rep, run_seed=run_seed)
     return record
 
 

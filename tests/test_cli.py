@@ -330,11 +330,19 @@ class TestMain:
         assert cli.main(["sweep", str(path), "--out", str(empty)]) == 3
         assert empty.is_dir()
 
-    def test_partial_failure_exit_code(self, tmp_path):
-        path = _config(tmp_path, "problem = selection-1d\nm = 4\nclient_cost_scale = 1,1\n"
-                                 "s_values = 2,4\nmethods = fism\nmax_rounds = 10\n")
+    @pytest.mark.parametrize("key, text", [
+        # two cost multipliers price the S=2 run only; the S=4 run fails alone
+        ("client_cost_scale", "problem = selection-1d\nm = 4\nclient_cost_scale = 1,1\n"
+                              "s_values = 2,4\n"),
+        # three communication costs price neither S=1 nor S=2: every run fails
+        ("comm_cost", "problem = location\nn = 2\nm = 10\ncomm_cost = 1,2,3\n"
+                      "s_values = 1,2\n"),
+    ], ids=["client_cost_scale", "comm_cost"])
+    def test_partial_failure_exit_code(self, tmp_path, capsys, key, text):
+        path = _config(tmp_path, text + "methods = fism\nmax_rounds = 10\n")
         out = tmp_path / "out"
         assert cli.main(["sweep", str(path), "--out", str(out)]) == 1
+        assert f"ConfigError: {key}" in capsys.readouterr().err
 
     def test_empty_comm_cost_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -383,6 +391,20 @@ class TestMain:
         assert "held-out images have 24 pixels, the training images 20" in err
         assert "FAILED" not in err
         assert not (tmp_path / "a").exists()
+
+    def test_mnist_summary_echoes_the_image_shape(self, tmp_path):
+        # n and m come from the images, not from the problem's defaults 784 and 11000
+        rng = np.random.default_rng(0)
+        write_idx(rng.integers(0, 256, (40, 4, 5)), tmp_path / "images.idx")
+        write_idx(np.arange(40) % 3, tmp_path / "labels.idx")
+        path = _config(tmp_path, f"problem = logistic-mnist\nmax_rounds = 3\n"
+                                 f"images_path = {tmp_path}/images.idx\n"
+                                 f"labels_path = {tmp_path}/labels.idx\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "logistic-mnist_fism_S1_rep0.json").read_text())
+        assert summary["config"]["n"] == summary["dimension"] == 20
+        assert summary["config"]["m"] == summary["n_inner"] == 27
 
     def test_s_values_above_m_is_config_error(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\n")

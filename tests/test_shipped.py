@@ -1,0 +1,81 @@
+"""The shipped configs sweep cleanly: the output contract of each, and the
+settings that take a shipped config to an edge (overflow, sliced metrics,
+no held-out set). Each test calls ``cli.main`` in-process; pytest turns a
+RuntimeWarning into an error, so a run that warns does not exit 0."""
+import csv
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from fedbilevel import cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _sweep(tmp_path, name, *settings):
+    """``fedbilevel sweep configs/<name>.cfg --out tmp_path/out`` with one
+    ``--set`` per setting; returns (exit code, output directory)."""
+    out = tmp_path / "out"
+    argv = ["sweep", str(CONFIGS / f"{name}.cfg"), "--out", str(out)]
+    for setting in settings:
+        argv += ["--set", setting]
+    return cli.main(argv), out
+
+
+@pytest.mark.parametrize("name, settings", [
+    ("selection-1d", ("max_rounds=5",)),
+    ("location", ("max_rounds=5",)),
+    ("logistic-synthetic", ("max_rounds=5",)),
+    # rows read back from a run's typed columns past several write chunks
+    ("selection-1d", ("max_rounds=2000", "write_csv=true")),
+], ids=["selection-1d", "location", "logistic-synthetic", "selection-1d-2000-rounds-csv"])
+def test_sweep_output_contract(tmp_path, name, settings):
+    code, out = _sweep(tmp_path, name, *settings)
+    assert code == 0
+    assert (out / "summary.csv").stat().st_size > 0
+    assert not list(out.glob("*.tmp"))  # every file was renamed into place
+    summaries = sorted(out.glob("*.json"))
+    assert summaries
+    for path in summaries:
+        lines = path.with_suffix(".jsonl").read_text(encoding="utf-8").splitlines()
+        for line in lines:  # the canonical encoding of its own parse
+            assert json.dumps(json.loads(line)) == line
+        rounds = json.loads(path.read_text(encoding="utf-8"))["rounds"]
+        assert len(lines) == rounds
+        if "write_csv=true" in settings:
+            rows = path.with_suffix(".csv").read_text(encoding="utf-8").splitlines()[1:]
+            assert len(rows) == rounds
+
+
+def test_overflow_fails_as_non_finite_without_a_warning(tmp_path, capsys):
+    code, _ = _sweep(tmp_path, "selection-1d", "gamma1=1e308", "max_rounds=5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err and "RuntimeWarning" not in err
+    for line in err.splitlines():
+        assert re.fullmatch(r"failed: .*non-finite objective value in round \d+", line)
+
+
+def test_location_metrics_stay_finite_across_slices(tmp_path):
+    # 64-round metric blocks on 5000 balls span several slices of BallDistances.values
+    code, out = _sweep(tmp_path, "location", "m=5000", "tol=none", "max_rounds=64",
+                       "s_values=1", "methods=fism", "repeats=1")
+    assert code == 0
+    paths = sorted(out.glob("*.jsonl"))
+    assert paths
+    for path in paths:
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 64
+        for row in rows:
+            assert all(math.isfinite(v) for v in row.values() if isinstance(v, (int, float)))
+
+
+def test_no_heldout_set_leaves_accuracy_empty(tmp_path):
+    code, out = _sweep(tmp_path, "logistic-synthetic", "max_rounds=5", "test_size=0")
+    assert code == 0
+    with open(out / "summary.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(row["test_accuracy_mean"] == "" for row in rows)
