@@ -16,7 +16,7 @@ from .metrics import (RoundRow, RunRecord, accuracy, write_rows_csv, write_rows_
 from .oracles import (BallDistances, EvalResult, InnerFamily, L1Quad, LogisticLosses,
                       Oracle, OracleFamily, OracleObjective, OuterObjective, QuadAnchor,
                       project_box)
-from .problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
+from .problem import BoxConstraint, ProblemSpec, StepSchedule
 from .rng import PRNG_ID, make_rng
 from .solvers import (RoundState, client_local_pass, run_solver, stopping_criterion,
                       weighted_average)
@@ -30,9 +30,8 @@ __all__ = [
     "OuterObjective", "PRNG_ID", "ProblemSpec", "QuadAnchor", "RoundRow", "RoundState",
     "RunRecord", "SHUFFLED", "StepSchedule", "accuracy", "client_local_pass",
     "load_binary_digits", "location_problem", "logistic_problem",
-    "make_location_instance", "make_rng", "make_schedule",
-    "make_synthetic_logistic", "partition_data", "project_box", "read_idx",
-    "round_time", "run_solver", "selection_1d_problem", "stopping_criterion",
-    "uniform_costs", "weighted_average", "write_rows_csv", "write_rows_jsonl",
-    "write_run_json",
+    "make_location_instance", "make_rng", "make_synthetic_logistic", "partition_data",
+    "project_box", "read_idx", "round_time", "run_solver", "selection_1d_problem",
+    "stopping_criterion", "uniform_costs", "weighted_average", "write_rows_csv",
+    "write_rows_jsonl", "write_run_json",
 ]

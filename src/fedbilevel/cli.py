@@ -35,7 +35,7 @@ from .data import (FormatError, load_binary_digits, make_location_instance,
 from .federation import CostModel, partition_data
 from .instances import location_problem, logistic_problem, selection_1d_problem
 from .metrics import RunRecord, accuracy, write_rows_csv, write_rows_jsonl, write_run_json
-from .problem import ProblemSpec, make_schedule
+from .problem import ProblemSpec, StepSchedule
 from .rng import STREAM_INIT, make_rng, open_uniform
 from .solvers import run_solver
 
@@ -127,8 +127,7 @@ def execute(cfg: ExperimentConfig, grid: bool, emit: Callable[[str, RunRecord], 
 def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
                 rep: int, run_seed: int) -> RunRecord:
     problem = _build_problem(cfg, ctx, n_clients, run_seed)
-    sched = make_schedule(cfg.gamma1, cfg.a, cfg.lambda1, cfg.b,
-                          mu_H=problem.mu_H, m=problem.n_inner)
+    sched = StepSchedule(cfg.gamma1, cfg.a, cfg.lambda1, cfg.b)
     box = problem.constraint
     x_init = open_uniform(make_rng(run_seed, STREAM_INIT), box.lo, box.hi, box.dimension)
     costs = _cost_model(cfg, problem.client_sizes)
@@ -262,8 +261,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"problem:  {summary.get('problem_id')}")
     print(f"method:   {summary.get('method')} (S={summary.get('n_clients')}, "
           f"m={summary.get('n_inner')}, n={summary.get('dimension')})")
-    print(f"schedule: gamma1={sched.get('gamma1')} a={sched.get('a')} "
-          f"lambda1={sched.get('lambda1')} b={sched.get('b')}")
+    print(f"schedule: gamma1={sched.get('gamma1')} a={sched.get('a')} lambda1="
+          f"{sched.get('lambda1')} b={sched.get('b')} feasible={sched.get('feasible')}")
     print(f"seed:     {summary.get('seed')} (prng {summary.get('prng')})")
     print(f"rounds:   {summary.get('rounds')} (stop: {summary.get('stop_reason')})")
     print(f"final:    inner={summary.get('final_inner_value')} "

@@ -155,9 +155,10 @@ class ExperimentConfig:
             raise ConfigError("n and m must be positive", key="n")
         if self.problem == "selection-1d" and self.n != 1:
             raise ConfigError(f"selection-1d has dimension 1, got n = {self.n}", key="n")
-        if self.problem == "logistic-mnist" and "n" in self.provided:
-            raise ConfigError("logistic-mnist takes its dimension n from the images; "
-                              "n must not be set", key="n")
+        for key in ("n", "m"):
+            if self.problem == "logistic-mnist" and key in self.provided:
+                raise ConfigError(f"logistic-mnist takes {key} from the images; "
+                                  f"{key} must not be set", key=key)
         # logistic-mnist takes its inner-function count from the data, not
         # from the m key, so its client counts are checked per run.
         if self.problem != "logistic-mnist" and max(self.s_values) > self.m:

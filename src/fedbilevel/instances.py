@@ -26,7 +26,6 @@ def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
         raise ValueError("need at least one client and at least one ball per client")
     m = sum(sizes)
     return ProblemSpec(
-        dimension=1,
         inner=BallDistances(np.full((m, 1), 0.5), np.full(m, 0.5)),
         outer=QuadAnchor(np.array([2.0])),
         clients=contiguous_clients(sizes),
@@ -41,7 +40,6 @@ def location_problem(instance: LocationInstance,
     """Sum-of-ball-distances inner objective with an anchored quadratic
     selector; client c holds the balls ``clients[c]``."""
     return ProblemSpec(
-        dimension=instance.centers.shape[1],
         inner=BallDistances(instance.centers, instance.radii),
         outer=QuadAnchor(instance.anchor),
         clients=clients,
@@ -51,18 +49,14 @@ def location_problem(instance: LocationInstance,
     )
 
 
-def logistic_problem(ds: LabeledDataset, clients: Sequence[Sequence[int]],
-                     half_width: float = 100.0) -> ProblemSpec:
+def logistic_problem(ds: LabeledDataset, clients: Sequence[Sequence[int]]) -> ProblemSpec:
     """Per-sample logistic losses with the sparsity-plus-norm selector on
-    the box [-half_width, half_width]^n; client c holds the samples
-    ``clients[c]``."""
-    n = ds.features.shape[1]
+    the box [-100, 100]^n; client c holds the samples ``clients[c]``."""
     return ProblemSpec(
-        dimension=n,
         inner=LogisticLosses(ds.features, ds.labels),
         outer=L1Quad(),
         clients=clients,
-        constraint=BoxConstraint.symmetric(n, half_width),
+        constraint=BoxConstraint.symmetric(ds.features.shape[1], 100.0),
         mu_H=1.0,
         name=ds.name or "logistic",
     )

@@ -97,6 +97,7 @@ class RunRecord:
     a: float
     lambda1: float
     b: float
+    feasible: bool
     n_clients: int
     n_inner: int
     dimension: int
@@ -121,7 +122,7 @@ class RunRecord:
             "method": self.method,
             "problem_id": self.problem_id,
             "schedule": {"gamma1": self.gamma1, "a": self.a,
-                         "lambda1": self.lambda1, "b": self.b},
+                         "lambda1": self.lambda1, "b": self.b, "feasible": self.feasible},
             "n_clients": self.n_clients,
             "n_inner": self.n_inner,
             "dimension": self.dimension,

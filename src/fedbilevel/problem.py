@@ -2,8 +2,8 @@
 
 A problem is an inner family of m convex per-sample functions (see
 ``oracles``), the clients' shares of it as ordered index tuples, an outer
-strongly convex selection objective, and a box constraint. The solvers step
-through each client's local order (several at once, along ``lanes``); the
+strongly convex selection objective, and a box constraint, whose length is
+the dimension. The solvers lay the clients out as lanes themselves; the
 metrics read ``inner.values`` and ``outer.values`` on stacked points, the
 only way either objective gives a value. Stepsize schedules live here too.
 All types are immutable after construction.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -77,7 +76,6 @@ class ProblemSpec:
     together the clients hold every index exactly once.
     """
 
-    dimension: int
     inner: InnerFamily
     outer: OuterObjective
     clients: tuple[tuple[int, ...], ...]
@@ -96,31 +94,20 @@ class ProblemSpec:
             raise ValueError("clients must hold every inner index exactly once")
         if self.mu_H <= 0:
             raise ValueError("outer strong-convexity modulus must be positive")
-        if self.constraint.dimension != self.dimension:
-            raise ValueError("constraint dimension does not match problem dimension")
 
     @classmethod
-    def from_oracles(cls, dimension: int, clients: Sequence[Sequence[Oracle]],
-                     outer: Oracle, constraint: BoxConstraint, mu_H: float,
-                     name: str = "") -> "ProblemSpec":
+    def from_oracles(cls, clients: Sequence[Sequence[Oracle]], outer: Oracle,
+                     constraint: BoxConstraint, mu_H: float, name: str = "") -> "ProblemSpec":
         """A problem over custom ``x -> EvalResult`` closures: client c holds
         the closures ``clients[c]`` in the given order."""
-        return cls(dimension=dimension,
-                   inner=OracleFamily([fn for group in clients for fn in group]),
+        return cls(inner=OracleFamily([fn for group in clients for fn in group]),
                    outer=OracleObjective(outer),
                    clients=contiguous_clients([len(group) for group in clients]),
                    constraint=constraint, mu_H=mu_H, name=name)
 
-    @cached_property
-    def lanes(self) -> tuple[tuple[int, ...], tuple[tuple[int, np.ndarray], ...]]:
-        """The clients as lanes by descending size (ties by index), and blocks
-        (k, rows) of local steps, k = S..1, each row the indices k lanes step on."""
-        order = tuple(sorted(range(self.n_clients), key=lambda c: -len(self.clients[c])))
-        sizes = [len(self.clients[c]) for c in order] + [0]
-        table = np.zeros((sizes[0], len(order)), dtype=np.intp)
-        for j, c in enumerate(order):
-            table[:sizes[j], j] = self.clients[c]
-        return order, tuple((k, table[sizes[k]:sizes[k - 1], :k]) for k in range(len(order), 0, -1))
+    @property
+    def dimension(self) -> int:
+        return self.constraint.dimension
 
     @property
     def n_clients(self) -> int:
@@ -140,24 +127,24 @@ class ProblemSpec:
 class StepSchedule:
     """Power-law stepsizes gamma1/k^a and regularization weights lambda1/k^b.
 
-    gamma1 and lambda1 must be positive, a and b nonnegative, all four
-    finite, or ``ValueError`` is raised. ``feasible`` records whether
-    gamma1 * lambda1 * mu_H <= 2m held at construction; infeasible
-    combinations are flagged, never rejected, so small unit-test instances
-    can still run arbitrary schedules.
+    The four parameters are stored as floats: gamma1 and lambda1 positive,
+    a and b nonnegative, all four finite, or ``ValueError`` is raised.
+    ``run_solver`` records whether gamma1 * lambda1 * mu_H <= 2m for each
+    run, as that depends on the problem; an infeasible schedule still runs.
     """
 
     gamma1: float
     a: float
     lambda1: float
     b: float
-    feasible: bool = True
 
     def __post_init__(self):
         # Every range check below is False for NaN, so finiteness comes first.
         for name in ("gamma1", "a", "lambda1", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.gamma1 <= 0:
             raise ValueError(f"gamma1 must be positive, got {self.gamma1}")
         if self.lambda1 <= 0:
@@ -171,11 +158,3 @@ class StepSchedule:
             raise ValueError(f"round index must be >= 1, got {k}")
         kf = float(k)
         return self.gamma1 / kf**self.a, self.lambda1 / kf**self.b
-
-
-def make_schedule(gamma1: float, a: float, lambda1: float, b: float,
-                  mu_H: float, m: int) -> StepSchedule:
-    """A schedule of the four parameters as floats, with the feasibility flag
-    set; ``StepSchedule`` validates them."""
-    gamma1, a, lambda1, b = float(gamma1), float(a), float(lambda1), float(b)
-    return StepSchedule(gamma1, a, lambda1, b, gamma1 * lambda1 * mu_H <= 2 * m)

@@ -27,8 +27,9 @@ round that it does not record.
 
 Two or more clients are stepped together as the rows of one stack (lanes),
 each row getting the bits ``client_local_pass`` gives it, and averaged in
-ascending client index with left-to-right ``+``; parallelism in time lives
-only in the simulated timing model (``round_time``).
+ascending client index with left-to-right ``+``, along a lane plan built
+from the client lists once per run; parallelism in time lives only in the
+simulated timing model (``round_time``).
 
 ``run_solver`` reports progress through one optional hook, ``observe``,
 called with the projected initial state and then with the state after every
@@ -85,11 +86,11 @@ def _local_step(x: np.ndarray, g: np.ndarray, co: np.ndarray, gamma: float,
 
 
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
-                      gamma: float, lam: float, m_total: int, inner: InnerFamily,
+                      gamma: float, lam: float, inner: InnerFamily,
                       indices: Sequence[int], box: BoxConstraint) -> np.ndarray:
     """One client's in-round pass: an incremental projected subgradient step
     per local index of ``inner``, in the given order, reusing the frozen outer
-    subgradient throughout.
+    subgradient throughout, scaled by gamma * lam / len(inner).
 
     Returns the client's final local iterate. Performs exactly
     ``len(indices)`` inner subgradient evaluations and no outer ones.
@@ -98,7 +99,7 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
         raise ValueError("client holds no inner functions")
     if x_start.shape != outer_subgrad.shape:
         raise ValueError("outer subgradient dimension does not match the iterate")
-    co = (gamma * lam / m_total) * outer_subgrad
+    co = (gamma * lam / len(inner)) * outer_subgrad
     subgrad, lo, hi = inner.subgrad, box.lo, box.hi
     x = x_start
     for i in indices:
@@ -106,13 +107,27 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
     return x
 
 
-def _lane_average(X: np.ndarray, co: np.ndarray, gamma: float, problem: ProblemSpec,
+def _lane_plan(clients: Sequence[Sequence[int]]) -> tuple:
+    # Lanes hold the clients by descending size (ties by index). The plan is
+    # the lane of each client and the blocks (k, rows), k descending, each
+    # row the indices the k largest lanes step on. A block without rows is
+    # left out: its leaving lanes are saved with the next block's, or last.
+    order = sorted(range(len(clients)), key=lambda c: -len(clients[c]))
+    sizes = [len(clients[c]) for c in order] + [0]
+    table = np.zeros((sizes[0], len(order)), dtype=np.intp)
+    for j, c in enumerate(order):
+        table[:sizes[j], j] = clients[c]
+    lane_of = tuple(sorted(range(len(order)), key=order.__getitem__))
+    return lane_of, tuple((k, table[sizes[k]:sizes[k - 1], :k])
+                          for k in range(len(order), 0, -1) if sizes[k] < sizes[k - 1])
+
+
+def _lane_average(X: np.ndarray, co: np.ndarray, gamma: float, subgrads, plan: tuple,
                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # Every client's pass at once, lane j of problem.lanes as row j of X, co
-    # (the scaled outer term client_local_pass forms), lo and hi, and the
-    # average of the ends in client order. A lane leaves after its last step.
-    order, blocks = problem.lanes
-    subgrads = problem.inner.subgrads
+    # Every client's pass at once, lane j of the plan as row j of X, co (the
+    # scaled outer term client_local_pass forms), lo and hi, and the average
+    # of the ends in client order. A lane leaves after its last step.
+    lane_of, blocks = plan
     ends = list(X)
     for k, block in blocks:
         ends[k:len(X)] = X[k:]
@@ -120,10 +135,10 @@ def _lane_average(X: np.ndarray, co: np.ndarray, gamma: float, problem: ProblemS
         for idx in block:
             X = _local_step(X, subgrads(idx, X), co, gamma, lo, hi)
     ends[:len(X)] = X
-    acc = ends[order.index(0)]
-    for c in range(1, len(order)):
-        acc = acc + ends[order.index(c)]
-    return acc / len(order)
+    acc = ends[lane_of[0]]
+    for j in lane_of[1:]:
+        acc = acc + ends[j]
+    return acc / len(lane_of)
 
 
 # An iterate kernel maps (x, gamma, lam) to the round's next iterate and
@@ -142,14 +157,14 @@ def _fism_kernel(problem: ProblemSpec) -> _Kernel:
         indices = problem.clients[0]
 
         def step(x, gamma, lam):
-            return client_local_pass(x, outer_subgrad(x), gamma, lam, m, inner, indices, box)
+            return client_local_pass(x, outer_subgrad(x), gamma, lam, inner, indices, box)
         return step
     shape = (len(problem.clients), 1)
-    lo, hi = np.tile(box.lo, shape), np.tile(box.hi, shape)
+    lo, hi, plan = np.tile(box.lo, shape), np.tile(box.hi, shape), _lane_plan(problem.clients)
 
     def step(x, gamma, lam):
         co = np.tile((gamma * lam / m) * outer_subgrad(x), shape)
-        return _lane_average(np.tile(x, shape), co, gamma, problem, lo, hi)
+        return _lane_average(np.tile(x, shape), co, gamma, inner.subgrads, plan, lo, hi)
     return step
 
 
@@ -222,11 +237,12 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     discarded, and an error raised in the block past it is dropped by
     replaying the block one round at a time. numpy's floating-point warnings
     are silenced for the whole run, which classifies a non-finite stop itself.
-    A row's ``wall_clock_sec`` times that round's iterate update alone.
-    ``costs`` must price exactly ``problem.client_sizes`` updates (default:
-    unit costs, no communication). ``observe``, when given, is called with
-    the projected initial state and then with the state after every recorded
-    round, in round order, once that round's metrics are taken.
+    A row's ``wall_clock_sec`` times that round's iterate update alone. The
+    record's ``feasible`` is gamma1 * lambda1 * mu_H <= 2m. ``costs`` must
+    price exactly ``problem.client_sizes`` updates (default: unit costs, no
+    communication). ``observe``, when given, is called with the projected
+    initial state and then with the state after every recorded round, in
+    round order, once that round's metrics are taken.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -314,6 +330,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         method=method,
         problem_id=problem.name,
         gamma1=sched.gamma1, a=sched.a, lambda1=sched.lambda1, b=sched.b,
+        feasible=sched.gamma1 * sched.lambda1 * problem.mu_H <= 2 * m,
         n_clients=problem.n_clients, n_inner=m, dimension=problem.dimension,
         seed=seed,
         rows=rows,

@@ -184,7 +184,7 @@ def chained_client_passes(state, sched, problem) -> np.ndarray:
     outer_subgrad = problem.outer.subgrad(state.x)
     acc = None
     for group in problem.clients:
-        x_out = client_local_pass(state.x, outer_subgrad, gamma, lam, problem.n_inner,
+        x_out = client_local_pass(state.x, outer_subgrad, gamma, lam,
                                   problem.inner, group, problem.constraint)
         acc = x_out if acc is None else acc + x_out
     return acc / problem.n_clients
@@ -285,8 +285,9 @@ def record_of_rows(rows, **fields) -> RunRecord:
     columns.extend(*([row[i] for row in rows] for i in range(len(ROW_FIELDS))))
     x = np.zeros(1)
     meta = dict(method="fism", problem_id="fake", gamma1=1, a=0.5, lambda1=1, b=0.4,
-                n_clients=1, n_inner=1, dimension=1, seed=0, final_x=x, final_avg_x=x,
-                final_inner_value=0.0, final_outer_value=0.0, stop_reason="max_rounds")
+                feasible=True, n_clients=1, n_inner=1, dimension=1, seed=0, final_x=x,
+                final_avg_x=x, final_inner_value=0.0, final_outer_value=0.0,
+                stop_reason="max_rounds")
     return RunRecord(rows=columns, **(meta | fields))
 
 

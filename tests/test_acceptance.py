@@ -20,7 +20,7 @@ from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, CostModel, partition_
                                    round_time, uniform_costs)
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.oracles import BallDistances, QuadAnchor
-from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
+from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule
 from fedbilevel.rng import make_rng
 from fedbilevel.selfcheck import (finite_difference_failures, lane_subgrad_failures,
                                   projection_failures, stacked_value_failures,
@@ -36,7 +36,7 @@ def _check(name: str, condition: bool, detail: str = ""):
 
 def _sched_eps01(m: int):
     # a = 0.5 + 0.5*eps, b = 0.5 - eps at eps = 0.1
-    return make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=m)
+    return StepSchedule(1, 0.55, 1, 0.4)
 
 
 def test_c01_bilevel_correctness_1d():
@@ -64,7 +64,7 @@ def test_c02_bilevel_correctness_2d():
     anchor = np.array([6.0, 4.0])  # outside both balls
     x_grid = grid_bilevel_2d(centers, radii, anchor)
     prob = ProblemSpec(
-        dimension=2, inner=BallDistances(np.array(centers), radii),
+        inner=BallDistances(np.array(centers), radii),
         outer=QuadAnchor(anchor), clients=((0,), (1,)),
         constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0, name="lens")
     rec = run_solver(prob, _sched_eps01(2), FISM, np.array([9.0, -9.0]), 20_000)
@@ -121,7 +121,7 @@ def test_c06_drift_bound():
     inst = make_location_instance(5, 50, seed=3)
     prob = location_problem(inst, partition_data(50, 5, CONTIGUOUS, seed=3))
     cf, ch = estimate_bounds(prob, samples=1000, seed=3)
-    sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=50)
+    sched = StepSchedule(1, 0.8, 1, 0.1)
     x0 = make_rng(3, 2).uniform(-10.0, 10.0, 5)
     states = []
     run_solver(prob, sched, FISM, x0, 10, observe=states.append)
@@ -138,9 +138,9 @@ def test_c06_drift_bound():
             # the client's local path, one single-function pass at a time
             path = [state.x]
             for i in group:
-                path.append(client_local_pass(path[-1], outer_subgrad, gamma, lam, 50,
+                path.append(client_local_pass(path[-1], outer_subgrad, gamma, lam,
                                               prob.inner, (i,), prob.constraint))
-            full = client_local_pass(state.x, outer_subgrad, gamma, lam, 50, prob.inner,
+            full = client_local_pass(state.x, outer_subgrad, gamma, lam, prob.inner,
                                      group, prob.constraint)
             chains_match = chains_match and path[-1].tobytes() == full.tobytes()
             ends.append(path[-1])
@@ -163,7 +163,7 @@ def test_c06_drift_bound():
 
 def test_c07_subgradient_counts():
     prob = selection_1d_problem((6, 6, 6, 6))  # m = 24
-    sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=24)
+    sched = StepSchedule(1, 0.55, 1, 0.4)
     fism = run_solver(prob, sched, FISM, np.array([3.0]), 200)
     irig = run_solver(prob, sched, IRIG, np.array([3.0]), 200)
     ok = (fism.rows[-1].outer_subgrad_evals == 200

@@ -366,13 +366,14 @@ class TestMain:
         assert not out.exists()
 
     def test_mnist_dimension_key_is_config_error(self, tmp_path, capsys):
-        # the dimension comes from the images; a set n was ignored
+        # n and m come from the images; a set n or m was ignored
         path = _config(tmp_path, "problem = logistic-mnist\n"
                                  "images_path = missing.idx\nlabels_path = missing.idx\n")
         out = tmp_path / "a" / "out"
-        assert cli.main(["run", str(path), "--out", str(out), "--set", "n=5"]) == 2
-        assert "n must not be set" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists()
+        for key in ("n", "m"):
+            assert cli.main(["run", str(path), "--out", str(out), "--set", f"{key}=5"]) == 2
+            assert f"{key} must not be set" in capsys.readouterr().err
+            assert not (tmp_path / "a").exists()
 
     def test_heldout_image_size_mismatch_is_data_error(self, tmp_path, capsys):
         # caught before any run, where it failed every run at its accuracy
@@ -439,7 +440,7 @@ class TestMain:
             return ball_dist_eval(x, np.array([0.5]), 0.5)
 
         prob = ProblemSpec.from_oracles(
-            dimension=1, clients=[[inner]],
+            clients=[[inner]],
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0, name="selection-1d")
         monkeypatch.setattr(cli, "_build_problem", lambda *args: prob)
@@ -484,6 +485,8 @@ class TestMain:
         printed = capsys.readouterr().out
         assert "selection-1d" in printed
         assert "rounds:   50" in printed
+        # the selection preset gives gamma1 * lambda1 * mu_H = 1 <= 2m = 2
+        assert "b=0.4 feasible=True" in printed
 
     def test_inspect_non_object_is_data_error(self, tmp_path, capsys):
         record = tmp_path / "list.json"
@@ -572,9 +575,10 @@ class TestCliProperty:
             rng = np.random.default_rng(0)
             write_idx(rng.integers(0, 256, (40, 4, 5)), data / "images.idx")
             write_idx(np.arange(40) % 3, data / "labels.idx")
-            # selection-1d has dimension 1; logistic-mnist takes it from the images
+            # selection-1d has dimension 1; logistic-mnist takes n and m from the images
             n = {"selection-1d": "n = 1\n", "logistic-mnist": ""}.get(base, "n = 4\n")
-            path = _config(data, f"problem = {base}\n{n}m = 12\nmax_rounds = 3\n"
+            m = "" if base == "logistic-mnist" else "m = 12\n"
+            path = _config(data, f"problem = {base}\n{n}{m}max_rounds = 3\n"
                                  f"test_size = 10\ns_values = 1, 2\n"
                                  f"images_path = {data}/images.idx\n"
                                  f"labels_path = {data}/labels.idx\n")

@@ -18,7 +18,8 @@ _SPEC.loader.exec_module(compare_runs)
 def two_sweeps(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("problem = location\nn = 3\nm = 12\nmethods = fism,irig\n"
-                   "s_values = 1,3\nmax_rounds = 20\ntol = none\n", encoding="utf-8")
+                   "s_values = 1,3\nmax_rounds = 20\ntol = none\nwrite_csv = true\n",
+                   encoding="utf-8")
     dirs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -42,6 +43,9 @@ def test_identical_sweeps_pass(two_sweeps, capsys):
     # the two sweeps' wall clocks differ, every other byte is the same
     assert ".jsonl lines (minus wall_clock_sec) byte-identical in every run" in out
     assert "summary.csv bytes: identical" in out
+    # config.out_dir differs (a vs b) and is ignored, as is the csv wall clock
+    assert ".json summaries (minus config.out_dir) identical in every run" in out
+    assert "per-run .csv files (minus wall_clock_sec) byte-identical in all 4 runs" in out
 
 
 def test_objective_shift_is_reported_not_failed(two_sweeps, capsys):
@@ -104,3 +108,32 @@ def test_number_equal_rewrites_are_byte_differences(two_sweeps, capsys):
     assert "location_irig_S3_rep0.jsonl line 3" in out
     assert "location_fism_S1_rep0.jsonl line 1" in out
     assert "summary.csv bytes: DIFFER" in out
+
+
+def test_changed_strings_in_a_summary_are_reported_not_failed(two_sweeps, capsys):
+    a, b = two_sweeps
+    _edit_summary(b / "location_fism_S3_rep0.json", "method", lambda m: "irig")
+    _edit_summary(b / "location_fism_S3_rep0.json", "config",
+                  lambda config: dict(config, partition="contiguous-balanced"))
+    _edit_summary(b / "location_irig_S1_rep0.json", "config",
+                  lambda config: dict(config, partition="contiguous-balanced"))
+    assert compare_runs.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "exact fields identical" in out
+    assert ".json summaries (minus config.out_dir) DIFFER in 2 of 4 runs" in out
+    assert "location_fism_S3_rep0.json at method" in out
+    assert "location_irig_S1_rep0.json at config.partition" in out
+
+
+def test_number_equal_rewrite_in_a_run_csv_is_a_byte_difference(two_sweeps, capsys):
+    a, b = two_sweeps
+    path = b / "location_irig_S1_rep0.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[1].startswith(b"1,")
+    lines[1] = b"1.0," + lines[1][2:]
+    path.write_bytes(b"".join(lines))
+    assert compare_runs.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "exact fields identical" in out
+    assert "per-run .csv files (minus wall_clock_sec) DIFFER in 1 of 4 runs" in out
+    assert "location_irig_S1_rep0.csv line 2" in out

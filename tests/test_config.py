@@ -175,23 +175,24 @@ class TestResolve:
         assert err.value.key == "n"
 
     def test_mnist_client_counts_not_checked_against_m(self):
-        # logistic-mnist takes m from the data, not from the m key
+        # logistic-mnist takes m from the data, not from its default 11000
         cfg = ExperimentConfig()
-        for key, value in [("problem", "logistic-mnist"), ("m", "4"), ("s_values", "8"),
+        for key, value in [("problem", "logistic-mnist"), ("s_values", "20000"),
                            ("images_path", "images.idx"), ("labels_path", "labels.idx")]:
             cfg.set_key(key, value)
-        assert cfg.resolve().s_values == (8,)
+        assert cfg.resolve().s_values == (20000,)
 
-    @pytest.mark.parametrize("n", ["5", "784"])
-    def test_rejects_mnist_dimension_key(self, n):
-        # logistic-mnist takes its dimension from the images; a set n was ignored
-        cfg = ExperimentConfig()
-        for key, value in [("problem", "logistic-mnist"), ("images_path", "images.idx"),
-                           ("labels_path", "labels.idx"), ("n", n)]:
-            cfg.set_key(key, value)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "n"
+    @pytest.mark.parametrize("value", ["5", "784"])
+    def test_rejects_mnist_dimension_key(self, value):
+        # logistic-mnist takes n and m from the images; a set n or m was ignored
+        for key in ("n", "m"):
+            cfg = ExperimentConfig()
+            for k, v in [("problem", "logistic-mnist"), ("images_path", "images.idx"),
+                         ("labels_path", "labels.idx"), (key, value)]:
+                cfg.set_key(k, v)
+            with pytest.raises(ConfigError) as err:
+                cfg.resolve()
+            assert err.value.key == key
 
     def test_rejects_odd_synthetic_m(self):
         cfg = ExperimentConfig()

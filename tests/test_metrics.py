@@ -17,7 +17,7 @@ from fedbilevel.instances import location_problem, logistic_problem, selection_1
 from fedbilevel.metrics import (_CHUNK, ROW_FIELDS, RoundRow, accuracy, write_rows_csv,
                                 write_rows_jsonl, write_run_json)
 from fedbilevel.oracles import EvalResult
-from fedbilevel.problem import BoxConstraint, ProblemSpec, make_schedule
+from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule
 from fedbilevel.solvers import run_solver
 
 
@@ -94,7 +94,7 @@ class TestRateDiagnostic:
 class TestRecordOutputs:
     def _record(self):
         prob = selection_1d_problem()
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=1)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         return run_solver(prob, sched, "fism", np.array([3.0]), 20)
 
     def test_cumulative_time_matches_round_model(self):
@@ -210,7 +210,7 @@ def _non_finite_problem():
         return ball_dist_eval(x, np.array([0.5]), 0.5)
 
     return ProblemSpec.from_oracles(
-        dimension=1, clients=[[inner]],
+        clients=[[inner]],
         outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0, name="nan-selection")
 
@@ -232,7 +232,7 @@ class TestRowTypes:
     def test_fields_are_exact_ints_and_floats(self, method):
         stops = set()
         for prob, (g1, a, l1, b), tol in self._problems():
-            sched = make_schedule(g1, a, l1, b, mu_H=prob.mu_H, m=prob.n_inner)
+            sched = StepSchedule(g1, a, l1, b)
             x0 = np.full(prob.dimension, 6.0)
             rec = run_solver(prob, sched, method, x0, 40, tol=tol)
             stops.add(rec.stop_reason)
@@ -250,7 +250,7 @@ class TestColumnRows:
 
     @staticmethod
     def _run(gamma1, rounds, method="fism"):
-        sched = make_schedule(gamma1, 0.55, 1, 0.4, mu_H=1, m=1)
+        sched = StepSchedule(gamma1, 0.55, 1, 0.4)
         return run_solver(selection_1d_problem(), sched, method, np.array([3.0]), rounds)
 
     def test_sequence_reads_match_a_list(self):
@@ -298,7 +298,7 @@ class TestColumnRows:
     def test_run_rows_stay_below_two_words_a_value(self):
         rounds = 20_000
         problem = selection_1d_problem()
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=1)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         tracemalloc.start()
         try:
             rec = run_solver(problem, sched, "fism", np.array([3.0]), rounds)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from helpers import ball_dist_eval, estimate_bounds, outer_quad_anchor_eval
 
-from fedbilevel.federation import CONTIGUOUS, partition_data
+from fedbilevel.federation import CONTIGUOUS, FISM, partition_data
 from fedbilevel.instances import location_problem, selection_1d_problem
 from fedbilevel.data import make_location_instance
-from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, make_schedule
+from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule
 from fedbilevel.rng import make_rng
+from fedbilevel.solvers import run_solver
 
 
 class TestBoxConstraint:
@@ -43,13 +44,13 @@ class TestProblemSpec:
     def test_rejects_empty_client(self):
         base = selection_1d_problem()
         with pytest.raises(ValueError):
-            ProblemSpec(dimension=1, inner=base.inner, outer=base.outer, clients=((),),
+            ProblemSpec(inner=base.inner, outer=base.outer, clients=((),),
                         constraint=base.constraint, mu_H=1.0)
 
     def test_rejects_bad_modulus(self):
         base = selection_1d_problem()
         with pytest.raises(ValueError):
-            ProblemSpec(dimension=1, inner=base.inner, outer=base.outer,
+            ProblemSpec(inner=base.inner, outer=base.outer,
                         clients=base.clients, constraint=base.constraint, mu_H=0.0)
 
     @pytest.mark.parametrize("clients", [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1), (2, 3))])
@@ -57,14 +58,14 @@ class TestProblemSpec:
         # duplicated, missing and out-of-range indices
         base = selection_1d_problem((3,))
         with pytest.raises(ValueError):
-            ProblemSpec(dimension=1, inner=base.inner, outer=base.outer, clients=clients,
+            ProblemSpec(inner=base.inner, outer=base.outer, clients=clients,
                         constraint=base.constraint, mu_H=1.0)
 
     def test_from_oracles_keeps_client_order_and_sums(self):
         centers = [np.array([0.0]), np.array([3.0]), np.array([-2.0])]
         fns = [lambda x, c=c: ball_dist_eval(x, c, 0.5) for c in centers]
         prob = ProblemSpec.from_oracles(
-            dimension=1, clients=[fns[:2], fns[2:]],
+            clients=[fns[:2], fns[2:]],
             outer=lambda x: outer_quad_anchor_eval(x, np.array([1.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         assert prob.clients == ((0, 1), (2,))
@@ -80,25 +81,52 @@ class TestProblemSpec:
         assert prob.outer.values(x[None])[0] == pytest.approx(0.5)
 
 
+def _run_feasible(sched: StepSchedule, m: int, mu_H: float = 1.0) -> bool:
+    # One FISM round on m copies of the selection ball; the run records
+    # gamma1 * lambda1 * mu_H <= 2m, and its summary writes the same.
+    base = selection_1d_problem((m,))
+    prob = ProblemSpec(inner=base.inner, outer=base.outer, clients=base.clients,
+                       constraint=base.constraint, mu_H=mu_H)
+    record = run_solver(prob, sched, FISM, np.array([4.0]), 1)
+    assert record.summary_dict()["schedule"]["feasible"] is record.feasible
+    return record.feasible
+
+
 class TestMakeSchedule:
+    """A schedule is its four parameters as floats; its feasibility,
+    gamma1 * lambda1 * mu_H <= 2m, is a property of a run."""
+
     def test_paper_scale_feasible(self):
-        sched = make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=11000)
-        assert sched.feasible
+        assert _run_feasible(StepSchedule(10, 0.8, 1, 0.1), m=11000)
 
     def test_constant_schedule_feasible(self):
-        sched = make_schedule(1, 0, 1, 0, mu_H=1, m=1)
-        assert sched.feasible
+        sched = StepSchedule(1, 0, 1, 0)
+        assert _run_feasible(sched, m=1)
         assert sched.at(1) == (1.0, 1.0)
 
     def test_small_m_flagged_not_rejected(self):
-        sched = make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=1)
-        assert not sched.feasible
+        assert not _run_feasible(StepSchedule(10, 0.8, 1, 0.1), m=1)
+
+    def test_feasible_up_to_the_boundary(self):
+        # gamma1 * lambda1 * mu_H == 2m exactly is feasible; one ulp above is not
+        assert _run_feasible(StepSchedule(4, 0.8, 1, 0.1), m=2)
+        assert _run_feasible(StepSchedule(1, 0.8, 2, 0.1), m=4, mu_H=4.0)
+        assert not _run_feasible(StepSchedule(math.nextafter(4.0, 5.0), 0.8, 1, 0.1), m=2)
+        assert not _run_feasible(StepSchedule(1, 0.8, 2, 0.1), m=4, mu_H=math.nextafter(4.0, 5.0))
+
+    def test_parameters_stored_as_floats(self):
+        # a summary writes gamma1 = 10 as 10.0, as the CLI's parsed floats do
+        sched = StepSchedule(10, np.float64(0.8), 1, 0)
+        values = [sched.gamma1, sched.a, sched.lambda1, sched.b]
+        assert [type(v) for v in values] == [float] * 4
+        assert values == [10.0, 0.8, 1.0, 0.0]
+        assert sched.at(32) == (10.0 / 32.0**0.8, 1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            make_schedule(0, 0.8, 1, 0.1, mu_H=1, m=1)
+            StepSchedule(0, 0.8, 1, 0.1)
         with pytest.raises(ValueError):
-            make_schedule(10, 0.8, -1, 0.1, mu_H=1, m=1)
+            StepSchedule(10, 0.8, -1, 0.1)
 
     def test_schedule_validates_itself(self):
         # a run on it would step every round and fail only at the first average
@@ -112,36 +140,33 @@ class TestMakeSchedule:
         params[key] = value
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             StepSchedule(**params)
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
-            make_schedule(**params, mu_H=1, m=5)
 
 
 class TestScheduleAt:
     def test_first_round(self):
-        sched = make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=11000)
+        sched = StepSchedule(10, 0.8, 1, 0.1)
         assert sched.at(1) == (10.0, 1.0)
 
     def test_k32(self):
-        sched = make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=11000)
+        sched = StepSchedule(10, 0.8, 1, 0.1)
         gamma, lam = sched.at(32)
         assert gamma == pytest.approx(0.625, abs=1e-12)
         assert lam == pytest.approx(2 ** -0.5, abs=1e-12)
 
     def test_constant(self):
-        sched = make_schedule(1, 0, 1, 0, mu_H=1, m=1)
+        sched = StepSchedule(1, 0, 1, 0)
         assert sched.at(999) == (1.0, 1.0)
 
     def test_rejects_zero_round(self):
-        sched = make_schedule(1, 0, 1, 0, mu_H=1, m=1)
+        sched = StepSchedule(1, 0, 1, 0)
         with pytest.raises(ValueError):
             sched.at(0)
 
     def test_monotone_nonincreasing(self):
         rng = make_rng(17)
         for _ in range(20):
-            sched = make_schedule(float(rng.uniform(0.1, 10)), float(rng.uniform(0, 1.5)),
-                                  float(rng.uniform(0.1, 10)), float(rng.uniform(0, 1.5)),
-                                  mu_H=1, m=10)
+            sched = StepSchedule(float(rng.uniform(0.1, 10)), float(rng.uniform(0, 1.5)),
+                                  float(rng.uniform(0.1, 10)), float(rng.uniform(0, 1.5)))
             prev = sched.at(1)
             for k in range(2, 60):
                 cur = sched.at(k)
@@ -153,7 +178,7 @@ class TestScheduleSums:
     def test_divergent_weighted_sum(self):
         # for a + b < 1: partial sums of gamma_k * lambda_k grow like K^(1-a-b)
         for a, b in [(0.55, 0.4), (0.8, 0.1), (0.5, 0.3)]:
-            sched = make_schedule(1, a, 1, b, mu_H=1, m=10)
+            sched = StepSchedule(1, a, 1, b)
             sums = {}
             total, k = 0.0, 0
             for kk in range(1, 10_001):
@@ -168,7 +193,7 @@ class TestScheduleSums:
     def test_square_summable_tail(self):
         # for a > 0.5: the gamma_k^2 tail is below the integral bound
         for gamma1, a in [(1.0, 0.55), (10.0, 0.8)]:
-            sched = make_schedule(gamma1, a, 1, 0.1, mu_H=1, m=10)
+            sched = StepSchedule(gamma1, a, 1, 0.1)
             tail = sum(sched.at(k)[0] ** 2 for k in range(1001, 10_001))
             bound = gamma1 ** 2 * 1000 ** (1 - 2 * a) / (2 * a - 1)
             assert tail <= bound

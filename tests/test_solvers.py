@@ -20,18 +20,17 @@ from fedbilevel.instances import location_problem, logistic_problem, selection_1
 from fedbilevel.metrics import RoundRow
 from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosses, OracleFamily,
                                 QuadAnchor, project_box)
-from fedbilevel.problem import (BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients,
-                                make_schedule)
+from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients
 from fedbilevel.solvers import (_BLOCK, RoundState, _norm, _step_norms, client_local_pass,
                                 run_solver, stopping_criterion, weighted_average)
 
 
 def _schedule_1d():
-    return make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=1)
+    return StepSchedule(1, 0.55, 1, 0.4)
 
 
 def _small_steps_1d():
-    return make_schedule(0.1, 0.55, 1, 0.4, mu_H=1, m=1)
+    return StepSchedule(0.1, 0.55, 1, 0.4)
 
 
 def _nan_below(threshold):
@@ -47,7 +46,7 @@ def _nan_below(threshold):
         return fn
 
     return ProblemSpec.from_oracles(
-        dimension=1, clients=[[poisoned(lambda x: ball_dist_eval(x, np.array([0.5]), 0.5))]],
+        clients=[[poisoned(lambda x: ball_dist_eval(x, np.array([0.5]), 0.5))]],
         outer=poisoned(lambda x: outer_quad_anchor_eval(x, np.array([2.0]))),
         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
 
@@ -69,14 +68,14 @@ class TestClientLocalPass:
         # P[1 - 0.5*1 - (0.5*1/1)*1] = P[0] = 0 on the box [-1, 1]
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.5, lam=1.0,
-                                m_total=1, inner=OracleFamily([abs_oracle()]),
+                                inner=OracleFamily([abs_oracle()]),
                                 indices=(0,), box=box)
         assert np.array_equal(res, [0.0])
 
     def test_zero_stepsize_is_identity(self):
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.0, lam=1.0,
-                                m_total=1, inner=OracleFamily([abs_oracle()]),
+                                inner=OracleFamily([abs_oracle()]),
                                 indices=(0,), box=box)
         assert np.array_equal(res, [1.0])
 
@@ -84,7 +83,7 @@ class TestClientLocalPass:
         # two zero inner functions: 1 - 2 * (0.25 * 1 / 2) * 1 = 0.75
         box = BoxConstraint.symmetric(1, 1.0)
         res = client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.25, lam=1.0,
-                                m_total=2, inner=OracleFamily([zero_oracle(), zero_oracle()]),
+                                inner=OracleFamily([zero_oracle(), zero_oracle()]),
                                 indices=(0, 1), box=box)
         assert res == pytest.approx([0.75], abs=1e-15)
 
@@ -92,21 +91,21 @@ class TestClientLocalPass:
         box = BoxConstraint.symmetric(1, 1.0)
         with pytest.raises(ValueError):
             client_local_pass(np.array([1.0]), np.array([1.0]), gamma=0.1, lam=1.0,
-                              m_total=1, inner=OracleFamily([abs_oracle()]), indices=(),
+                              inner=OracleFamily([abs_oracle()]), indices=(),
                               box=box)
 
     def test_rejects_dimension_mismatch(self):
         box = BoxConstraint.symmetric(1, 1.0)
         with pytest.raises(ValueError):
             client_local_pass(np.array([1.0]), np.array([1.0, 2.0]), gamma=0.1, lam=1.0,
-                              m_total=1, inner=OracleFamily([abs_oracle()]), indices=(0,),
+                              inner=OracleFamily([abs_oracle()]), indices=(0,),
                               box=box)
 
     def test_eval_counts(self):
         box = BoxConstraint.symmetric(1, 1.0)
         fn, calls = counting(abs_oracle())
         client_local_pass(np.array([0.5]), np.array([1.0]), gamma=0.1, lam=1.0,
-                          m_total=3, inner=OracleFamily([fn, fn, fn]), indices=(0, 1, 2),
+                          inner=OracleFamily([fn, fn, fn]), indices=(0, 1, 2),
                           box=box)
         assert calls["n"] == 3
 
@@ -119,7 +118,7 @@ class TestFismRound:
         x0 = np.array([4.0])
         gamma, lam = sched.at(1)
         x1 = solvers._fism_kernel(prob)(x0, gamma, lam)
-        direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, 1, prob.inner,
+        direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert np.array_equal(x1, direct)
         state = _observed_states(prob, sched, FISM, x0, 1)[1]
@@ -129,11 +128,11 @@ class TestFismRound:
 
     def test_identical_clients_average_to_member(self):
         prob = selection_1d_problem((1, 1))
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=2)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         x0 = np.array([4.0])
         gamma, lam = sched.at(1)
         x1 = solvers._fism_kernel(prob)(x0, gamma, lam)
-        direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, 2, prob.inner,
+        direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert x1 == pytest.approx(direct, abs=1e-15)
 
@@ -148,9 +147,9 @@ class TestFismRound:
                 wrapped_group.append(wrapped)
                 inner_counters.append(calls)
             wrapped_clients.append(tuple(wrapped_group))
-        prob = ProblemSpec.from_oracles(dimension=1, clients=wrapped_clients, outer=outer,
+        prob = ProblemSpec.from_oracles(clients=wrapped_clients, outer=outer,
                                         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         # The kernel alone: a run would add the metrics' outer evaluations.
         step = solvers._fism_kernel(prob)
         x = np.array([3.0])
@@ -181,7 +180,7 @@ class TestIrigRound:
 
     def test_global_order_and_counts(self):
         prob = selection_1d_problem((2, 2))
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         state = _observed_states(prob, sched, IRIG, np.array([3.0]), 1)[1]
         assert (state.inner_evals, state.outer_evals) == (4, 4)
 
@@ -203,9 +202,9 @@ class TestClosureSubgradientShape:
             return res._replace(subgrad=res.subgrad[:1]) if wrong == "outer" else res
 
         prob = ProblemSpec.from_oracles(
-            dimension=2, clients=[[ball] * size for size in sizes], outer=outer,
+            clients=[[ball] * size for size in sizes], outer=outer,
             constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0)
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=2)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         with pytest.raises(ValueError):
             run_solver(prob, sched, method, np.array([3.0, -1.0]), 5)
 
@@ -302,7 +301,7 @@ class TestRunSolver:
     def test_bit_identical_repeats(self):
         inst = make_location_instance(3, 12, seed=4)
         prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=4))
-        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12)
+        sched = StepSchedule(1, 0.8, 1, 0.1)
         x0 = np.array([1.0, -2.0, 3.0])
         a = _observed_iterates(prob, sched, "fism", x0, 50, seed=1)
         b = _observed_iterates(prob, sched, "fism", x0, 50, seed=1)
@@ -315,7 +314,7 @@ class TestRunSolver:
     def test_iterates_feasible_from_round_two(self):
         inst = make_location_instance(3, 9, seed=6)
         prob = location_problem(inst, partition_data(9, 3, CONTIGUOUS))
-        sched = make_schedule(5, 0.6, 1, 0.2, mu_H=1, m=9)
+        sched = StepSchedule(5, 0.6, 1, 0.2)
         xs = _observed_iterates(prob, sched, "fism", np.array([40.0, -40.0, 0.0]), 30)
         assert len(xs) == 31
         for x in xs:  # includes the projected initial point
@@ -335,7 +334,7 @@ class TestRunSolver:
     def test_logged_values_match_independent_objectives(self, method):
         inst = make_location_instance(3, 12, seed=5)
         prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
-        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12)
+        sched = StepSchedule(1, 0.8, 1, 0.1)
         states = []
         rec = run_solver(prob, sched, method, np.array([4.0, -3.0, 2.0]), 30,
                          observe=states.append)
@@ -352,14 +351,14 @@ class TestRunSolver:
 
     def test_tolerance_stop_records_reason(self):
         prob = selection_1d_problem()
-        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=1)
+        sched = StepSchedule(1, 0.8, 1, 0.1)
         rec = run_solver(prob, sched, "fism", np.array([0.9]), 100_000, tol=1e-3)
         assert rec.stop_reason == "tolerance"
         assert rec.rounds < 100_000
 
     def test_counter_accounting(self):
         prob = selection_1d_problem((3, 3))  # m = 6
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=6)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         fism = run_solver(prob, sched, "fism", np.array([2.0]), 40)
         irig = run_solver(prob, sched, "irig", np.array([2.0]), 40)
         assert fism.rows[-1].inner_subgrad_evals == 40 * 6
@@ -394,7 +393,7 @@ class TestRunSolver:
 
     def test_rejects_costs_for_other_client_sizes(self):
         prob = selection_1d_problem((2, 2))
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=4)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         for sizes in [(2,), (2, 1), (2, 2, 1)]:
             with pytest.raises(ValueError):
                 run_solver(prob, sched, "fism", np.array([0.0]), 1,
@@ -408,10 +407,10 @@ def _block_case(name):
     if name == "location":
         inst = make_location_instance(3, 12, seed=5)
         prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
-        return prob, make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=12), np.array([4.0, -3.0, 2.0])
+        return prob, StepSchedule(1, 0.8, 1, 0.1), np.array([4.0, -3.0, 2.0])
     ds, _ = make_synthetic_logistic(5, 40, margin=0.3, seed=8)
     prob = logistic_problem(ds, partition_data(40, 4, SHUFFLED, seed=8))
-    return prob, make_schedule(10, 0.8, 1, 0.1, mu_H=1, m=40), np.full(5, 0.5)
+    return prob, StepSchedule(10, 0.8, 1, 0.1), np.full(5, 0.5)
 
 
 class TestBlockLength:
@@ -471,7 +470,7 @@ class TestBlockLength:
 
         monkeypatch.setattr(solvers, "_fism_kernel", counted_kernel)
         prob = selection_1d_problem()
-        sched = make_schedule(1, 0.8, 1, 0.1, mu_H=1, m=1)
+        sched = StepSchedule(1, 0.8, 1, 0.1)
         rec = run_solver(prob, sched, FISM, np.array([0.9]), 100_000, tol=1e-3)
         assert rec.stop_reason == "tolerance"
         assert calls["n"] == rec.rounds
@@ -490,7 +489,7 @@ class TestBlockLength:
             return ball_dist_eval(x, np.array([0.5]), 0.5)
 
         prob = ProblemSpec.from_oracles(
-            dimension=1, clients=[[inner]],
+            clients=[[inner]],
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         args = (prob, _small_steps_1d(), FISM, np.array([4.0]), 100)
@@ -594,7 +593,7 @@ class TestBlockBookkeeping:
     def test_non_finite_stop_raises_no_numpy_warning(self, method):
         # gamma1 = 1e308 overflows in round 1. The run classifies the stop
         # itself, so numpy's floating-point warnings stay inside it.
-        args = (selection_1d_problem(), make_schedule(1e308, 0.55, 1, 0.4, mu_H=1, m=1),
+        args = (selection_1d_problem(), StepSchedule(1e308, 0.55, 1, 0.4),
                 method, np.array([3.0]), 40)
         with np.errstate(all="ignore"):
             rows, _, _ = _reference_run(*args)
@@ -624,7 +623,7 @@ class TestEquivalenceProperty:
         vec = st.lists(coord, min_size=dim, max_size=dim).map(np.array)
         center, anchor, x0 = data.draw(vec), data.draw(vec), data.draw(vec)
         radius = data.draw(st.floats(0.1, 5.0))
-        prob = ProblemSpec(dimension=dim, inner=BallDistances(center[None, :], [radius]),
+        prob = ProblemSpec(inner=BallDistances(center[None, :], [radius]),
                            outer=QuadAnchor(anchor), clients=((0,),),
                            constraint=BoxConstraint.symmetric(dim, 10.0), mu_H=1.0)
         sched = StepSchedule(gamma1, a, lambda1, b)
@@ -637,7 +636,7 @@ class TestEquivalenceProperty:
 class TestReferenceSolve:
     def test_zero_inner_returns_anchor(self):
         anchor = np.array([1.5, -2.5])
-        prob = ProblemSpec(dimension=2, inner=OracleFamily([zero_oracle()]),
+        prob = ProblemSpec(inner=OracleFamily([zero_oracle()]),
                            outer=QuadAnchor(anchor), clients=((0,),),
                            constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0)
         out = reference_solve(prob, lam=0.3, iters=2000, seed=0)
@@ -696,7 +695,7 @@ def _lane_problem(kind, sizes, seed, shuffled):
         inner, outer = BallDistances(rows, rng.uniform(0.2, 1.5, m)), QuadAnchor(rows[0])
     else:
         inner, outer = LogisticLosses(rows, rng.choice([-1.0, 1.0], m)), L1Quad()
-    return ProblemSpec(dimension=n, inner=inner, outer=outer, clients=clients,
+    return ProblemSpec(inner=inner, outer=outer, clients=clients,
                        constraint=BoxConstraint.symmetric(n, 2.0), mu_H=1.0)
 
 
@@ -709,7 +708,7 @@ class TestLaneRound:
     def _observed_one_round_blocks(prob, x0, rounds):
         # One round per block, so each state is observed, and its iterate
         # copied, before the next round steps from it.
-        sched = make_schedule(1, 0.55, 1, 0.4, mu_H=1, m=prob.n_inner)
+        sched = StepSchedule(1, 0.55, 1, 0.4)
         observed = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_BLOCK", 1)
@@ -740,20 +739,30 @@ class TestLaneRound:
         clients = [[(lambda x, c=np.array([0.5 + next(offsets)]): ball_dist_eval(x, c, 0.5))
                     for _ in range(size)] for size in sizes]
         prob = ProblemSpec.from_oracles(
-            dimension=1, clients=clients,
+            clients=clients,
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         self._rounds_match_chained(prob, np.array([4.0]), rounds=6)
 
     def test_lane_layout(self):
-        order, blocks = selection_1d_problem((1, 3, 2)).lanes
-        assert order == (1, 2, 0)  # largest client first, ties by index
+        # lanes by descending client size, ties by index; lane_of[c] is client c's lane
+        lane_of, blocks = solvers._lane_plan(selection_1d_problem((1, 3, 2)).clients)
+        assert lane_of == (2, 0, 1)
         assert [(k, rows.tolist()) for k, rows in blocks] == [(3, [[1, 4, 0]]), (2, [[2, 5]]),
                                                               (1, [[3]])]
-        order, blocks = selection_1d_problem((2, 3, 3)).lanes
-        assert order == (1, 2, 0)
+        # a block without rows is left out: here the one lane 0 would step on alone
+        lane_of, blocks = solvers._lane_plan(selection_1d_problem((2, 3, 3)).clients)
+        assert lane_of == (2, 0, 1)
         assert [(k, rows.tolist()) for k, rows in blocks] == [(3, [[2, 5, 0], [3, 6, 1]]),
-                                                              (2, [[4, 7]]), (1, [])]
+                                                              (2, [[4, 7]])]
+        lane_of, blocks = solvers._lane_plan(((5, 1), (0,), (2, 3, 4)))
+        assert lane_of == (1, 2, 0)
+        assert [(k, rows.tolist()) for k, rows in blocks] == [(3, [[2, 5, 0]]), (2, [[3, 1]]),
+                                                              (1, [[4]])]
+        lane_of, blocks = solvers._lane_plan(contiguous_clients((2,) * 8))
+        assert lane_of == tuple(range(8))
+        assert [(k, rows.tolist()) for k, rows in blocks] == [
+            (8, [[0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15]])]
 
     @pytest.mark.parametrize("kind", ["balls", "logistic"])
     def test_round_leaves_its_inputs_unchanged(self, kind):

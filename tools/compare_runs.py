@@ -12,11 +12,14 @@ and ``summary.csv`` where both have one) is compared too, and the largest
 relative deviation of each field that is not equal everywhere is printed;
 ``wall_clock_sec`` and ``config.out_dir`` are ignored.
 
-A number-only comparison misses an integer written as ``1.0`` or a number
-written in another notation, so the report also says whether every
-``.jsonl`` line (with its ``wall_clock_sec`` entry removed) and
-``summary.csv`` (where both have one) are byte-identical. A byte difference
-alone does not change the exit status.
+A number-only comparison misses an integer written as ``1.0``, a number
+written in another notation or a changed string, so the report also says
+whether every ``.jsonl`` line (with its ``wall_clock_sec`` entry removed),
+every per-run ``.csv`` (with its ``wall_clock_sec`` column removed) and
+``summary.csv`` (where both have one) are byte-identical, and whether every
+``.json`` summary is identical once ``config.out_dir`` is removed, naming
+the first key path that differs. Such a difference alone does not change
+the exit status.
 
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
 when the directories do not hold the same runs or fields.
@@ -75,6 +78,51 @@ def _same(a, b) -> bool:
     return json.dumps(a) == json.dumps(b)
 
 
+_ABSENT = object()
+
+
+def _first_key_difference(a, b, path: str = "") -> str | None:
+    """The first key path (a list item as ``[i]``) at which two parsed JSON
+    values differ, ints and floats told apart, or None when none does."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        items = [(f"{path}.{key}" if path else key, a.get(key, _ABSENT), b.get(key, _ABSENT))
+                 for key in dict.fromkeys([*a, *b])]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        items = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif a is _ABSENT or b is _ABSENT or not _same(a, b):
+        return path or "the top level"
+    else:
+        return None
+    for sub, x, y in items:
+        found = _first_key_difference(x, y, sub)
+        if found is not None:
+            return found
+    if isinstance(a, dict) and list(a) != list(b):
+        return f"{path or 'the top level'} (key order)"
+    return None
+
+
+def _without_out_dir(summary: dict) -> dict:
+    config = summary.get("config")
+    if isinstance(config, dict):
+        summary = dict(summary, config={k: v for k, v in config.items() if k != "out_dir"})
+    return summary
+
+
+def _without_wall_clock_column(lines: list[bytes]) -> list[bytes]:
+    """CSV lines with the ``wall_clock_sec`` column (named in the header)
+    removed, line ends kept."""
+    header = lines[0].rstrip(b"\r\n").split(b",") if lines else []
+    if b"wall_clock_sec" not in header:
+        return lines
+    col, out = header.index(b"wall_clock_sec"), []
+    for line in lines:
+        body = line.rstrip(b"\r\n")
+        cells = body.split(b",")
+        out.append(b",".join(cells[:col] + cells[col + 1:]) + line[len(body):])
+    return out
+
+
 def _load_run(directory: Path, run_id: str) -> tuple[dict, list[bytes]]:
     """The run's parsed summary and its raw JSONL lines, line ends kept."""
     summary = json.loads((directory / f"{run_id}.json").read_text(encoding="utf-8"))
@@ -82,11 +130,10 @@ def _load_run(directory: Path, run_id: str) -> tuple[dict, list[bytes]]:
     return summary, lines
 
 
-def _first_byte_difference(lines_a: list[bytes], lines_b: list[bytes]) -> int | None:
-    """1-based number of the first JSONL line that differs once the
-    ``wall_clock_sec`` entries are removed, or None when none does."""
+def _first_line_difference(lines_a: list[bytes], lines_b: list[bytes]) -> int | None:
+    """1-based number of the first line that differs, or None when none does."""
     for number, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
-        if WALL_CLOCK.sub(b"", la) != WALL_CLOCK.sub(b"", lb):
+        if la != lb:
             return number
     if len(lines_a) != len(lines_b):
         return min(len(lines_a), len(lines_b)) + 1
@@ -103,12 +150,30 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
     worst: dict[str, float] = {}
     pairs: list[tuple[list, list]] = []
     byte_diffs: list[str] = []
+    json_diffs: list[str] = []
+    csv_diffs: list[str] = []
+    csv_runs = 0
     for run_id in runs_a:
         sa, lines_a = _load_run(a_dir, run_id)
         sb, lines_b = _load_run(b_dir, run_id)
-        line = _first_byte_difference(lines_a, lines_b)
+        line = _first_line_difference([WALL_CLOCK.sub(b"", la) for la in lines_a],
+                                      [WALL_CLOCK.sub(b"", lb) for lb in lines_b])
         if line is not None:
             byte_diffs.append(f"{run_id}.jsonl line {line}")
+        key = _first_key_difference(_without_out_dir(sa), _without_out_dir(sb))
+        if key is not None:
+            json_diffs.append(f"{run_id}.json at {key}")
+        csvs = [d / f"{run_id}.csv" for d in (a_dir, b_dir)]
+        if any(path.is_file() for path in csvs):
+            csv_runs += 1
+            if not all(path.is_file() for path in csvs):
+                csv_diffs.append(f"{run_id}.csv is in one directory only")
+            else:
+                ca, cb = (_without_wall_clock_column(path.read_bytes().splitlines(keepends=True))
+                          for path in csvs)
+                line = _first_line_difference(ca, cb)
+                if line is not None:
+                    csv_diffs.append(f"{run_id}.csv line {line}")
         rows_a = [json.loads(la) for la in lines_a]
         rows_b = [json.loads(lb) for lb in lines_b]
         for key in EXACT_SUMMARY:
@@ -151,6 +216,21 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         report += [f"  {d}" for d in byte_diffs]
     else:
         report.append(".jsonl lines (minus wall_clock_sec) byte-identical in every run")
+    if json_diffs:
+        report.append(f".json summaries (minus config.out_dir) DIFFER in {len(json_diffs)} "
+                      f"of {len(runs_a)} runs, first at:")
+        report += [f"  {d}" for d in json_diffs]
+    else:
+        report.append(".json summaries (minus config.out_dir) identical in every run")
+    if csv_diffs:
+        report.append(f"per-run .csv files (minus wall_clock_sec) DIFFER in {len(csv_diffs)} "
+                      f"of {csv_runs} runs, first at:")
+        report += [f"  {d}" for d in csv_diffs]
+    elif csv_runs:
+        report.append(f"per-run .csv files (minus wall_clock_sec) byte-identical in all "
+                      f"{csv_runs} runs")
+    else:
+        report.append("per-run .csv files: none in either directory")
     if csv_same is not None:
         report.append(f"summary.csv bytes: {'identical' if csv_same else 'DIFFER'}")
     shifted = {field: dev for field, dev in worst.items() if dev > 0.0}
