@@ -42,7 +42,7 @@ def read_idx(path) -> np.ndarray:
     if len(data) < header:
         raise FormatError(f"{path}: truncated IDX dimension header")
     dims = struct.unpack(f">{rank}I", data[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # np.prod wraps around in int64
     payload = data[header:]
     if len(payload) != count:
         raise FormatError(f"{path}: expected {count} payload bytes, found {len(payload)}")

@@ -184,13 +184,14 @@ class BallDistances:
             raise ValueError("ball radii must be positive")
         self.centers = centers
         self.radii = radii
-        self._radii = radii.tolist()  # Python floats: cheaper per-step lookups
+        # Python floats and row views: cheaper per-step lookups
+        self._radii, self._rows = radii.tolist(), tuple(centers)
 
     def __len__(self) -> int:
         return len(self._radii)
 
     def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
-        d = x - self.centers[i]
+        d = x - self._rows[i]
         # sqrt(d . d) is what np.linalg.norm computes for a 1-d float array
         dist = math.sqrt(float(np.dot(d, d)))
         if dist > self._radii[i]:
@@ -216,19 +217,11 @@ class BallDistances:
         np.maximum(z, 0.0, out=z)
 
 
-def _shape_checked(g, x: np.ndarray):
-    # A closure's subgradient enters the solvers here: one of another shape
-    # would broadcast against the iterate, or fail only on some paths.
-    if np.shape(g) != x.shape:
-        raise ValueError(f"subgradient has shape {np.shape(g)}, point has shape {x.shape}")
-    return g
-
-
 class OracleFamily:
     """Adapter for custom inner functions given as ``x -> EvalResult``
     closures. ``values`` sums the closures' values left to right. A
-    subgradient must have the shape of its point, or ``ValueError`` is
-    raised."""
+    subgradient must have the shape of its point, or the solvers raise
+    ``ValueError``."""
 
     def __init__(self, oracles: Sequence[Oracle]):
         self.oracles = tuple(oracles)
@@ -237,11 +230,10 @@ class OracleFamily:
         return len(self.oracles)
 
     def subgrad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return _shape_checked(self.oracles[i](x).subgrad, x)
+        return self.oracles[i](x).subgrad
 
     def subgrads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return _shape_checked(
-            np.array([self.oracles[i](x).subgrad for i, x in zip(idx.tolist(), X)]), X)
+        return np.array([self.oracles[i](x).subgrad for i, x in zip(idx.tolist(), X)])
 
     def values(self, X: np.ndarray) -> np.ndarray:
         # reduce, not builtin sum: sum is compensated from Python 3.12 on
@@ -285,7 +277,7 @@ class QuadAnchor:
 class OracleObjective:
     """Adapter for a custom outer objective given as an ``x -> EvalResult``
     closure, called once per row of ``values``. A subgradient must have the
-    shape of its point, or ``ValueError`` is raised."""
+    shape of its point, or the solvers raise ``ValueError``."""
 
     def __init__(self, fn: Oracle):
         self.fn = fn
@@ -294,4 +286,4 @@ class OracleObjective:
         return np.array([float(self.fn(x).value) for x in X])
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        return _shape_checked(self.fn(x).subgrad, x)
+        return self.fn(x).subgrad

@@ -4,13 +4,15 @@ The federated round picks one outer subgradient per round, broadcasts it,
 lets every client run an incremental projected-subgradient pass over its own
 share of the inner family, and averages the returned iterates. The
 incremental baseline sweeps all inner functions sequentially, refreshing the
-outer subgradient at every local step. Both share one step kernel,
-``_local_step``, which takes only subgradients: the scaled outer term is
-formed once per client pass (FISM) or once per step (IRIG), and no function
-value is computed on the solver path.
-So the two methods coincide bitwise when one client holds one function.
+outer subgradient at every local step. Every round path takes the same
+step, ``_local_step``, which takes only subgradients, raises ``ValueError``
+on one of another shape than its point, and computes no function value.
+One point is stepped by one loop, shared by one-client FISM, IRIG and
+``client_local_pass``: FISM forms the scaled outer term once per pass, IRIG
+once per step, after the step's inner subgradient. So the two methods
+coincide bitwise when one client holds one function.
 
-``run_solver`` builds each method's iterate kernel once per run, a map from
+``run_solver`` builds the method's iterate kernel once per run, a map from
 (x, gamma, lam) to the round's next iterate; it is the only round path. It
 runs rounds in blocks of up to ``_BLOCK``, calling only the schedule and the
 kernel per round, and then does the block's bookkeeping at once: the
@@ -77,12 +79,43 @@ class RoundState:
                    inner_evals=0, outer_evals=0)
 
 
+# An iterate kernel maps (x, gamma, lam) to the round's next iterate and
+# nothing else; its factory looks the problem's constants up once.
+_Kernel = Callable[[np.ndarray, float, float], np.ndarray]
+# Bound once: at n = 1 a module attribute lookup per step is a measurable cost.
+_minimum, _maximum = np.minimum, np.maximum
+
+
 def _local_step(x: np.ndarray, g: np.ndarray, co: np.ndarray, gamma: float,
                 lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # Shared by both methods so their single-function iterates agree bitwise;
-    # co = (gamma * lam / m) * outer subgradient. x is one point or a stack of
-    # lanes, and co, lo, hi have its shape: a broadcast operand costs more.
-    return np.minimum(np.maximum(x - gamma * g - co, lo), hi)
+    # The one step of every round path, so both methods' single-function
+    # iterates agree bitwise; co = (gamma * lam / m) * outer subgradient. x is
+    # one point or a stack of lanes, and co, lo, hi have its shape: a
+    # broadcast operand costs more, and a subgradient of another shape would
+    # broadcast silently.
+    try:
+        same = x.shape == g.shape == co.shape
+    except AttributeError:  # not an array
+        same = False
+    if not same:
+        raise ValueError(f"inner subgradient has shape {np.shape(g)} and outer term "
+                         f"{np.shape(co)}, point has shape {x.shape}")
+    return _minimum(_maximum(x - gamma * g - co, lo), hi)
+
+
+def _scalar_kernel(indices: Sequence[int], subgrad, outer_subgrad, fresh: bool, m: int,
+                   lo: np.ndarray, hi: np.ndarray) -> _Kernel:
+    # One point through the inner functions ``indices`` in order, the outer
+    # term scaled by gamma * lam / m: formed once at x for the pass (FISM),
+    # or, when fresh, at every step after its inner subgradient (IRIG).
+    def scalar(x, gamma, lam):
+        coef = gamma * lam / m
+        co = None if fresh else coef * outer_subgrad(x)
+        for i in indices:
+            x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x) if fresh else co,
+                            gamma, lo, hi)
+        return x
+    return scalar
 
 
 def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
@@ -93,18 +126,13 @@ def client_local_pass(x_start: np.ndarray, outer_subgrad: np.ndarray,
     subgradient throughout, scaled by gamma * lam / len(inner).
 
     Returns the client's final local iterate. Performs exactly
-    ``len(indices)`` inner subgradient evaluations and no outer ones.
+    ``len(indices)`` inner subgradient evaluations and no outer ones. A
+    subgradient of another shape than ``x_start`` raises ``ValueError``.
     """
     if len(indices) == 0:
         raise ValueError("client holds no inner functions")
-    if x_start.shape != outer_subgrad.shape:
-        raise ValueError("outer subgradient dimension does not match the iterate")
-    co = (gamma * lam / len(inner)) * outer_subgrad
-    subgrad, lo, hi = inner.subgrad, box.lo, box.hi
-    x = x_start
-    for i in indices:
-        x = _local_step(x, subgrad(i, x), co, gamma, lo, hi)
-    return x
+    return _scalar_kernel(indices, inner.subgrad, lambda _: outer_subgrad, False, len(inner),
+                          box.lo, box.hi)(x_start, gamma, lam)
 
 
 def _lane_plan(clients: Sequence[Sequence[int]]) -> tuple:
@@ -141,47 +169,25 @@ def _lane_average(X: np.ndarray, co: np.ndarray, gamma: float, subgrads, plan: t
     return acc / len(lane_of)
 
 
-# An iterate kernel maps (x, gamma, lam) to the round's next iterate and
-# nothing else; the factories below look the problem's constants up once.
-_Kernel = Callable[[np.ndarray, float, float], np.ndarray]
-
-
-def _fism_kernel(problem: ProblemSpec) -> _Kernel:
-    # Freeze the outer subgradient at x, run every client's pass on it (two
-    # or more as lanes) and average the ends in ascending client index.
+def _kernel(problem: ProblemSpec, method: str) -> _Kernel:
+    # FISM with two or more clients freezes the outer subgradient at x, runs
+    # every client's pass on it as lanes and averages the ends in ascending
+    # client index. Otherwise one point steps through every inner function
+    # in client order: one-client FISM freezes the outer term for the pass
+    # (x / 1 is x: its end is the average), IRIG refreshes it at every step.
+    # The scalar pass gives a lane's bits at 1.4-2.5x its speed (n=784 to n=1).
     m, inner, box = problem.n_inner, problem.inner, problem.constraint
     outer_subgrad = problem.outer.subgrad
-    if len(problem.clients) == 1:
-        # x / 1 is x: one client's end is the average. The scalar pass gives
-        # a lane's bits at 1.4-2.5x its speed (n=784 to n=1), so S = 1 keeps it.
-        indices = problem.clients[0]
-
-        def step(x, gamma, lam):
-            return client_local_pass(x, outer_subgrad(x), gamma, lam, inner, indices, box)
-        return step
+    if method != FISM or len(problem.clients) == 1:
+        return _scalar_kernel(tuple(chain.from_iterable(problem.clients)), inner.subgrad,
+                              outer_subgrad, method != FISM, m, box.lo, box.hi)
     shape = (len(problem.clients), 1)
     lo, hi, plan = np.tile(box.lo, shape), np.tile(box.hi, shape), _lane_plan(problem.clients)
 
-    def step(x, gamma, lam):
+    def lanes(x, gamma, lam):
         co = np.tile((gamma * lam / m) * outer_subgrad(x), shape)
         return _lane_average(np.tile(x, shape), co, gamma, inner.subgrads, plan, lo, hi)
-    return step
-
-
-def _irig_kernel(problem: ProblemSpec) -> _Kernel:
-    # A sequential pass over all inner functions in global order, with a
-    # fresh outer subgradient at every local step.
-    m = problem.n_inner
-    order = tuple(chain.from_iterable(problem.clients))
-    lo, hi = problem.constraint.lo, problem.constraint.hi
-    subgrad, outer_subgrad = problem.inner.subgrad, problem.outer.subgrad
-
-    def step(x, gamma, lam):
-        coef = gamma * lam / m
-        for i in order:
-            x = _local_step(x, subgrad(i, x), coef * outer_subgrad(x), gamma, lo, hi)
-        return x
-    return step
+    return lanes
 
 
 def _norm(v: np.ndarray) -> float:
@@ -259,7 +265,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         observe(RoundState.initial(x))
     k, avg_num, avg_den, inner_evals, outer_evals = 1, np.zeros_like(x), 0.0, 0, 0
     m = problem.n_inner
-    step = (_fism_kernel if method == FISM else _irig_kernel)(problem)
+    step = _kernel(problem, method)
     outer_per_round = 1 if method == FISM else m
     at, perf_counter = sched.at, time.perf_counter
     rows = _ColumnRows()

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import math
+import struct
 import tempfile
 import tracemalloc
 import weakref
@@ -305,6 +306,18 @@ class TestMain:
         path = _config(tmp_path, "problem = logistic-mnist\n"
                                  "images_path = missing.idx\nlabels_path = missing.idx\n")
         assert cli.main(["sweep", str(path), "--out", str(tmp_path / "a" / "b")]) == 3
+        assert not (tmp_path / "a").exists()
+
+    def test_overflowing_idx_header_is_data_error(self, tmp_path, capsys):
+        # An image header of 2^31 x 2^31 x 4 with no payload: its byte count
+        # wraps to 0 in int64, but it is a malformed file, not a crash.
+        images = tmp_path / "images.idx"
+        images.write_bytes(struct.pack(">4I", 0x00000803, 2**31, 2**31, 4))
+        write_idx(np.array([0, 1], dtype=np.uint8), tmp_path / "labels.idx")
+        path = _config(tmp_path, f"problem = logistic-mnist\nimages_path = {images}\n"
+                                 f"labels_path = {tmp_path / 'labels.idx'}\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "a" / "out")]) == 3
+        assert "data error:" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
     def test_memory_error_building_data_is_data_error(self, tmp_path, monkeypatch, capsys):

@@ -45,6 +45,13 @@ class TestReadIdx:
         with pytest.raises(FormatError):
             read_idx(path)
 
+    def test_header_whose_size_overflows_int64(self, tmp_path):
+        # 2^31 * 2^31 * 4 = 2^64 bytes, which wraps to 0 in an int64 product
+        path = tmp_path / "huge.idx"
+        path.write_bytes(_idx_bytes(0x00000803, (2**31, 2**31, 4), []))
+        with pytest.raises(FormatError, match="18446744073709551616 payload bytes"):
+            read_idx(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         for arr in (rng.integers(0, 256, (3, 4, 5), dtype=np.uint8),

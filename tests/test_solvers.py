@@ -117,7 +117,7 @@ class TestFismRound:
         sched = _schedule_1d()
         x0 = np.array([4.0])
         gamma, lam = sched.at(1)
-        x1 = solvers._fism_kernel(prob)(x0, gamma, lam)
+        x1 = solvers._kernel(prob, FISM)(x0, gamma, lam)
         direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert np.array_equal(x1, direct)
@@ -131,7 +131,7 @@ class TestFismRound:
         sched = StepSchedule(1, 0.55, 1, 0.4)
         x0 = np.array([4.0])
         gamma, lam = sched.at(1)
-        x1 = solvers._fism_kernel(prob)(x0, gamma, lam)
+        x1 = solvers._kernel(prob, FISM)(x0, gamma, lam)
         direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert x1 == pytest.approx(direct, abs=1e-15)
@@ -151,7 +151,7 @@ class TestFismRound:
                                         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         sched = StepSchedule(1, 0.55, 1, 0.4)
         # The kernel alone: a run would add the metrics' outer evaluations.
-        step = solvers._fism_kernel(prob)
+        step = solvers._kernel(prob, FISM)
         x = np.array([3.0])
         for k in range(1, 6):
             x = step(x, *sched.at(k))
@@ -165,8 +165,8 @@ class TestIrigRound:
         sched = _schedule_1d()
         x0 = np.array([4.0])
         gamma, lam = sched.at(1)
-        a = solvers._fism_kernel(prob)(x0, gamma, lam)
-        b = solvers._irig_kernel(prob)(x0, gamma, lam)
+        a = solvers._kernel(prob, FISM)(x0, gamma, lam)
+        b = solvers._kernel(prob, IRIG)(x0, gamma, lam)
         assert a.tobytes() == b.tobytes()
         state = _observed_states(prob, sched, IRIG, x0, 1)[1]
         assert state.x.tobytes() == b.tobytes()
@@ -176,7 +176,7 @@ class TestIrigRound:
         # The kernel alone: a run's weighted average is undefined at gamma = 0.
         prob = selection_1d_problem((3,))
         x0 = np.array([4.0])
-        assert np.array_equal(solvers._irig_kernel(prob)(x0, 0.0, 1.0), x0)
+        assert np.array_equal(solvers._kernel(prob, IRIG)(x0, 0.0, 1.0), x0)
 
     def test_global_order_and_counts(self):
         prob = selection_1d_problem((2, 2))
@@ -184,13 +184,37 @@ class TestIrigRound:
         state = _observed_states(prob, sched, IRIG, np.array([3.0]), 1)[1]
         assert (state.inner_evals, state.outer_evals) == (4, 4)
 
+    def test_inner_then_outer_subgradient_at_every_step(self):
+        # The kernel alone: m inner and m outer calls a round, not m + 1, and
+        # each step takes its inner subgradient before its outer one.
+        calls = []
+
+        def logged(tag, oracle):
+            def fn(x):
+                calls.append(tag)
+                return oracle(x)
+            return fn
+
+        ball = logged("inner", lambda x: ball_dist_eval(x, np.array([0.5]), 0.5))
+        prob = ProblemSpec.from_oracles(
+            clients=[[ball], [ball, ball]],
+            outer=logged("outer", lambda x: outer_quad_anchor_eval(x, np.array([2.0]))),
+            constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
+        solvers._kernel(prob, IRIG)(np.array([3.0]), 0.5, 1.0)
+        assert calls == ["inner", "outer"] * 3
+
+
+# One-client FISM (the scalar pass), FISM with two clients (lanes) and IRIG.
+_EVERY_ROUND_PATH = pytest.mark.parametrize(
+    "method,sizes", [(FISM, (2,)), (FISM, (1, 1)), (IRIG, (1, 1))],
+    ids=["fism-S1", "fism-S2", "irig"])
+
 
 class TestClosureSubgradientShape:
     """A closure's subgradient of the wrong shape raises ValueError on every
     round path, instead of broadcasting against the iterate."""
 
-    @pytest.mark.parametrize("method,sizes", [(FISM, (2,)), (FISM, (1, 1)), (IRIG, (1, 1))],
-                             ids=["fism-S1", "fism-S2", "irig"])
+    @_EVERY_ROUND_PATH
     @pytest.mark.parametrize("wrong", ["inner", "outer"])
     def test_wrong_shape_raises(self, method, sizes, wrong):
         def ball(x):
@@ -207,6 +231,68 @@ class TestClosureSubgradientShape:
         sched = StepSchedule(1, 0.55, 1, 0.4)
         with pytest.raises(ValueError):
             run_solver(prob, sched, method, np.array([3.0, -1.0]), 5)
+
+
+class _DuckBalls:
+    """An inner family that is no OracleFamily: distances to the unit ball at
+    the origin, whose subgradients keep only their first ``width`` entries,
+    or are the first entry as a Python float when ``width`` is None."""
+
+    def __init__(self, m, width):
+        self.m, self.width = m, width
+
+    def __len__(self):
+        return self.m
+
+    def subgrad(self, i, x):
+        g = ball_dist_eval(x, np.zeros(x.shape), 1.0).subgrad
+        return float(g[0]) if self.width is None else g[:self.width]
+
+    def subgrads(self, idx, X):
+        return np.array([self.subgrad(i, x) for i, x in zip(idx.tolist(), X)])
+
+    def values(self, X):
+        return np.array([self.m * ball_dist_eval(x, np.zeros(x.shape), 1.0).value for x in X])
+
+
+class _DuckAnchor:
+    """An outer objective that is no OracleObjective: 0.5 ||x - (2, 1)||^2,
+    whose subgradient keeps only its first ``width`` entries."""
+
+    def __init__(self, width):
+        self.width = width
+
+    def subgrad(self, x):
+        return (x - np.array([2.0, 1.0]))[:self.width]
+
+    def values(self, X):
+        D = X - np.array([2.0, 1.0])
+        return 0.5 * np.vecdot(D, D)
+
+
+class TestDuckTypedSubgradientShape:
+    """A duck-typed family's or objective's subgradient of the wrong shape
+    raises ValueError on every round path too: the shape is checked in the
+    step every path shares, not in the closure adapters."""
+
+    @_EVERY_ROUND_PATH
+    @pytest.mark.parametrize("wrong", ["inner", "outer", "inner-scalar"])
+    def test_wrong_shape_raises(self, method, sizes, wrong):
+        width = {"inner": 1, "inner-scalar": None}.get(wrong, 2)
+        prob = ProblemSpec(inner=_DuckBalls(sum(sizes), width),
+                           outer=_DuckAnchor(1 if wrong == "outer" else 2),
+                           clients=contiguous_clients(sizes),
+                           constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            run_solver(prob, _schedule_1d(), method, np.array([3.0, -1.0]), 5)
+
+    @_EVERY_ROUND_PATH
+    def test_right_shape_runs(self, method, sizes):
+        prob = ProblemSpec(inner=_DuckBalls(sum(sizes), 2), outer=_DuckAnchor(2),
+                           clients=contiguous_clients(sizes),
+                           constraint=BoxConstraint.symmetric(2, 10.0), mu_H=1.0)
+        rec = run_solver(prob, _schedule_1d(), method, np.array([3.0, -1.0]), 5)
+        assert rec.rounds == 5 and np.all(np.isfinite(rec.final_x))
 
 
 class TestWeightedAverage:
@@ -458,17 +544,17 @@ class TestBlockLength:
 
     def test_tolerance_run_computes_only_recorded_rounds(self, monkeypatch):
         calls = {"n": 0}
-        make_kernel = solvers._fism_kernel
+        make_kernel = solvers._kernel
 
-        def counted_kernel(problem):
-            step = make_kernel(problem)
+        def counted_kernel(problem, method):
+            step = make_kernel(problem, method)
 
             def counted(*args):
                 calls["n"] += 1
                 return step(*args)
             return counted
 
-        monkeypatch.setattr(solvers, "_fism_kernel", counted_kernel)
+        monkeypatch.setattr(solvers, "_kernel", counted_kernel)
         prob = selection_1d_problem()
         sched = StepSchedule(1, 0.8, 1, 0.1)
         rec = run_solver(prob, sched, FISM, np.array([0.9]), 100_000, tol=1e-3)
@@ -520,7 +606,7 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
     per round, each state advanced one round at a time, and the metrics from
     one-row values calls: what run_solver records, without its block
     bookkeeping."""
-    step = (solvers._fism_kernel if method == FISM else solvers._irig_kernel)(problem)
+    step = solvers._kernel(problem, method)
     m = problem.n_inner
     outer_per_round = 1 if method == FISM else m
     t_round = round_time(uniform_costs(problem.client_sizes), method)
