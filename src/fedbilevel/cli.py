@@ -275,6 +275,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(raw: str) -> int:
+    """A ``--points``/``--pairs`` count: an integer of at least 1 (0 checks nothing)."""
+    with contextlib.suppress(ValueError):
+        if int(raw) >= 1:
+            return int(raw)
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {raw!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="fedbilevel", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -292,8 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep = sub.add_parser("sweep", help="execute the full config grid")
     add_run_flags(p_sweep)
     p_self = sub.add_parser("selftest", help="objective and projection property suite")
-    p_self.add_argument("--points", type=int, default=100)
-    p_self.add_argument("--pairs", type=int, default=100)
+    p_self.add_argument("--points", type=_count, default=100)
+    p_self.add_argument("--pairs", type=_count, default=100)
     p_inspect = sub.add_parser("inspect", help="print a saved run summary")
     p_inspect.add_argument("record", help="path to a run .json summary")
 

@@ -1,12 +1,13 @@
 """Flat ``key = value`` experiment configuration with typed parsing.
 
-One key per line, ``#`` comments and blank lines allowed. Each key is a
-field of ``ExperimentConfig`` and its value is parsed by the field's type:
-an int, a float, a string, a boolean (``true``/``yes``/``1`` or
-``false``/``no``/``0``), or a comma-separated list for a tuple (empty parts
-skipped). ``tol`` also takes the keyword ``none``. Unknown keys are rejected
-with the offending line number. Any key can be overridden from the command
-line with ``--set key=value``.
+One key per line; ``#`` comments and blank lines are skipped. Each key is a
+field of ``ExperimentConfig``, parsed by the field's type: an int, a float, a
+string, a boolean (``true``/``yes``/``1`` or ``false``/``no``/``0``), or a
+comma list for a tuple (empty parts skipped); ``tol`` also takes ``none``.
+Unknown keys are rejected with their line number, and ``--set key=value``
+overrides any key. ``resolve()`` checks each key once: a float must be
+finite, by its type; ``_POSITIVE``, ``_NONNEGATIVE`` and ``_CHOICES`` give
+its bounds and allowed names; no list may be empty. Errors name their key.
 """
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ SCHEDULE_PRESETS = {
     "location": {"gamma1": 1.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
     "selection": {"gamma1": 1.0, "a": 0.55, "lambda1": 1.0, "b": 0.4},
 }
-
-# Float keys (or lists of floats) that must hold finite numbers when set.
-_FINITE_KEYS = ("gamma1", "a", "lambda1", "b", "tol", "unit_cost", "comm_cost",
-                "client_cost_scale")
 
 # Per-problem values of the keys left unset, and the problem's schedule preset.
 _PROBLEM_DEFAULTS = {
@@ -133,26 +130,18 @@ class ExperimentConfig:
         return self
 
     def _validate(self) -> None:
-        # Every range check below is False for NaN, so finiteness comes first.
-        for key in _FINITE_KEYS:
+        for key, checks in _RULES:  # each key's own rules, finiteness first
             value = getattr(self, key)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(v is None or math.isfinite(v) for v in values):
-                raise ConfigError(f"{key} must be finite, got {value!r}", key=key)
-        if not self.methods:
-            raise ConfigError("methods must not be empty", key="methods")
-        for method in self.methods:
-            if method not in METHODS:
-                raise ConfigError(f"methods must be drawn from {METHODS}, got {method!r}",
-                                  key="methods")
-        if not self.s_values or any(s < 1 for s in self.s_values):
-            raise ConfigError("s_values must be positive integers", key="s_values")
+            if value == ():
+                raise ConfigError(f"{key} must not be empty", key=key)
+            values = value if isinstance(value, tuple) else () if value is None else (value,)
+            for ok, need in checks:
+                if not all(map(ok, values)):
+                    raise ConfigError(f"{key} must be {need}, got {value!r}", key=key)
         # A repeated entry would run its grid cell twice into one set of files.
         for key in ("methods", "s_values"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise ConfigError(f"{key} must not repeat an entry", key=key)
-        if self.n < 1 or self.m < 1:
-            raise ConfigError("n and m must be positive", key="n")
         if self.problem == "selection-1d" and self.n != 1:
             raise ConfigError(f"selection-1d has dimension 1, got n = {self.n}", key="n")
         for key in ("n", "m"):
@@ -164,30 +153,6 @@ class ExperimentConfig:
         if self.problem != "logistic-mnist" and max(self.s_values) > self.m:
             raise ConfigError(f"s_values must not exceed m = {self.m} (each client needs "
                               f"at least one inner function)", key="s_values")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1", key="repeats")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds must be >= 1", key="max_rounds")
-        if self.gamma1 <= 0 or self.lambda1 <= 0:
-            raise ConfigError("gamma1 and lambda1 must be positive", key="gamma1")
-        if self.a < 0 or self.b < 0:
-            raise ConfigError("exponents a and b must be nonnegative", key="a")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("tol must be positive or none", key="tol")
-        if self.partition not in STRATEGIES:
-            raise ConfigError(f"partition must be one of {STRATEGIES}", key="partition")
-        if not self.comm_cost:
-            raise ConfigError("comm_cost must hold one value or one per client", key="comm_cost")
-        if self.unit_cost < 0 or any(c < 0 for c in self.comm_cost):
-            raise ConfigError("costs must be nonnegative", key="unit_cost")
-        if self.client_cost_scale == ():
-            raise ConfigError("client_cost_scale must hold one value per client",
-                              key="client_cost_scale")
-        if self.client_cost_scale is not None and any(c < 0 for c in self.client_cost_scale):
-            raise ConfigError("client_cost_scale entries must be nonnegative",
-                              key="client_cost_scale")
-        if self.test_size < 0:
-            raise ConfigError("test_size must be >= 0", key="test_size")
         if self.problem == "logistic-synthetic":
             for key in ("m", "test_size"):
                 if getattr(self, key) % 2:
@@ -232,8 +197,28 @@ def _parser(hint):
     return _parse_bool if hint is bool else hint
 
 
-_PARSERS = {key: _parser(hint) for key, hint in typing.get_type_hints(ExperimentConfig).items()}
+# A field of a float type must be finite. Lower bounds and allowed names are
+# per key; a list key holds each entry to its rule.
+_FLOAT_TYPES = (float, float | None, tuple[float, ...], tuple[float, ...] | None)
+_POSITIVE = ("n", "m", "s_values", "repeats", "max_rounds", "gamma1", "lambda1", "tol")
+_NONNEGATIVE = ("a", "b", "test_size", "unit_cost", "comm_cost", "client_cost_scale")
+_CHOICES = {"methods": METHODS, "partition": STRATEGIES}
+
+
+def _checks(key: str, hint) -> tuple:
+    """``(test of one entry, what it must be)`` for each rule of ``key``."""
+    return tuple((ok, need) for applies, ok, need in (
+        (hint in _FLOAT_TYPES, math.isfinite, "finite"),
+        (key in _POSITIVE, lambda v: v > 0, "positive"),
+        (key in _NONNEGATIVE, lambda v: v >= 0, "nonnegative"),
+        (key in _CHOICES, lambda v: v in _CHOICES[key], f"one of {_CHOICES.get(key)}"),
+    ) if applies)
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_PARSERS = {key: _parser(hint) for key, hint in _HINTS.items()}
 _PARSERS["tol"] = _parse_opt_float  # only for tol does "none" mean something
+_RULES = tuple((key, _checks(key, hint)) for key, hint in _HINTS.items())
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

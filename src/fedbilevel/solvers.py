@@ -263,7 +263,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     t_round = round_time(costs, method)
     if observe is not None:
         observe(RoundState.initial(x))
-    k, avg_num, avg_den, inner_evals, outer_evals = 1, np.zeros_like(x), 0.0, 0, 0
+    k, avg_num, avg_den = 1, np.zeros_like(x), 0.0
     m = problem.n_inner
     step = _kernel(problem, method)
     outer_per_round = 1 if method == FISM else m
@@ -316,9 +316,10 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                 stop_reason = "tolerance"  # with a tolerance a block is one round
             f_prev, h_prev = [f_cur, *f_next[:-1]], [h_cur, *h_next[:-1]]
             totals = list(accumulate(repeat(t_round, b), initial=cum_time))
-            inner_counts = list(range(inner_evals + m, inner_evals + m * b + 1, m))
-            outer_counts = list(range(outer_evals + outer_per_round,
-                                      outer_evals + outer_per_round * b + 1, outer_per_round))
+            # After round j, m * j inner and outer_per_round * j outer subgradients were taken.
+            inner_counts = list(range(m * k, m * (k + b), m))
+            outer_counts = list(range(outer_per_round * k, outer_per_round * (k + b),
+                                      outer_per_round))
             # The block's b rows as columns, in RoundRow's field order.
             rows.extend(list(range(k, k + b)), f_prev, [f / m for f in f_prev],
                         f_all[computed:computed + b].tolist(), h_prev, _step_norms(xs[:b + 1]),
@@ -328,9 +329,8 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                     observe(RoundState(iterates[j], k + j, nums[j], dens[j], inner_counts[j - 1],
                                        outer_counts[j - 1]))
             x, k, avg_num, avg_den = iterates[b], k + b, nums[b], dens[b]
-            inner_evals, outer_evals = inner_counts[-1], outer_counts[-1]
             cum_time, f_cur, h_cur = totals[b], f_next[-1], h_next[-1]
-        state = RoundState(x, k, avg_num, avg_den, inner_evals, outer_evals)
+        state = RoundState(x, k, avg_num, avg_den, m * (k - 1), outer_per_round * (k - 1))
         final_avg_x = weighted_average(state)
     return RunRecord(
         method=method,

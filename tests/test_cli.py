@@ -436,6 +436,15 @@ class TestMain:
         assert f"{setting.partition('=')[0]} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_margin_is_config_error(self, tmp_path, capsys):
+        # margin was missing from a hand-kept list of float keys, so the NaN
+        # reached the run summary, which strict JSON parsers then rejected
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "location.cfg"
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--out", str(out), "--set", "margin=nan"]) == 2
+        assert "margin must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_is_data_error_before_any_run(self, tmp_path, monkeypatch):
         def run_solver(*args, **kwargs):
             raise AssertionError("a run was computed")
@@ -488,6 +497,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert "PASS finite-difference logistic" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flag, raw", [("--points", "0"), ("--pairs", "-3"),
+                                           ("--points", "x")])
+    def test_selftest_rejects_counts_below_1(self, capsys, flag, raw):
+        # a count of 0 ran no case and printed every check as PASS
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", flag, raw])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "PASS" not in captured.out
 
     def test_inspect_prints_summary(self, tmp_path, capsys):
         path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 50\n")

@@ -1,10 +1,38 @@
+import typing
 from pathlib import Path
 
 import pytest
 
-from fedbilevel.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from fedbilevel.config import (_CHOICES, _NONNEGATIVE, _POSITIVE, PROBLEMS, ConfigError,
+                               ExperimentConfig, load_config, parse_config_text)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def _types(hint):
+    """Every type named in ``hint``: X, X | None, tuple[X, ...] and their nestings."""
+    return {hint}.union(*map(_types, typing.get_args(hint)))
+
+
+# Every float-typed field, with a non-finite text for it (a list takes it as
+# its last entry); a field missing from the table is tried with "nan".
+_NON_FINITE = {"gamma1": "nan", "a": "inf", "lambda1": "nan", "b": "-inf", "tol": "nan",
+               "margin": "nan", "unit_cost": "nan", "comm_cost": "0,nan",
+               "client_cost_scale": "1,inf"}
+_FLOAT_CASES = [(key, _NON_FINITE.get(key, "nan"))
+                for key, hint in _HINTS.items() if float in _types(hint)]
+# The keys each problem needs set before resolve can reach the other rules.
+_PROBLEM_KEYS = {"logistic-mnist": (("images_path", "images.idx"), ("labels_path", "labels.idx"))}
+
+
+def _resolve_error(problem, *settings):
+    cfg = ExperimentConfig()
+    for key, raw in (("problem", problem),) + _PROBLEM_KEYS.get(problem, ()) + settings:
+        cfg.set_key(key, raw)
+    with pytest.raises(ConfigError) as err:
+        cfg.resolve()
+    return err.value
 
 # key, an accepted text and its value, a rejected text (None where no
 # text is rejected), and the keys set beside it so the rejection is
@@ -218,18 +246,39 @@ class TestResolve:
             cfg.resolve()
         assert err.value.key == "margin"
 
-    @pytest.mark.parametrize("key, raw", [
-        ("gamma1", "nan"), ("a", "inf"), ("lambda1", "nan"), ("b", "-inf"),
-        ("tol", "nan"), ("unit_cost", "nan"), ("comm_cost", "0,nan"),
-        ("client_cost_scale", "1,inf")])
+    @pytest.mark.parametrize("key, raw", _FLOAT_CASES)
     def test_rejects_non_finite_float(self, key, raw):
-        # every range check is False for NaN, so these passed before
+        # a float field must be finite by its type; every bound is False for
+        # NaN, and margin, which has no bound, reached the run summary as NaN
+        for problem in PROBLEMS:
+            assert _resolve_error(problem, (key, raw)).key == key, problem
+
+    @pytest.mark.parametrize("key, raw", [
+        ("n", "0"), ("m", "0"), ("s_values", "2,0"), ("repeats", "0"), ("max_rounds", "0"),
+        ("gamma1", "0"), ("lambda1", "0"), ("tol", "0"), ("tol", "-1e-5"), ("a", "-1"),
+        ("b", "-1"), ("test_size", "-2"), ("unit_cost", "-1"), ("comm_cost", "0,-1"),
+        ("client_cost_scale", "1,-0.5"), ("methods", "fism,sgd"), ("partition", "bogus")])
+    def test_bound_error_names_its_key(self, key, raw):
+        # b, lambda1, m and comm_cost each shared one check (and its key) with
+        # another key
+        assert _resolve_error("location", (key, raw)).key == key
+
+    @pytest.mark.parametrize("key", ["a", "b", "test_size", "unit_cost", "comm_cost",
+                                     "client_cost_scale"])
+    def test_nonnegative_key_takes_zero(self, key):
         cfg = ExperimentConfig()
-        cfg.set_key("problem", "location")
-        cfg.set_key(key, raw)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == key
+        for k, raw in [("problem", "location"), (key, "0")]:
+            cfg.set_key(k, raw)
+        cfg.resolve()
+
+    @pytest.mark.parametrize("key", [key for key, hint in _HINTS.items()
+                                     if tuple in map(typing.get_origin, _types(hint))])
+    def test_rejects_empty_list(self, key):
+        assert _resolve_error("location", (key, "")).key == key
+
+    def test_rule_tables_name_fields(self):
+        # a misspelt key would drop its rule without a word
+        assert {*_POSITIVE, *_NONNEGATIVE, *_CHOICES} <= set(_HINTS)
 
     def test_rejects_empty_comm_cost(self):
         # every run would fail pricing its clients
