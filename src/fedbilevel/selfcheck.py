@@ -10,8 +10,9 @@ smooth points and the subgradient inequality on random pairs, and its
 which the block-wise run metrics rely on. Every family's ``subgrads`` must
 give each row the bits of ``subgrad`` (``np.vecdot`` against ``np.dot``
 rows), which the client lanes of a round rely on. Projection is checked for
-idempotence and nonexpansiveness. Used by both the test suite (at full
-sample counts) and the CLI ``selftest`` subcommand (at lighter counts).
+idempotence, nonexpansiveness, identity on interior points and feasibility.
+Used by both the test suite (at full sample counts) and the CLI ``selftest``
+subcommand (at lighter counts).
 """
 from __future__ import annotations
 
@@ -72,63 +73,57 @@ _CASES: dict[str, Callable] = {
 }
 
 
+def _count(draws: int, seed: int, failures: Callable) -> dict[str, int]:
+    """Per case, the summed ``failures(case, rng)`` over ``draws`` draws from
+    a fresh checks stream; each draw takes the case, then its own points."""
+    out: dict[str, int] = {}
+    for name, case in _CASES.items():
+        rng = make_rng(seed, STREAM_CHECKS)
+        out[name] = sum(int(failures(case(rng), rng)) for _ in range(draws))
+    return out
+
+
 def finite_difference_failures(points: int = 500, seed: int = 2024, step: float = 1e-6,
                                tol: float = 1e-5) -> dict[str, int]:
     """Count per-case coordinates where central differences disagree with
     the reported subgradient beyond tol * (1 + |g|), at smooth points."""
-    out: dict[str, int] = {}
-    for name, case in _CASES.items():
-        rng = make_rng(seed, STREAM_CHECKS)
-        failures = 0
-        for _ in range(points):
-            values, subgrad, smooth = case(rng)
+    def failures(case: _Case, rng) -> int:
+        values, subgrad, smooth = case
+        x = rng.uniform(-4.0, 4.0, _DIM)
+        while not smooth(x):
             x = rng.uniform(-4.0, 4.0, _DIM)
-            while not smooth(x):
-                x = rng.uniform(-4.0, 4.0, _DIM)
-            g = subgrad(x)
-            for d in range(_DIM):
-                e = np.zeros(_DIM)
-                e[d] = step
-                fd = (values((x + e)[None])[0] - values((x - e)[None])[0]) / (2.0 * step)
-                if abs(fd - g[d]) > tol * (1.0 + abs(g[d])):
-                    failures += 1
-        out[name] = failures
-    return out
+        g = subgrad(x)
+        count = 0
+        for d in range(_DIM):
+            e = np.zeros(_DIM)
+            e[d] = step
+            fd = (values((x + e)[None])[0] - values((x - e)[None])[0]) / (2.0 * step)
+            if abs(fd - g[d]) > tol * (1.0 + abs(g[d])):
+                count += 1
+        return count
+    return _count(points, seed, failures)
 
 
 def subgradient_inequality_failures(pairs: int = 100, seed: int = 2024,
                                     slack: float = 1e-9) -> dict[str, int]:
     """Count per-case pairs violating f(y) >= f(x) + <g(x), y - x> - slack."""
-    out: dict[str, int] = {}
-    for name, case in _CASES.items():
-        rng = make_rng(seed, STREAM_CHECKS)
-        failures = 0
-        for _ in range(pairs):
-            values, subgrad, _ = case(rng)
-            x = rng.uniform(-4.0, 4.0, _DIM)
-            y = rng.uniform(-4.0, 4.0, _DIM)
-            if (values(y[None])[0]
-                    < values(x[None])[0] + float(np.dot(subgrad(x), y - x)) - slack):
-                failures += 1
-        out[name] = failures
-    return out
+    def fails(case: _Case, rng) -> bool:
+        values, subgrad, _ = case
+        x = rng.uniform(-4.0, 4.0, _DIM)
+        y = rng.uniform(-4.0, 4.0, _DIM)
+        return values(y[None])[0] < values(x[None])[0] + float(np.dot(subgrad(x), y - x)) - slack
+    return _count(pairs, seed, fails)
 
 
 def stacked_value_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
     """Count per-case stacks of points whose ``values`` differ in any bit
     from the one-row call on some row."""
-    out: dict[str, int] = {}
-    for name, case in _CASES.items():
-        rng = make_rng(seed, STREAM_CHECKS)
-        failures = 0
-        for _ in range(stacks):
-            values, _, _ = case(rng)
-            points = rng.uniform(-4.0, 4.0, (_STACK, _DIM))
-            single = np.concatenate([values(x[None]) for x in points])
-            if values(points).tobytes() != single.tobytes():
-                failures += 1
-        out[name] = failures
-    return out
+    def fails(case: _Case, rng) -> bool:
+        values = case[0]
+        points = rng.uniform(-4.0, 4.0, (_STACK, _DIM))
+        single = np.concatenate([values(x[None]) for x in points])
+        return values(points).tobytes() != single.tobytes()
+    return _count(stacks, seed, fails)
 
 
 def lane_subgrad_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
@@ -152,11 +147,10 @@ def lane_subgrad_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]
 
 def projection_failures(pairs: int = 100, seed: int = 2024) -> dict[str, int]:
     """Count failures of projection idempotence (exact), nonexpansiveness
-    (1e-12 slack), and identity on interior points (exact)."""
+    (1e-12 slack), identity on interior points (exact), and feasibility
+    (a pair fails unless both projected points lie in the box)."""
     rng = make_rng(seed, STREAM_CHECKS)
-    idempotence = 0
-    nonexpansive = 0
-    identity = 0
+    out = {"idempotence": 0, "nonexpansiveness": 0, "interior-identity": 0, "feasibility": 0}
     for _ in range(pairs):
         lo = rng.uniform(-3.0, -0.5, _DIM)
         hi = rng.uniform(0.5, 3.0, _DIM)
@@ -166,27 +160,25 @@ def projection_failures(pairs: int = 100, seed: int = 2024) -> dict[str, int]:
         px = project_box(x, box)
         py = project_box(y, box)
         if not np.array_equal(project_box(px, box), px):
-            idempotence += 1
+            out["idempotence"] += 1
         if np.linalg.norm(px - py) > np.linalg.norm(x - y) + 1e-12:
-            nonexpansive += 1
+            out["nonexpansiveness"] += 1
         mid = (box.lo + box.hi) / 2.0
         if not np.array_equal(project_box(mid, box), mid):
-            identity += 1
-    return {"idempotence": idempotence, "nonexpansiveness": nonexpansive,
-            "interior-identity": identity}
+            out["interior-identity"] += 1
+        if not (box.contains(px) and box.contains(py)):
+            out["feasibility"] += 1
+    return out
 
 
 def run_selftest(points: int = 100, pairs: int = 100, seed: int = 2024) -> list[tuple[str, bool, str]]:
     """All checks as (name, passed, detail) tuples."""
-    results: list[tuple[str, bool, str]] = []
-    for name, fails in finite_difference_failures(points=points, seed=seed).items():
-        results.append((f"finite-difference {name}", fails == 0, f"{fails} failing coordinates"))
-    for name, fails in subgradient_inequality_failures(pairs=pairs, seed=seed).items():
-        results.append((f"subgradient-inequality {name}", fails == 0, f"{fails} failing pairs"))
-    for name, fails in stacked_value_failures(stacks=pairs, seed=seed).items():
-        results.append((f"stacked-values {name}", fails == 0, f"{fails} failing stacks"))
-    for name, fails in lane_subgrad_failures(stacks=pairs, seed=seed).items():
-        results.append((f"lane-subgrads {name}", fails == 0, f"{fails} failing stacks"))
-    for name, fails in projection_failures(pairs=pairs, seed=seed).items():
-        results.append((f"projection {name}", fails == 0, f"{fails} failing pairs"))
-    return results
+    checks = (
+        ("finite-difference", finite_difference_failures(points=points, seed=seed), "coordinates"),
+        ("subgradient-inequality", subgradient_inequality_failures(pairs=pairs, seed=seed), "pairs"),
+        ("stacked-values", stacked_value_failures(stacks=pairs, seed=seed), "stacks"),
+        ("lane-subgrads", lane_subgrad_failures(stacks=pairs, seed=seed), "stacks"),
+        ("projection", projection_failures(pairs=pairs, seed=seed), "pairs"),
+    )
+    return [(f"{check} {name}", fails == 0, f"{fails} failing {unit}")
+            for check, counts, unit in checks for name, fails in counts.items()]

@@ -498,6 +498,30 @@ class TestMain:
         assert "PASS finite-difference logistic" in out
         assert "FAIL" not in out
 
+    def test_selftest_default_report(self, capsys):
+        assert cli.main(["selftest"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS finite-difference logistic (0 failing coordinates)",
+            "PASS finite-difference ball-distance (0 failing coordinates)",
+            "PASS finite-difference l1-quad (0 failing coordinates)",
+            "PASS finite-difference quad-anchor (0 failing coordinates)",
+            "PASS subgradient-inequality logistic (0 failing pairs)",
+            "PASS subgradient-inequality ball-distance (0 failing pairs)",
+            "PASS subgradient-inequality l1-quad (0 failing pairs)",
+            "PASS subgradient-inequality quad-anchor (0 failing pairs)",
+            "PASS stacked-values logistic (0 failing stacks)",
+            "PASS stacked-values ball-distance (0 failing stacks)",
+            "PASS stacked-values l1-quad (0 failing stacks)",
+            "PASS stacked-values quad-anchor (0 failing stacks)",
+            "PASS lane-subgrads logistic (0 failing stacks)",
+            "PASS lane-subgrads ball-distance (0 failing stacks)",
+            "PASS lane-subgrads closures (0 failing stacks)",
+            "PASS projection idempotence (0 failing pairs)",
+            "PASS projection nonexpansiveness (0 failing pairs)",
+            "PASS projection interior-identity (0 failing pairs)",
+            "PASS projection feasibility (0 failing pairs)",
+        ]
+
     @pytest.mark.parametrize("flag, raw", [("--points", "0"), ("--pairs", "-3"),
                                            ("--points", "x")])
     def test_selftest_rejects_counts_below_1(self, capsys, flag, raw):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from helpers import ball_dist_eval, logistic_eval, outer_l1_quad_eval, outer_quad_anchor_eval
 
+from fedbilevel import selfcheck
 from fedbilevel.oracles import BallDistances, L1Quad, LogisticLosses, QuadAnchor, project_box
 from fedbilevel.problem import BoxConstraint
 from fedbilevel.rng import make_rng
-from fedbilevel.selfcheck import (finite_difference_failures, projection_failures,
-                                  stacked_value_failures, subgradient_inequality_failures)
+from fedbilevel.selfcheck import (finite_difference_failures, lane_subgrad_failures,
+                                  projection_failures, stacked_value_failures,
+                                  subgradient_inequality_failures)
 
 
 class TestProjectBox:
@@ -145,3 +147,41 @@ class TestOracleProperties:
                 rhs = (alpha * h_x + (1 - alpha) * h_y
                        - 0.5 * 1.0 * alpha * (1 - alpha) * float(np.dot(x - y, x - y)))
                 assert lhs <= rhs + 1e-9
+
+
+def _only_failing(counts, probe):
+    """The check failed ``probe`` and passed every other probe."""
+    assert counts[probe] > 0, counts
+    assert all(fails == 0 for name, fails in counts.items() if name != probe), counts
+
+
+class TestChecksCanFail:
+    """Each check family fails one broken probe, and only that probe."""
+
+    def test_finite_difference_finds_a_dropped_term(self, monkeypatch):
+        monkeypatch.setattr(L1Quad, "subgrad", lambda self, x: x)  # without sign(x)
+        _only_failing(finite_difference_failures(points=100), "l1-quad")
+
+    def test_subgradient_inequality_finds_a_flipped_subgradient(self, monkeypatch):
+        # the sign-dropped subgradient above still satisfies this inequality
+        subgrad = L1Quad.subgrad
+        monkeypatch.setattr(L1Quad, "subgrad", lambda self, x: -subgrad(self, x))
+        _only_failing(subgradient_inequality_failures(pairs=100), "l1-quad")
+
+    def test_stacked_values_find_a_one_ulp_stack_dependence(self, monkeypatch):
+        values = QuadAnchor.values
+        monkeypatch.setattr(QuadAnchor, "values",
+                            lambda self, X: values(self, X) * (1 + len(X) * 2**-52))
+        _only_failing(stacked_value_failures(stacks=100), "quad-anchor")
+
+    def test_lane_subgrads_find_a_one_ulp_lane_difference(self, monkeypatch):
+        subgrads = BallDistances.subgrads
+        monkeypatch.setattr(BallDistances, "subgrads",
+                            lambda self, idx, X: subgrads(self, idx, X) * (1 + 2**-52))
+        _only_failing(lane_subgrad_failures(stacks=100), "ball-distance")
+
+    def test_projection_finds_a_projection_that_does_not_project(self, monkeypatch):
+        # idempotence, nonexpansiveness and interior identity all hold for
+        # the identity map; only feasibility catches it
+        monkeypatch.setattr(selfcheck, "project_box", lambda x, box: x)
+        _only_failing(projection_failures(pairs=100), "feasibility")
