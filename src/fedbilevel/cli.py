@@ -1,12 +1,15 @@
 """Configuration-driven experiment runner.
 
 Subcommands:
-  run <config>      execute a single run (first method, first client count)
+  run <config>      execute the sweep's first run (first method, first client
+                    count, repeat 0); its files equal the sweep's, byte for byte
   sweep <config>    execute the full methods x client-counts x repeats grid
                     and write a merged summary.csv
   selftest          objective and projection property suite
   inspect <file>    print a saved run summary
 
+A sweep builds its data and problem once; each run splits that problem's
+inner functions across its clients with its own seed.
 Every run writes a JSON summary and a JSONL stream of per-round rows
 (optionally a CSV of the same rows) into the output directory as soon as it
 finishes; a run that stops on a non-finite objective value writes its files
@@ -24,13 +27,14 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from dataclasses import replace
 from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import (FormatError, load_binary_digits, make_location_instance,
+from .data import (FormatError, LabeledDataset, load_binary_digits, make_location_instance,
                    make_synthetic_logistic)
 from .federation import CostModel, partition_data
 from .instances import location_problem, logistic_problem, selection_1d_problem
@@ -40,101 +44,92 @@ from .rng import STREAM_INIT, make_rng, open_uniform
 from .solvers import run_solver
 
 
-def _build_datasets(cfg: ExperimentConfig) -> dict:
-    """Load or generate the problem data shared by all runs of a sweep."""
-    ctx: dict = {}
+def _base_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, LabeledDataset | None]:
+    """The problem every run of a sweep shares, with all its inner functions
+    on one client, and the held-out set if the config has one."""
+    if cfg.problem == "selection-1d":  # identical balls: any split gives the same bits
+        return selection_1d_problem((cfg.m,)), None
     if cfg.problem == "location":
-        ctx["instance"] = make_location_instance(cfg.n, cfg.m, seed=cfg.seed)
-    elif cfg.problem == "logistic-synthetic":
-        ctx["train"], heldout = make_synthetic_logistic(cfg.n, cfg.m, cfg.margin, seed=cfg.seed,
-                                                        test_size=cfg.test_size)
-        if len(heldout):
-            ctx["test"] = heldout
-    elif cfg.problem == "logistic-mnist":
-        ctx["train"] = load_binary_digits(cfg.images_path, cfg.labels_path, cfg.pos_digit,
-                                          cfg.neg_digit, name="mnist")
+        return location_problem(make_location_instance(cfg.n, cfg.m, seed=cfg.seed),
+                                (range(cfg.m),)), None
+    heldout = None
+    if cfg.problem == "logistic-synthetic":
+        train, heldout = make_synthetic_logistic(cfg.n, cfg.m, cfg.margin, seed=cfg.seed,
+                                                 test_size=cfg.test_size)
+    else:  # logistic-mnist
+        train = load_binary_digits(cfg.images_path, cfg.labels_path, cfg.pos_digit,
+                                   cfg.neg_digit, name="mnist")
         if cfg.test_images_path:  # the config sets the held-out pair together or not at all
-            ctx["test"] = load_binary_digits(cfg.test_images_path, cfg.test_labels_path,
-                                             cfg.pos_digit, cfg.neg_digit, name="mnist-test")
-            train_px, test_px = (ctx[s].features.shape[1] for s in ("train", "test"))
+            heldout = load_binary_digits(cfg.test_images_path, cfg.test_labels_path,
+                                         cfg.pos_digit, cfg.neg_digit, name="mnist-test")
+            train_px, test_px = (ds.features.shape[1] for ds in (train, heldout))
             if test_px != train_px:
                 raise FormatError(f"{cfg.test_images_path}: held-out images have {test_px} "
                                   f"pixels, the training images {train_px}")
-    return ctx
-
-
-def _build_problem(cfg: ExperimentConfig, ctx: dict, n_clients: int,
-                   run_seed: int) -> ProblemSpec:
-    m = len(ctx["train"]) if "train" in ctx else cfg.m
-    clients = partition_data(m, n_clients, cfg.partition, seed=run_seed)
-    if cfg.problem == "selection-1d":
-        return selection_1d_problem(tuple(map(len, clients)))
-    if cfg.problem == "location":
-        return location_problem(ctx["instance"], clients)
-    return logistic_problem(ctx["train"], clients)
+    return logistic_problem(train, (range(len(train)),)), heldout or None  # None if empty
 
 
 def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
-    scale = cfg.client_cost_scale
-    if scale is not None and len(scale) != len(sizes):
+    scale = cfg.client_cost_scale or (1.0,) * len(sizes)
+    if len(scale) != len(sizes):
         raise ConfigError("client_cost_scale length must equal the client count",
                           key="client_cost_scale")
     comm = cfg.comm_cost
     if len(comm) not in (1, len(sizes)):
         raise ConfigError("comm_cost must hold one value or one per client",
                           key="comm_cost")
-    if scale is None:
-        scale = (1.0,) * len(sizes)
     per = tuple(np.full(size, cfg.unit_cost * s) for size, s in zip(sizes, scale))
     return CostModel(per, np.full(len(sizes), comm[0]) if len(comm) == 1 else comm)
 
 
-def execute(cfg: ExperimentConfig, grid: bool, emit: Callable[[str, RunRecord], None],
-            progress=print) -> list[tuple[str, str]]:
-    """Run the configured experiment, handing each finished run to
-    ``emit(run_id, record)``; returns the failures as (run_id, message).
+def _plan(cfg: ExperimentConfig) -> list[tuple[str, str, int, int]]:
+    """Every run of the sweep as (run_id, method, S, repeat), in run order."""
+    return [(f"{cfg.problem}_{method}_S{n_clients}_rep{rep}", method, n_clients, rep)
+            for method in cfg.methods for n_clients in cfg.s_values
+            for rep in range(cfg.repeats)]
+
+
+def execute(cfg: ExperimentConfig, runs: list[tuple[str, str, int, int]],
+            emit: Callable[[str, RunRecord], None], progress=print) -> list[tuple[str, str]]:
+    """Compute ``runs``, entries of ``_plan(cfg)``, on one shared problem,
+    handing each finished run to ``emit(run_id, record)``; returns the
+    failures as (run_id, message).
 
     No record is kept once ``emit`` returns, so memory holds one run at a
     time. An exception from ``emit`` stops the sweep.
     """
-    ctx = _build_datasets(cfg)
-    methods = cfg.methods if grid else cfg.methods[:1]
-    s_values = cfg.s_values if grid else cfg.s_values[:1]
-    repeats = cfg.repeats if grid else 1
+    base, heldout = _base_problem(cfg)
     failures: list[tuple[str, str]] = []
-    for method in methods:
-        for n_clients in s_values:
-            for rep in range(repeats):
-                run_seed = cfg.seed + rep
-                run_id = f"{cfg.problem}_{method}_S{n_clients}_rep{rep}"
-                try:
-                    record = _single_run(cfg, ctx, method, n_clients, rep, run_seed)
-                except Exception as exc:  # noqa: BLE001 - runs are isolated
-                    failures.append((run_id, f"{type(exc).__name__}: {exc}"))
-                    progress(f"{run_id}: FAILED ({exc})")
-                    continue
-                emit(run_id, record)
-                progress(f"{run_id}: {record.rounds} rounds, stop={record.stop_reason}, "
-                         f"final inner={record.final_inner_value:.6g}, "
-                         f"outer={record.final_outer_value:.6g}")
-                if record.stop_reason == "non-finite":
-                    failures.append((run_id, f"non-finite objective value in round "
-                                             f"{record.rounds}"))
-                del record  # else it stays alive while the next run computes
+    for run_id, method, n_clients, rep in runs:
+        try:
+            record = _single_run(cfg, base, heldout, method, n_clients, rep)
+        except Exception as exc:  # noqa: BLE001 - runs are isolated
+            failures.append((run_id, f"{type(exc).__name__}: {exc}"))
+            progress(f"{run_id}: FAILED ({exc})")
+            continue
+        emit(run_id, record)
+        progress(f"{run_id}: {record.rounds} rounds, stop={record.stop_reason}, "
+                 f"final inner={record.final_inner_value:.6g}, "
+                 f"outer={record.final_outer_value:.6g}")
+        if record.stop_reason == "non-finite":
+            failures.append((run_id, f"non-finite objective value in round {record.rounds}"))
+        del record  # else it stays alive while the next run computes
     return failures
 
 
-def _single_run(cfg: ExperimentConfig, ctx: dict, method: str, n_clients: int,
-                rep: int, run_seed: int) -> RunRecord:
-    problem = _build_problem(cfg, ctx, n_clients, run_seed)
+def _single_run(cfg: ExperimentConfig, base: ProblemSpec, heldout: LabeledDataset | None,
+                method: str, n_clients: int, rep: int) -> RunRecord:
+    run_seed = cfg.seed + rep
+    problem = replace(base, clients=partition_data(base.n_inner, n_clients, cfg.partition,
+                                                   seed=run_seed))
     sched = StepSchedule(cfg.gamma1, cfg.a, cfg.lambda1, cfg.b)
     box = problem.constraint
     x_init = open_uniform(make_rng(run_seed, STREAM_INIT), box.lo, box.hi, box.dimension)
     costs = _cost_model(cfg, problem.client_sizes)
     record = run_solver(problem, sched, method, x_init, cfg.max_rounds, tol=cfg.tol,
                         seed=run_seed, costs=costs)
-    if "test" in ctx:
-        record.test_accuracy = accuracy(record.final_x, ctx["test"])
+    if heldout is not None:
+        record.test_accuracy = accuracy(record.final_x, heldout)
     # n and m echo the problem as built: logistic-mnist reads both from its images.
     record.config = dict(cfg.echo_dict(), n=problem.dimension, m=problem.n_inner,
                          method=method, n_clients=n_clients, repeat=rep, run_seed=run_seed)
@@ -217,7 +212,7 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable place fails before any run
-        failures = execute(cfg, grid=grid, emit=emit)
+        failures = execute(cfg, _plan(cfg) if grid else _plan(cfg)[:1], emit=emit)
         if grid:
             _write_atomic(write_summary, summaries, out_dir / "summary.csv")
     except (FormatError, FileNotFoundError, OSError, MemoryError) as exc:
@@ -288,17 +283,14 @@ def main(argv: list[str] | None = None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
+    for name, help_text in (("run", "execute the sweep's first run"),
+                            ("sweep", "execute the full config grid")):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a flat key = value config file")
         p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
-
-    p_run = sub.add_parser("run", help="execute a single run")
-    add_run_flags(p_run)
-    p_sweep = sub.add_parser("sweep", help="execute the full config grid")
-    add_run_flags(p_sweep)
     p_self = sub.add_parser("selftest", help="objective and projection property suite")
     p_self.add_argument("--points", type=_count, default=100)
     p_self.add_argument("--pairs", type=_count, default=100)
@@ -306,10 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     p_inspect.add_argument("record", help="path to a run .json summary")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, grid=False)
-    if args.command == "sweep":
-        return _cmd_run(args, grid=True)
+    if args.command in ("run", "sweep"):
+        return _cmd_run(args, grid=args.command == "sweep")
     if args.command == "selftest":
         return _cmd_selftest(args)
     return _cmd_inspect(args)

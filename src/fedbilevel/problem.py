@@ -157,4 +157,12 @@ class StepSchedule:
         if k < 1:
             raise ValueError(f"round index must be >= 1, got {k}")
         kf = float(k)
-        return self.gamma1 / kf**self.a, self.lambda1 / kf**self.b
+        return _decay(self.gamma1, kf, self.a), _decay(self.lambda1, kf, self.b)
+
+
+def _decay(c: float, k: float, p: float) -> float:
+    """c / k**p, also where k**p overflows a float: then exp(log c - p log k)."""
+    try:
+        return c / k**p
+    except OverflowError:  # exp underflows to 0.0 where ** would raise
+        return math.exp(math.log(c) - p * math.log(k))

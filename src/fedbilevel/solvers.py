@@ -216,15 +216,15 @@ def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
                        h_prev: float, h_next: float, tol: float) -> bool:
     """Composite relative-change test with denominators |previous| + 1.
 
-    Fires when max(||dx|| / (||x_prev|| + 1), |dh| / (|h_prev| + 1),
-    |df| / (|f_prev| + 1)) <= tol. The absolute values keep every denominator
-    at least 1 for signed objectives; for nonnegative objectives they change
-    nothing.
+    Fires when each of ||dx|| / (||x_prev|| + 1), |dh| / (|h_prev| + 1) and
+    |df| / (|f_prev| + 1) is <= tol, so a NaN ratio never fires. The absolute
+    values keep every denominator at least 1 for signed objectives; for
+    nonnegative objectives they change nothing.
     """
     rx = _norm(x_next - x_prev) / (_norm(x_prev) + 1.0)
     rh = abs(h_next - h_prev) / (abs(h_prev) + 1.0)
     rf = abs(f_next - f_prev) / (abs(f_prev) + 1.0)
-    return max(rx, rh, rf) <= tol
+    return rx <= tol and rh <= tol and rf <= tol
 
 
 def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,

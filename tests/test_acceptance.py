@@ -221,7 +221,7 @@ def test_c09_classification_desk_scale():
         cfg.set_key(key, value)
     cfg.resolve()
     records = []
-    failures = cli.execute(cfg, grid=True,
+    failures = cli.execute(cfg, cli._plan(cfg),
                            emit=lambda run_id, record: records.append((run_id, record)),
                            progress=lambda *a: None)
     elapsed = time.perf_counter() - t0

@@ -23,6 +23,7 @@ from fedbilevel.oracles import EvalResult
 from fedbilevel.problem import BoxConstraint, ProblemSpec
 
 SYNTHETIC_CFG = Path(__file__).resolve().parents[1] / "configs" / "logistic-synthetic.cfg"
+SELECTION_CFG = SYNTHETIC_CFG.with_name("selection-1d.cfg")
 
 
 def _config(tmp_path, text):
@@ -46,7 +47,7 @@ def _execute(cfg):
     """``cli.execute`` with an ``emit`` that keeps every record; returns
     (records, failures)."""
     records = []
-    failures = cli.execute(cfg, grid=True, emit=lambda run_id, record: records.append(
+    failures = cli.execute(cfg, cli._plan(cfg), emit=lambda run_id, record: records.append(
         (run_id, record)), progress=_quiet)
     return records, failures
 
@@ -203,16 +204,16 @@ class TestSyntheticSplit:
         assert test.separator is train.separator
         assert (train.name, test.name) == (pool.name, pool.name + "-heldout")
 
-    def test_build_datasets_holds_the_pool_once(self):
+    def test_base_problem_holds_the_pool_once(self):
         cfg = _make_cfg([("problem", "logistic-synthetic"), ("n", "256"), ("m", "4000"),
                          ("test_size", "100")])
         tracemalloc.start()
         try:
-            ctx = cli._build_datasets(cfg)
+            problem, heldout = cli._base_problem(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (len(ctx["train"]), len(ctx["test"])) == (4000, 100)
+        assert (problem.n_inner, len(heldout)) == (4000, 100)
         assert peak <= 1.25 * (4000 + 100) * 256 * 8
 
 
@@ -465,7 +466,7 @@ class TestMain:
             clients=[[inner]],
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0, name="selection-1d")
-        monkeypatch.setattr(cli, "_build_problem", lambda *args: prob)
+        monkeypatch.setattr(cli, "_base_problem", lambda cfg: (prob, None))
         path = _config(tmp_path, "problem = selection-1d\nmethods = fism\nmax_rounds = 50\n"
                                  "gamma1 = 0.1\n")
         out = tmp_path / "out"
@@ -475,6 +476,37 @@ class TestMain:
         assert summary["rounds"] == 2
         assert (out / "selection-1d_fism_S1_rep0.jsonl").exists()
         assert (out / "summary.csv").exists()
+
+    def test_sweep_builds_its_problem_once(self, tmp_path, monkeypatch):
+        # Runs differ only in their split of the inner functions, so the
+        # eight runs of this sweep share one built problem.
+        built = []
+        orig = cli.location_problem
+
+        def location_problem(*args):
+            built.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(cli, "location_problem", location_problem)
+        path = _config(tmp_path, "problem = location\nn = 4\nm = 24\ns_values = 1,4\n"
+                                 "repeats = 2\nmax_rounds = 3\ntol = none\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+        assert len(list(out.glob("*.json"))) == 8
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("setting", ["a=1000", "b=2000"])
+    def test_overflowing_schedule_exponent_runs(self, tmp_path, setting):
+        # k**a overflows a float from round 3 (k**b from round 2); the step
+        # or weight is then 0 and the run completes
+        out = tmp_path / "out"
+        code = cli.main(["run", str(SELECTION_CFG), "--out", str(out), "--set", setting,
+                         "--set", "max_rounds=10"])
+        assert code == 0
+        summary = json.loads((out / "selection-1d_fism_S1_rep0.json").read_text())
+        assert summary["rounds"] == 10
+        assert math.isfinite(summary["final_x"][0])
+        assert (out / "selection-1d_fism_S1_rep0.jsonl").exists()
 
     def test_threads_flag_is_rejected(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\n")

@@ -162,6 +162,13 @@ class TestScheduleAt:
         with pytest.raises(ValueError):
             sched.at(0)
 
+    def test_overflowing_power_falls_to_zero(self):
+        # 3.0 ** 1000 overflows a float; 2.0 ** 1000 does not and keeps its bits
+        sched = StepSchedule(1, 1000, 1, 0)
+        assert sched.at(3) == (0.0, 1.0)
+        assert sched.at(2) == (1.0 / 2.0**1000, 1.0)
+        assert StepSchedule(1, 0, 1, 2000).at(2) == (1.0, 0.0)
+
     def test_monotone_nonincreasing(self):
         rng = make_rng(17)
         for _ in range(20):

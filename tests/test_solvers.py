@@ -354,6 +354,17 @@ class TestStoppingCriterion:
         assert not stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.4)  # 1 / 2 = 0.5
         assert stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.5)
 
+    @pytest.mark.parametrize("where", ["x", "f", "h"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_ratio_never_fires(self, where, bad):
+        # nan - nan and inf - inf are NaN, so one ratio is NaN; max() dropped
+        # a NaN that was not its first argument and fired
+        vals = {"x": 1.0, "f": 1.0, "h": 1.0, where: bad}
+        x = np.array([vals["x"]])
+        with np.errstate(invalid="ignore"):
+            assert not stopping_criterion(x, x, vals["f"], vals["f"], vals["h"], vals["h"],
+                                          tol=1e-5)
+
     @settings(max_examples=300, deadline=None)
     @given(v=arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
            strided=st.booleans())

@@ -123,26 +123,36 @@ def _normalised(name: str, data: bytes, work: Path) -> bytes:
     return data
 
 
-def digest(name: str) -> dict:
-    """Run golden run ``name`` in a fresh temporary directory and digest it."""
+def outputs(name: str, work: Path, command: str = "sweep") -> tuple[int, dict, dict]:
+    """Run golden run ``name``'s config and settings through ``fedbilevel
+    <command>`` in the directory ``work``; returns the exit code, the
+    normalised stdout and stderr by label, and the normalised bytes of every
+    file written by name."""
     from fedbilevel import cli
 
     config, settings = RUNS[name]
+    work.mkdir(parents=True, exist_ok=True)
+    extra = _write_mnist_pair(work) if config == "logistic-mnist" else []
+    args = [command, str(CONFIGS / f"{config}.cfg"), "--out", str(work / "out")]
+    for setting in (*settings, *extra):
+        args += ["--set", setting]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(args)
+    streams = {label: _normalised(label, stream.getvalue().encode(), work)
+               for label, stream in (("stdout", stdout), ("stderr", stderr))}
+    files = {path.name: _normalised(path.name, path.read_bytes(), work)
+             for path in sorted((work / "out").iterdir())}
+    return code, streams, files
+
+
+def digest(name: str) -> dict:
+    """Run golden run ``name`` in a fresh temporary directory and digest it."""
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        extra = _write_mnist_pair(work) if config == "logistic-mnist" else []
-        args = ["sweep", str(CONFIGS / f"{config}.cfg"), "--out", str(work / "out")]
-        for setting in (*settings, *extra):
-            args += ["--set", setting]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(args)
-        streams = {label: _sha(_normalised(label, stream.getvalue().encode(), work))
-                   for label, stream in (("stdout", stdout), ("stderr", stderr))}
-        files = {path.name: _sha(_normalised(path.name, path.read_bytes(), work))
-                 for path in sorted((work / "out").iterdir())}
+        code, streams, files = outputs(name, Path(tmp))
     return {"argv": argv(name), "fingerprint": fingerprint(), "exit_code": code,
-            **streams, "files": files}
+            **{label: _sha(data) for label, data in streams.items()},
+            "files": {file: _sha(data) for file, data in files.items()}}
 
 
 def main(names: list[str]) -> int:
