@@ -90,10 +90,10 @@ def _plan(cfg: ExperimentConfig) -> list[tuple[str, str, int, int]]:
 
 
 def execute(cfg: ExperimentConfig, runs: list[tuple[str, str, int, int]],
-            emit: Callable[[str, RunRecord], None], progress=print) -> list[tuple[str, str]]:
+            emit: Callable[[str, RunRecord], None]) -> list[tuple[str, str]]:
     """Compute ``runs``, entries of ``_plan(cfg)``, on one shared problem,
-    handing each finished run to ``emit(run_id, record)``; returns the
-    failures as (run_id, message).
+    handing each finished run to ``emit(run_id, record)`` and printing one
+    line on it; returns the failures as (run_id, message).
 
     No record is kept once ``emit`` returns, so memory holds one run at a
     time. An exception from ``emit`` stops the sweep.
@@ -105,12 +105,12 @@ def execute(cfg: ExperimentConfig, runs: list[tuple[str, str, int, int]],
             record = _single_run(cfg, base, heldout, method, n_clients, rep)
         except Exception as exc:  # noqa: BLE001 - runs are isolated
             failures.append((run_id, f"{type(exc).__name__}: {exc}"))
-            progress(f"{run_id}: FAILED ({exc})")
+            print(f"{run_id}: FAILED ({exc})")
             continue
         emit(run_id, record)
-        progress(f"{run_id}: {record.rounds} rounds, stop={record.stop_reason}, "
-                 f"final inner={record.final_inner_value:.6g}, "
-                 f"outer={record.final_outer_value:.6g}")
+        print(f"{run_id}: {record.rounds} rounds, stop={record.stop_reason}, "
+              f"final inner={record.final_inner_value:.6g}, "
+              f"outer={record.final_outer_value:.6g}")
         if record.stop_reason == "non-finite":
             failures.append((run_id, f"non-finite objective value in round {record.rounds}"))
         del record  # else it stays alive while the next run computes

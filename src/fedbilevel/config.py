@@ -20,23 +20,16 @@ from pathlib import Path
 from .data import check_synthetic_margin
 from .federation import METHODS, SHUFFLED, STRATEGIES
 
-# Named stepsize presets.
-SCHEDULE_PRESETS = {
-    "classification": {"gamma1": 10.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
-    "location": {"gamma1": 1.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
-    "selection": {"gamma1": 1.0, "a": 0.55, "lambda1": 1.0, "b": 0.4},
-}
-
-# Per-problem values of the keys left unset, and the problem's schedule preset.
+# Per-problem values of the keys left unset, the stepsize schedule included.
+_CLASSIFICATION = {"max_rounds": 200, "tol": None,
+                   "gamma1": 10.0, "a": 0.8, "lambda1": 1.0, "b": 0.1}
 _PROBLEM_DEFAULTS = {
     "selection-1d": {"n": 1, "m": 1, "max_rounds": 20_000, "tol": None,
-                     "preset": "selection"},
+                     "gamma1": 1.0, "a": 0.55, "lambda1": 1.0, "b": 0.4},
     "location": {"n": 10, "m": 500, "max_rounds": 100_000, "tol": 1e-5,
-                 "preset": "location"},
-    "logistic-synthetic": {"n": 20, "m": 400, "max_rounds": 200, "tol": None,
-                           "preset": "classification"},
-    "logistic-mnist": {"n": 784, "m": 11_000, "max_rounds": 200, "tol": None,
-                       "preset": "classification"},
+                 "gamma1": 1.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
+    "logistic-synthetic": {"n": 20, "m": 400, **_CLASSIFICATION},
+    "logistic-mnist": {"n": 784, "m": 11_000, **_CLASSIFICATION},
 }
 PROBLEMS = tuple(_PROBLEM_DEFAULTS)
 
@@ -74,7 +67,6 @@ class ExperimentConfig:
     seed: int = 0
     methods: tuple[str, ...] = ("fism", "irig")
     s_values: tuple[int, ...] = (1,)
-    schedule_preset: str | None = None
     gamma1: float | None = None
     a: float | None = None
     lambda1: float | None = None
@@ -111,19 +103,12 @@ class ExperimentConfig:
         self.provided.add(key)
 
     def resolve(self) -> "ExperimentConfig":
-        """Fill unset keys from per-problem defaults and the schedule preset,
-        then validate. Returns self."""
+        """Fill unset keys from per-problem defaults, then validate. Returns self."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}",
                               key="problem")
-        defaults = dict(_PROBLEM_DEFAULTS[self.problem])
-        problem_preset = defaults.pop("preset")
-        preset = self.schedule_preset or problem_preset
-        if preset not in SCHEDULE_PRESETS:
-            raise ConfigError(f"schedule_preset must be one of {tuple(SCHEDULE_PRESETS)}, "
-                              f"got {preset!r}", key="schedule_preset")
         # An unset key is None, except tol, whose None may be a set "none".
-        for key, value in {**defaults, **SCHEDULE_PRESETS[preset]}.items():
+        for key, value in _PROBLEM_DEFAULTS[self.problem].items():
             if getattr(self, key) is None and key not in self.provided:
                 setattr(self, key, value)
         self._validate()

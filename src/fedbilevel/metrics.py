@@ -108,7 +108,6 @@ class RunRecord:
     final_inner_value: float
     final_outer_value: float
     stop_reason: str
-    prng: str = PRNG_ID
     test_accuracy: float | None = None
     config: dict | None = None
 
@@ -127,7 +126,7 @@ class RunRecord:
             "n_inner": self.n_inner,
             "dimension": self.dimension,
             "seed": self.seed,
-            "prng": self.prng,
+            "prng": PRNG_ID,
             "rounds": self.rounds,
             "stop_reason": self.stop_reason,
             "final_inner_value": self.final_inner_value,

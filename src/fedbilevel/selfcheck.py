@@ -11,8 +11,9 @@ which the block-wise run metrics rely on. Every family's ``subgrads`` must
 give each row the bits of ``subgrad`` (``np.vecdot`` against ``np.dot``
 rows), which the client lanes of a round rely on. Projection is checked for
 idempotence, nonexpansiveness, identity on interior points and feasibility.
-Used by both the test suite (at full sample counts) and the CLI ``selftest``
-subcommand (at lighter counts).
+Every check draws from one fixed seed and holds fixed tolerances; only its
+sample count is an argument. Used by both the test suite (at full sample
+counts) and the CLI ``selftest`` subcommand (at lighter counts).
 """
 from __future__ import annotations
 
@@ -28,6 +29,10 @@ from .rng import STREAM_CHECKS, make_rng
 
 _DIM = 7
 _STACK = 5
+_SEED = 2024  # every check draws from this seed's checks stream
+_FD_STEP = 1e-6  # the central-difference step
+_FD_TOL = 1e-5  # its relative tolerance
+_SLACK = 1e-9  # the subgradient inequality's allowance for rounding
 
 
 # A case is (values, subgrad, smooth): a probe's stacked values and one-point
@@ -73,20 +78,19 @@ _CASES: dict[str, Callable] = {
 }
 
 
-def _count(draws: int, seed: int, failures: Callable) -> dict[str, int]:
+def _count(draws: int, failures: Callable) -> dict[str, int]:
     """Per case, the summed ``failures(case, rng)`` over ``draws`` draws from
     a fresh checks stream; each draw takes the case, then its own points."""
     out: dict[str, int] = {}
     for name, case in _CASES.items():
-        rng = make_rng(seed, STREAM_CHECKS)
+        rng = make_rng(_SEED, STREAM_CHECKS)
         out[name] = sum(int(failures(case(rng), rng)) for _ in range(draws))
     return out
 
 
-def finite_difference_failures(points: int = 500, seed: int = 2024, step: float = 1e-6,
-                               tol: float = 1e-5) -> dict[str, int]:
+def finite_difference_failures(points: int = 500) -> dict[str, int]:
     """Count per-case coordinates where central differences disagree with
-    the reported subgradient beyond tol * (1 + |g|), at smooth points."""
+    the reported subgradient beyond _FD_TOL * (1 + |g|), at smooth points."""
     def failures(case: _Case, rng) -> int:
         values, subgrad, smooth = case
         x = rng.uniform(-4.0, 4.0, _DIM)
@@ -96,26 +100,25 @@ def finite_difference_failures(points: int = 500, seed: int = 2024, step: float 
         count = 0
         for d in range(_DIM):
             e = np.zeros(_DIM)
-            e[d] = step
-            fd = (values((x + e)[None])[0] - values((x - e)[None])[0]) / (2.0 * step)
-            if abs(fd - g[d]) > tol * (1.0 + abs(g[d])):
+            e[d] = _FD_STEP
+            fd = (values((x + e)[None])[0] - values((x - e)[None])[0]) / (2.0 * _FD_STEP)
+            if abs(fd - g[d]) > _FD_TOL * (1.0 + abs(g[d])):
                 count += 1
         return count
-    return _count(points, seed, failures)
+    return _count(points, failures)
 
 
-def subgradient_inequality_failures(pairs: int = 100, seed: int = 2024,
-                                    slack: float = 1e-9) -> dict[str, int]:
-    """Count per-case pairs violating f(y) >= f(x) + <g(x), y - x> - slack."""
+def subgradient_inequality_failures(pairs: int = 100) -> dict[str, int]:
+    """Count per-case pairs violating f(y) >= f(x) + <g(x), y - x> - _SLACK."""
     def fails(case: _Case, rng) -> bool:
         values, subgrad, _ = case
         x = rng.uniform(-4.0, 4.0, _DIM)
         y = rng.uniform(-4.0, 4.0, _DIM)
-        return values(y[None])[0] < values(x[None])[0] + float(np.dot(subgrad(x), y - x)) - slack
-    return _count(pairs, seed, fails)
+        return values(y[None])[0] < values(x[None])[0] + float(np.dot(subgrad(x), y - x)) - _SLACK
+    return _count(pairs, fails)
 
 
-def stacked_value_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
+def stacked_value_failures(stacks: int = 100) -> dict[str, int]:
     """Count per-case stacks of points whose ``values`` differ in any bit
     from the one-row call on some row."""
     def fails(case: _Case, rng) -> bool:
@@ -123,13 +126,13 @@ def stacked_value_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int
         points = rng.uniform(-4.0, 4.0, (_STACK, _DIM))
         single = np.concatenate([values(x[None]) for x in points])
         return values(points).tobytes() != single.tobytes()
-    return _count(stacks, seed, fails)
+    return _count(stacks, fails)
 
 
-def lane_subgrad_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]:
+def lane_subgrad_failures(stacks: int = 100) -> dict[str, int]:
     """Count per-family stacks (dimension 1 to 784, one lane at its ball's
     center) where row c of ``subgrads(idx, X)`` is not ``subgrad(idx[c], X[c])``."""
-    rng = make_rng(seed, STREAM_CHECKS)
+    rng = make_rng(_SEED, STREAM_CHECKS)
     out = {"logistic": 0, "ball-distance": 0, "closures": 0}
     for _ in range(stacks):
         n = int(rng.choice((1, 2, 3, 10, 20, 100, 784)))
@@ -145,11 +148,11 @@ def lane_subgrad_failures(stacks: int = 100, seed: int = 2024) -> dict[str, int]
     return out
 
 
-def projection_failures(pairs: int = 100, seed: int = 2024) -> dict[str, int]:
+def projection_failures(pairs: int = 100) -> dict[str, int]:
     """Count failures of projection idempotence (exact), nonexpansiveness
     (1e-12 slack), identity on interior points (exact), and feasibility
     (a pair fails unless both projected points lie in the box)."""
-    rng = make_rng(seed, STREAM_CHECKS)
+    rng = make_rng(_SEED, STREAM_CHECKS)
     out = {"idempotence": 0, "nonexpansiveness": 0, "interior-identity": 0, "feasibility": 0}
     for _ in range(pairs):
         lo = rng.uniform(-3.0, -0.5, _DIM)
@@ -171,14 +174,14 @@ def projection_failures(pairs: int = 100, seed: int = 2024) -> dict[str, int]:
     return out
 
 
-def run_selftest(points: int = 100, pairs: int = 100, seed: int = 2024) -> list[tuple[str, bool, str]]:
+def run_selftest(points: int = 100, pairs: int = 100) -> list[tuple[str, bool, str]]:
     """All checks as (name, passed, detail) tuples."""
     checks = (
-        ("finite-difference", finite_difference_failures(points=points, seed=seed), "coordinates"),
-        ("subgradient-inequality", subgradient_inequality_failures(pairs=pairs, seed=seed), "pairs"),
-        ("stacked-values", stacked_value_failures(stacks=pairs, seed=seed), "stacks"),
-        ("lane-subgrads", lane_subgrad_failures(stacks=pairs, seed=seed), "stacks"),
-        ("projection", projection_failures(pairs=pairs, seed=seed), "pairs"),
+        ("finite-difference", finite_difference_failures(points), "coordinates"),
+        ("subgradient-inequality", subgradient_inequality_failures(pairs), "pairs"),
+        ("stacked-values", stacked_value_failures(pairs), "stacks"),
+        ("lane-subgrads", lane_subgrad_failures(pairs), "stacks"),
+        ("projection", projection_failures(pairs), "pairs"),
     )
     return [(f"{check} {name}", fails == 0, f"{fails} failing {unit}")
             for check, counts, unit in checks for name, fails in counts.items()]

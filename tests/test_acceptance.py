@@ -222,8 +222,7 @@ def test_c09_classification_desk_scale():
     cfg.resolve()
     records = []
     failures = cli.execute(cfg, cli._plan(cfg),
-                           emit=lambda run_id, record: records.append((run_id, record)),
-                           progress=lambda *a: None)
+                           emit=lambda run_id, record: records.append((run_id, record)))
     elapsed = time.perf_counter() - t0
     accs = [rec.test_accuracy for _, rec in records]
     mean_acc = float(np.mean(accs))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbilevel import cli
-from fedbilevel.config import PROBLEMS, SCHEDULE_PRESETS, ExperimentConfig
+from fedbilevel.config import PROBLEMS, ExperimentConfig
 from fedbilevel.data import make_synthetic_logistic
 from fedbilevel.federation import METHODS, STRATEGIES
 from fedbilevel.oracles import EvalResult
@@ -32,10 +32,6 @@ def _config(tmp_path, text):
     return path
 
 
-def _quiet(*args, **kwargs):
-    pass
-
-
 def _make_cfg(pairs):
     cfg = ExperimentConfig()
     for key, value in pairs:
@@ -48,7 +44,7 @@ def _execute(cfg):
     (records, failures)."""
     records = []
     failures = cli.execute(cfg, cli._plan(cfg), emit=lambda run_id, record: records.append(
-        (run_id, record)), progress=_quiet)
+        (run_id, record)))
     return records, failures
 
 
@@ -243,6 +239,13 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\nbogus = 1\n")
         assert cli.main(["run", str(path)]) == 2
+
+    def test_schedule_preset_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(SELECTION_CFG), "--out", str(out),
+                         "--set", "schedule_preset=selection"]) == 2
+        assert "unknown key 'schedule_preset'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["s_values=1,1", "methods=fism,irig,fism"])
     def test_repeated_grid_entry_is_config_error(self, tmp_path, setting):
@@ -574,7 +577,7 @@ class TestMain:
         printed = capsys.readouterr().out
         assert "selection-1d" in printed
         assert "rounds:   50" in printed
-        # the selection preset gives gamma1 * lambda1 * mu_H = 1 <= 2m = 2
+        # the selection-1d schedule gives gamma1 * lambda1 * mu_H = 1 <= 2m = 2
         assert "b=0.4 feasible=True" in printed
 
     def test_inspect_non_object_is_data_error(self, tmp_path, capsys):
@@ -620,7 +623,6 @@ _OVERRIDES = {
     "seed": st.one_of(st.integers(-2**70, 2**70).map(str), st.sampled_from(_INT_EDGES)),
     "methods": _list_key(st.sampled_from(METHODS + ("sgd",))),
     "s_values": _list_key(st.integers(-1, 60).map(str)),
-    "schedule_preset": st.sampled_from(tuple(SCHEDULE_PRESETS) + ("bogus",)),
     "gamma1": _float_key(1e-3, 1e3),
     "a": _float_key(0.0, 2.0),
     "lambda1": _float_key(1e-3, 1e3),

@@ -1,17 +1,12 @@
 """tools/compare_runs.py on two tiny sweeps."""
-import importlib.util
 import json
 import math
 from pathlib import Path
 
+import compare_runs
 import pytest
 
 from fedbilevel import cli
-
-_SPEC = importlib.util.spec_from_file_location(
-    "compare_runs", Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py")
-compare_runs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_runs)
 
 
 @pytest.fixture

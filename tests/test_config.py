@@ -34,6 +34,10 @@ def _resolve_error(problem, *settings):
         cfg.resolve()
     return err.value
 
+# (gamma1, a, lambda1, b) of each shipped config, all four left to their defaults
+_SHIPPED_SCHEDULES = {"location": (1.0, 0.8, 1.0, 0.1), "logistic-mnist": (10.0, 0.8, 1.0, 0.1),
+                      "logistic-synthetic": (10.0, 0.8, 1.0, 0.1), "selection-1d": (1.0, 0.55, 1.0, 0.4)}
+
 # key, an accepted text and its value, a rejected text (None where no
 # text is rejected), and the keys set beside it so the rejection is
 # reached (at parse time or by resolve)
@@ -44,7 +48,6 @@ _KEY_CASES = [
     ("seed", "-3", -3, "x", ()),
     ("methods", "fism, irig,", ("fism", "irig"), "fism,sgd", ()),
     ("s_values", "1, 2,", (1, 2), "1,x", ()),
-    ("schedule_preset", "location", "location", "bogus", ()),
     ("gamma1", "2.5", 2.5, "fast", ()),
     ("a", "1", 1.0, "x", ()),
     ("lambda1", "0.5", 0.5, "nan", ()),
@@ -161,7 +164,7 @@ class TestResolve:
         cfg.set_key("gamma1", "2.5")
         cfg.resolve()
         assert cfg.gamma1 == 2.5
-        assert cfg.a == 0.8  # untouched preset entries still apply
+        assert cfg.a == 0.8  # the problem's other defaults still apply
 
     def test_rejects_unknown_problem(self):
         cfg = ExperimentConfig()
@@ -349,7 +352,8 @@ class TestResolve:
     @pytest.mark.parametrize("name", ["location", "logistic-mnist", "logistic-synthetic",
                                       "selection-1d"])
     def test_shipped_configs_resolve(self, name):
-        load_config(CONFIGS / f"{name}.cfg")
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        assert (cfg.gamma1, cfg.a, cfg.lambda1, cfg.b) == _SHIPPED_SCHEDULES[name]
 
 
 class TestLoadConfig:

@@ -6,19 +6,17 @@ the CPU features numpy dispatches on), and skipped with the difference
 named elsewhere.
 
 Twins check what holds on any platform: two execution shapes of one golden
-setting write byte-identical outputs after the same normalisation."""
-import importlib.util
+setting write byte-identical outputs after the same normalisation, and
+IRIG's S cells of one repeat write the same iterates. A failing twin names
+the first differing line or key path."""
 import json
-from pathlib import Path
+import re
 
+import compare_runs
 import pytest
+import record_golden
 
-from fedbilevel import solvers
-
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "record_golden.py"
-_SPEC = importlib.util.spec_from_file_location("record_golden", _TOOL)
-record_golden = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(record_golden)
+from fedbilevel import cli, solvers
 
 
 @pytest.mark.parametrize("name", list(record_golden.RUNS))
@@ -43,9 +41,19 @@ def test_every_golden_file_has_a_run():
     assert recorded == sorted(record_golden.RUNS)
 
 
-def _first_difference(a: dict, b: dict):
-    """The first key, in sorted order, whose value differs between a and b."""
-    return next((key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)), None)
+def _first_difference(a: dict, b: dict) -> str | None:
+    """Where two ``outputs`` results first differ: the first name, in sorted
+    order, whose value differs, with the first differing line of a stream,
+    ``.jsonl`` or ``.csv`` file or the first differing key path of a
+    ``.json`` summary; None when none does."""
+    name = next((key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)), None)
+    if name is None or name == "exit_code" or name not in a or name not in b:
+        return name
+    if name.endswith(".json"):
+        key = compare_runs._first_key_difference(json.loads(a[name]), json.loads(b[name]))
+        return f"{name} at {key}"
+    lines = (data.splitlines(keepends=True) for data in (a[name], b[name]))
+    return f"{name} line {compare_runs._first_line_difference(*lines)}"
 
 
 @pytest.mark.parametrize("name", ["location", "selection-1d-overflow"])
@@ -57,7 +65,8 @@ def test_block_length_twins(name, tmp_path, monkeypatch):
         monkeypatch.setattr(solvers, "_BLOCK", block)
         code, streams, files = record_golden.outputs(name, tmp_path / f"b{block}")
         got.append({"exit_code": code, **streams, **files})
-    assert _first_difference(*got) is None, f"{_first_difference(*got)} differs"
+    difference = _first_difference(*got)
+    assert difference is None, f"{difference} differs"
 
 
 def test_run_is_the_sweeps_first_run(tmp_path):
@@ -67,5 +76,55 @@ def test_run_is_the_sweeps_first_run(tmp_path):
                                  "location_fism_S1_rep0.jsonl"]
     _, _, sweep_files = record_golden.outputs("location", tmp_path / "sweep")
     sweep_first = {file: sweep_files[file] for file in run_files}
-    assert _first_difference(run_files, sweep_first) is None, \
-        f"{_first_difference(run_files, sweep_first)} differs"
+    difference = _first_difference(run_files, sweep_first)
+    assert difference is None, f"{difference} differs"
+
+
+# IRIG sweeps all inner functions in one order whatever S is, so S changes
+# only its simulated time. unit_cost = 0.1 makes that time differ in its last
+# bits between S = 1 and S = 4, so the time columns must really be dropped.
+_TIME_COLUMNS = re.compile(rb'(, )?"(?:round_time_units|total_time_units|wall_clock_sec)": '
+                           rb'[^,}]*')
+_IRIG_SETTINGS = ("methods=irig", "s_values=1,4", "repeats=2", "max_rounds=40", "unit_cost=0.1")
+
+
+@pytest.fixture(scope="module")
+def irig_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("irig") / "out"
+    argv = ["sweep", str(record_golden.CONFIGS / "location.cfg"), "--out", str(out)]
+    for setting in _IRIG_SETTINGS:
+        argv += ["--set", setting]
+    assert cli.main(argv) == 0
+    return out
+
+
+def _irig_difference(out, rep_one: int, rep_four: int) -> str | None:
+    """Where IRIG's S=1 run of repeat ``rep_one`` and its S=4 run of repeat
+    ``rep_four`` differ, apart from the time columns of their rows and the
+    client count and total time of their summaries; None when nowhere."""
+    one, four = f"location_irig_S1_rep{rep_one}", f"location_irig_S4_rep{rep_four}"
+    lines = [_TIME_COLUMNS.sub(b"", (out / f"{run}.jsonl").read_bytes()).splitlines(keepends=True)
+             for run in (one, four)]
+    line = compare_runs._first_line_difference(*lines)
+    if line is not None:
+        return f"{one}.jsonl and {four}.jsonl at line {line}"
+    summaries = []
+    for run in (one, four):
+        summary = json.loads((out / f"{run}.json").read_text(encoding="utf-8"))
+        del summary["n_clients"], summary["total_time_units"], summary["config"]["n_clients"]
+        summaries.append(summary)
+    key = compare_runs._first_key_difference(*summaries)
+    return None if key is None else f"{one}.json and {four}.json at {key}"
+
+
+@pytest.mark.parametrize("rep", [0, 1])
+def test_irig_iterates_do_not_depend_on_the_client_count(irig_sweep, rep):
+    difference = _irig_difference(irig_sweep, rep, rep)
+    assert difference is None, f"{difference} differ"
+
+
+def test_irig_twin_tells_repeats_apart(irig_sweep):
+    raw = [(irig_sweep / f"location_irig_S{s}_rep0.jsonl").read_bytes() for s in (1, 4)]
+    assert raw[0] != raw[1]  # the time columns differ before they are dropped
+    assert _irig_difference(irig_sweep, 0, 1) == \
+        "location_irig_S1_rep0.jsonl and location_irig_S4_rep1.jsonl at line 1"

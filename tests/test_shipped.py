@@ -1,7 +1,9 @@
 """The shipped configs sweep cleanly: the output contract of each, and the
 settings that take a shipped config to an edge (overflow, sliced metrics,
-no held-out set). Each test calls ``cli.main`` in-process; pytest turns a
-RuntimeWarning into an error, so a run that warns does not exit 0."""
+no held-out set), and one pass of the benchmark's selection workload under
+the benchmark's own output checks. Each test calls ``cli.main`` in-process;
+pytest turns a RuntimeWarning into an error, so a run that warns does not
+exit 0."""
 import csv
 import json
 import math
@@ -12,7 +14,8 @@ import pytest
 
 from fedbilevel import cli
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _sweep(tmp_path, name, *settings):
@@ -79,3 +82,15 @@ def test_no_heldout_set_leaves_accuracy_empty(tmp_path):
     with open(out / "summary.csv", newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))
     assert rows and all(row["test_accuracy_mean"] == "" for row in rows)
+
+
+def test_benchmark_selection_pass_passes_its_checks(tmp_path, monkeypatch):
+    # The benchmark's own checks on one pass of its selection workload, so a
+    # change that the benchmark would find incorrect fails here too.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.chdir(ROOT)  # the workload names its config from the checkout's root
+    import workloads
+
+    workload, out = workloads.WORKLOADS["selection"], tmp_path / "out"
+    assert cli.main(workload.sweep_argv(out, 0)) == 0
+    assert workloads.check_outputs(workload, out, 0, workloads.load_reference()) == {}

@@ -28,22 +28,18 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 
+import compare_runs
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
 CONFIGS = ROOT / "configs"
-
-_SPEC = importlib.util.spec_from_file_location("compare_runs", ROOT / "tools" / "compare_runs.py")
-compare_runs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_runs)
 
 _SHORT = ("s_values=1,4", "repeats=2", "max_rounds=40", "write_csv=true")
 
