@@ -127,7 +127,8 @@ def _single_run(cfg: ExperimentConfig, base: ProblemSpec, heldout: LabeledDatase
     x_init = open_uniform(make_rng(run_seed, STREAM_INIT), box.lo, box.hi, box.dimension)
     costs = _cost_model(cfg, problem.client_sizes)
     record = run_solver(problem, sched, method, x_init, cfg.max_rounds, tol=cfg.tol,
-                        seed=run_seed, costs=costs)
+                        costs=costs)
+    record.seed = run_seed
     if heldout is not None:
         record.test_accuracy = accuracy(record.final_x, heldout)
     # n and m echo the problem as built: logistic-mnist reads both from its images.

@@ -89,7 +89,8 @@ class _ColumnRows(Sequence):
 @dataclass
 class RunRecord:
     """Everything a single solver run produces. ``rows`` holds the per-round
-    rows as typed columns, filled by ``run_solver`` through ``extend``."""
+    rows as typed columns, filled by ``run_solver`` through ``extend``.
+    ``seed`` labels the summary only: the CLI sets it to the run's seed."""
 
     method: str
     problem_id: str
@@ -101,13 +102,13 @@ class RunRecord:
     n_clients: int
     n_inner: int
     dimension: int
-    seed: int
     rows: _ColumnRows
     final_x: np.ndarray
     final_avg_x: np.ndarray
     final_inner_value: float
     final_outer_value: float
     stop_reason: str
+    seed: int = 0
     test_accuracy: float | None = None
     config: dict | None = None
 

@@ -62,21 +62,14 @@ _BLOCK = 32
 @dataclass
 class RoundState:
     """Driver-owned state between rounds: the current global iterate, the
-    round index, the running numerator/denominator of the stepsize-weighted
-    average, and cumulative subgradient-evaluation counters."""
+    next round's index and the running numerator/denominator of the
+    stepsize-weighted average. The subgradient counters are ranges over k,
+    kept in the rows."""
 
     x: np.ndarray
     k: int
     avg_num: np.ndarray
     avg_den: float
-    inner_evals: int
-    outer_evals: int
-
-    @classmethod
-    def initial(cls, x: np.ndarray) -> "RoundState":
-        x = np.asarray(x, dtype=float)
-        return cls(x=x, k=1, avg_num=np.zeros_like(x), avg_den=0.0,
-                   inner_evals=0, outer_evals=0)
 
 
 # An iterate kernel maps (x, gamma, lam) to the round's next iterate and
@@ -204,13 +197,6 @@ def _step_norms(xs: np.ndarray) -> list[float]:
     return np.sqrt(np.vecdot(d, d)).tolist()
 
 
-def weighted_average(state: RoundState) -> np.ndarray:
-    """Stepsize-weighted mean of the global iterates seen so far."""
-    if state.avg_den <= 0.0:
-        raise ValueError("weighted average is undefined before the first round")
-    return state.avg_num / state.avg_den
-
-
 def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
                        f_prev: float, f_next: float,
                        h_prev: float, h_next: float, tol: float) -> bool:
@@ -229,7 +215,7 @@ def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
 
 def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                x_init: np.ndarray, max_rounds: int, tol: float | None = None,
-               seed: int = 0, costs: CostModel | None = None,
+               costs: CostModel | None = None,
                observe: Callable[[RoundState], None] | None = None) -> RunRecord:
     """Drive rounds of the chosen method and record per-round metrics.
 
@@ -261,9 +247,9 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         raise ValueError(f"cost model prices client sizes {costs.sizes}, "
                          f"problem has {problem.client_sizes}")
     t_round = round_time(costs, method)
-    if observe is not None:
-        observe(RoundState.initial(x))
     k, avg_num, avg_den = 1, np.zeros_like(x), 0.0
+    if observe is not None:
+        observe(RoundState(x, k, avg_num, avg_den))
     m = problem.n_inner
     step = _kernel(problem, method)
     outer_per_round = 1 if method == FISM else m
@@ -326,21 +312,19 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                         [t_round] * b, totals[1:], inner_counts, outer_counts, walls[:b])
             if observe is not None:
                 for j in range(1, b + 1):
-                    observe(RoundState(iterates[j], k + j, nums[j], dens[j], inner_counts[j - 1],
-                                       outer_counts[j - 1]))
+                    observe(RoundState(iterates[j], k + j, nums[j], dens[j]))
             x, k, avg_num, avg_den = iterates[b], k + b, nums[b], dens[b]
             cum_time, f_cur, h_cur = totals[b], f_next[-1], h_next[-1]
-        state = RoundState(x, k, avg_num, avg_den, m * (k - 1), outer_per_round * (k - 1))
-        final_avg_x = weighted_average(state)
+        # Round 1 adds gamma1 > 0 to the denominator, so it is positive here.
+        final_avg_x = avg_num / avg_den
     return RunRecord(
         method=method,
         problem_id=problem.name,
         gamma1=sched.gamma1, a=sched.a, lambda1=sched.lambda1, b=sched.b,
         feasible=sched.gamma1 * sched.lambda1 * problem.mu_H <= 2 * m,
         n_clients=problem.n_clients, n_inner=m, dimension=problem.dimension,
-        seed=seed,
         rows=rows,
-        final_x=state.x,
+        final_x=x,
         final_avg_x=final_avg_x,
         final_inner_value=f_cur,
         final_outer_value=h_cur,

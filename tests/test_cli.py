@@ -78,6 +78,12 @@ class TestExecute:
             assert not failures
             cli.write_summary([record.summary_dict() for _, record in records],
                               out / "summary.csv")
+            # each repeat's summary names its own seed, the base seed plus the repeat
+            for _, record in records:
+                summary = record.summary_dict()
+                assert summary["seed"] == 5 + summary["config"]["repeat"]
+                assert summary["seed"] == summary["config"]["run_seed"]
+            assert {record.config["repeat"] for _, record in records} == {0, 1, 2}
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
     def test_failed_run_is_isolated(self):

@@ -116,8 +116,18 @@ def test_changed_strings_in_a_summary_are_reported_not_failed(two_sweeps, capsys
     out = capsys.readouterr().out
     assert "exact fields identical" in out
     assert ".json summaries (minus config.out_dir) DIFFER in 2 of 4 runs" in out
-    assert "location_fism_S3_rep0.json at method" in out
+    assert "location_fism_S3_rep0.json at method, config.partition" in out
     assert "location_irig_S1_rep0.json at config.partition" in out
+
+
+def test_key_differences_names_every_leaf_and_a_key_order_change():
+    a = {"x": 1, "y": {"p": [1.0, 2.0], "q": "s"}, "z": 3}
+    assert compare_runs._key_differences(a, a) == []
+    b = {"z": 3.0, "y": {"p": [1.0, 2.5], "q": "s", "r": None}, "x": 1}
+    assert compare_runs._key_differences(a, b) == ["y.p[1]", "y.r", "z",
+                                                   "the top level (key order)"]
+    # a key present on one side only is not an order change
+    assert compare_runs._key_differences({"x": 1}, {"x": 1, "w": 2}) == ["w"]
 
 
 def test_number_equal_rewrite_in_a_run_csv_is_a_byte_difference(two_sweeps, capsys):

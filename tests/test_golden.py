@@ -8,7 +8,7 @@ named elsewhere.
 Twins check what holds on any platform: two execution shapes of one golden
 setting write byte-identical outputs after the same normalisation, and
 IRIG's S cells of one repeat write the same iterates. A failing twin names
-the first differing line or key path."""
+the first differing line or the differing key paths."""
 import json
 import re
 
@@ -44,14 +44,14 @@ def test_every_golden_file_has_a_run():
 def _first_difference(a: dict, b: dict) -> str | None:
     """Where two ``outputs`` results first differ: the first name, in sorted
     order, whose value differs, with the first differing line of a stream,
-    ``.jsonl`` or ``.csv`` file or the first differing key path of a
-    ``.json`` summary; None when none does."""
+    ``.jsonl`` or ``.csv`` file or the differing key paths of a ``.json``
+    summary; None when none does."""
     name = next((key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)), None)
     if name is None or name == "exit_code" or name not in a or name not in b:
         return name
     if name.endswith(".json"):
-        key = compare_runs._first_key_difference(json.loads(a[name]), json.loads(b[name]))
-        return f"{name} at {key}"
+        keys = compare_runs._key_differences(json.loads(a[name]), json.loads(b[name]))
+        return f"{name} at {', '.join(keys)}"
     lines = (data.splitlines(keepends=True) for data in (a[name], b[name]))
     return f"{name} line {compare_runs._first_line_difference(*lines)}"
 
@@ -113,8 +113,8 @@ def _irig_difference(out, rep_one: int, rep_four: int) -> str | None:
         summary = json.loads((out / f"{run}.json").read_text(encoding="utf-8"))
         del summary["n_clients"], summary["total_time_units"], summary["config"]["n_clients"]
         summaries.append(summary)
-    key = compare_runs._first_key_difference(*summaries)
-    return None if key is None else f"{one}.json and {four}.json at {key}"
+    keys = compare_runs._key_differences(*summaries)
+    return f"{one}.json and {four}.json at {', '.join(keys)}" if keys else None
 
 
 @pytest.mark.parametrize("rep", [0, 1])

@@ -295,6 +295,18 @@ class TestColumnRows:
         assert [summary[name] for name in ("rounds", *ROW_FIELDS[-4:-1])] == [0, 0.0, 0, 0]
         assert type(summary["total_time_units"]) is float
 
+    def test_library_run_summary_reads_seed_zero_in_key_order(self):
+        # Only the CLI labels a run with its seed; summary_dict sets the key order.
+        rec = run_solver(selection_1d_problem(), StepSchedule(1, 0.55, 1, 0.4), "fism",
+                         np.array([4.0]), 3)
+        summary = rec.summary_dict()
+        assert summary["seed"] == 0
+        assert list(summary) == [
+            "method", "problem_id", "schedule", "n_clients", "n_inner", "dimension", "seed",
+            "prng", "rounds", "stop_reason", "final_inner_value", "final_outer_value",
+            "total_time_units", "inner_subgrad_evals", "outer_subgrad_evals", "test_accuracy",
+            "final_x", "final_avg_x", "config"]
+
     def test_run_rows_stay_below_two_words_a_value(self):
         rounds = 20_000
         problem = selection_1d_problem()

@@ -1,7 +1,7 @@
 """The shipped configs sweep cleanly: the output contract of each, and the
 settings that take a shipped config to an edge (overflow, sliced metrics,
-no held-out set), and one pass of the benchmark's selection workload under
-the benchmark's own output checks. Each test calls ``cli.main`` in-process;
+no held-out set), and one pass of each benchmark workload under the
+benchmark's own output checks. Each test calls ``cli.main`` in-process;
 pytest turns a RuntimeWarning into an error, so a run that warns does not
 exit 0."""
 import csv
@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import pytest
+import workloads
 
 from fedbilevel import cli
 
@@ -84,13 +85,11 @@ def test_no_heldout_set_leaves_accuracy_empty(tmp_path):
     assert rows and all(row["test_accuracy_mean"] == "" for row in rows)
 
 
-def test_benchmark_selection_pass_passes_its_checks(tmp_path, monkeypatch):
-    # The benchmark's own checks on one pass of its selection workload, so a
-    # change that the benchmark would find incorrect fails here too.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_pass_passes_its_checks(tmp_path, monkeypatch, name):
+    # The benchmark's own checks on one pass of each workload, so a change
+    # that the benchmark would find incorrect fails here too.
     monkeypatch.chdir(ROOT)  # the workload names its config from the checkout's root
-    import workloads
-
-    workload, out = workloads.WORKLOADS["selection"], tmp_path / "out"
+    workload, out = workloads.WORKLOADS[name], tmp_path / "out"
     assert cli.main(workload.sweep_argv(out, 0)) == 0
     assert workloads.check_outputs(workload, out, 0, workloads.load_reference()) == {}

@@ -22,7 +22,7 @@ from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosse
                                 QuadAnchor, project_box)
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients
 from fedbilevel.solvers import (_BLOCK, RoundState, _norm, _step_norms, client_local_pass,
-                                run_solver, stopping_criterion, weighted_average)
+                                run_solver, stopping_criterion)
 
 
 def _schedule_1d():
@@ -51,16 +51,12 @@ def _nan_below(threshold):
         constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
 
 
-def _observed_states(*args, **kwargs):
-    """The states run_solver observes: the projected initial one, then one
+def _observed_iterates(*args, **kwargs):
+    """The iterates run_solver observes: the projected initial one, then one
     per round."""
     states = []
     run_solver(*args, observe=states.append, **kwargs)
-    return states
-
-
-def _observed_iterates(*args, **kwargs):
-    return [state.x for state in _observed_states(*args, **kwargs)]
+    return [state.x for state in states]
 
 
 class TestClientLocalPass:
@@ -121,10 +117,11 @@ class TestFismRound:
         direct = client_local_pass(x0, prob.outer.subgrad(x0), gamma, lam, prob.inner,
                                    prob.clients[0], prob.constraint)
         assert np.array_equal(x1, direct)
-        state = _observed_states(prob, sched, FISM, x0, 1)[1]
-        assert state.x.tobytes() == x1.tobytes()
-        assert state.k == 2
-        assert (state.inner_evals, state.outer_evals) == (1, 1)
+        observed = []
+        rec = run_solver(prob, sched, FISM, x0, 1, observe=observed.append)
+        assert observed[1].x.tobytes() == x1.tobytes()
+        assert observed[1].k == 2
+        assert (rec.rows[0].inner_subgrad_evals, rec.rows[0].outer_subgrad_evals) == (1, 1)
 
     def test_identical_clients_average_to_member(self):
         prob = selection_1d_problem((1, 1))
@@ -168,9 +165,10 @@ class TestIrigRound:
         a = solvers._kernel(prob, FISM)(x0, gamma, lam)
         b = solvers._kernel(prob, IRIG)(x0, gamma, lam)
         assert a.tobytes() == b.tobytes()
-        state = _observed_states(prob, sched, IRIG, x0, 1)[1]
-        assert state.x.tobytes() == b.tobytes()
-        assert (state.inner_evals, state.outer_evals) == (1, 1)
+        observed = []
+        rec = run_solver(prob, sched, IRIG, x0, 1, observe=observed.append)
+        assert observed[1].x.tobytes() == b.tobytes()
+        assert (rec.rows[0].inner_subgrad_evals, rec.rows[0].outer_subgrad_evals) == (1, 1)
 
     def test_zero_stepsize_is_identity(self):
         # The kernel alone: a run's weighted average is undefined at gamma = 0.
@@ -181,8 +179,8 @@ class TestIrigRound:
     def test_global_order_and_counts(self):
         prob = selection_1d_problem((2, 2))
         sched = StepSchedule(1, 0.55, 1, 0.4)
-        state = _observed_states(prob, sched, IRIG, np.array([3.0]), 1)[1]
-        assert (state.inner_evals, state.outer_evals) == (4, 4)
+        row = run_solver(prob, sched, IRIG, np.array([3.0]), 1).rows[0]
+        assert (row.inner_subgrad_evals, row.outer_subgrad_evals) == (4, 4)
 
     def test_inner_then_outer_subgradient_at_every_step(self):
         # The kernel alone: m inner and m outer calls a round, not m + 1, and
@@ -296,25 +294,10 @@ class TestDuckTypedSubgradientShape:
 
 
 class TestWeightedAverage:
-    def test_plain_mean_under_constant_weights(self):
-        state = RoundState(x=np.array([3.0]), k=3, avg_num=np.array([4.0]),
-                           avg_den=2.0, inner_evals=0, outer_evals=0)
-        assert np.array_equal(weighted_average(state), [2.0])
-
     def test_single_round_returns_first_iterate(self):
-        prob = selection_1d_problem()
-        state = _observed_states(prob, _schedule_1d(), FISM, np.array([4.0]), 1)[1]
-        assert np.array_equal(weighted_average(state), [4.0])
-
-    def test_weighted_mean(self):
-        # weights (2, 1) on iterates (0, 3): (2*0 + 1*3) / 3 = 1
-        state = RoundState(x=np.array([9.0]), k=3, avg_num=np.array([3.0]),
-                           avg_den=3.0, inner_evals=0, outer_evals=0)
-        assert np.array_equal(weighted_average(state), [1.0])
-
-    def test_undefined_before_first_round(self):
-        with pytest.raises(ValueError):
-            weighted_average(RoundState.initial(np.array([1.0])))
+        # The average after round 1 weighs the projected start x_1 alone.
+        rec = run_solver(selection_1d_problem(), _schedule_1d(), FISM, np.array([4.0]), 1)
+        assert np.array_equal(rec.final_avg_x, [4.0])
 
 
 class TestStoppingCriterion:
@@ -400,12 +383,12 @@ class TestRunSolver:
         prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=4))
         sched = StepSchedule(1, 0.8, 1, 0.1)
         x0 = np.array([1.0, -2.0, 3.0])
-        a = _observed_iterates(prob, sched, "fism", x0, 50, seed=1)
-        b = _observed_iterates(prob, sched, "fism", x0, 50, seed=1)
+        a = _observed_iterates(prob, sched, "fism", x0, 50)
+        b = _observed_iterates(prob, sched, "fism", x0, 50)
         assert len(a) == len(b) == 51
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
-        rows_a = run_solver(prob, sched, "fism", x0, 50, seed=1).rows
-        rows_b = run_solver(prob, sched, "fism", x0, 50, seed=1).rows
+        rows_a = run_solver(prob, sched, "fism", x0, 50).rows
+        rows_b = run_solver(prob, sched, "fism", x0, 50).rows
         assert [r.inner_value for r in rows_a] == [r.inner_value for r in rows_b]
 
     def test_iterates_feasible_from_round_two(self):
@@ -477,6 +460,7 @@ class TestRunSolver:
                          observe=states.append)
         assert [s.k for s in states] == [1, 2, 3, 4, 5, 6]
         assert np.array_equal(states[0].x, [10.0])  # projected onto the box
+        assert np.array_equal(states[0].avg_num, [0.0]) and states[0].avg_den == 0.0
         assert states[-1].x.tobytes() == rec.final_x.tobytes()
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
@@ -621,8 +605,9 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
     m = problem.n_inner
     outer_per_round = 1 if method == FISM else m
     t_round = round_time(uniform_costs(problem.client_sizes), method)
-    state = RoundState.initial(project_box(np.asarray(x_init, dtype=float), problem.constraint))
-    states, rows = [state], []
+    x = project_box(np.asarray(x_init, dtype=float), problem.constraint)
+    state = RoundState(x, 1, np.zeros_like(x), 0.0)
+    states, rows, inner_evals, outer_evals = [state], [], 0, 0
 
     def one_row(objective, x):
         return float(objective.values(x[None])[0])
@@ -632,13 +617,14 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
     for _ in range(max_rounds):
         gamma, lam = sched.at(state.k)
         nxt = RoundState(step(state.x, gamma, lam), state.k + 1, state.avg_num + gamma * state.x,
-                         state.avg_den + gamma, state.inner_evals + m,
-                         state.outer_evals + outer_per_round)
+                         state.avg_den + gamma)
         f_next, h_next = one_row(problem.inner, nxt.x), one_row(problem.outer, nxt.x)
-        f_avg = one_row(problem.inner, weighted_average(nxt))
+        f_avg = one_row(problem.inner, nxt.avg_num / nxt.avg_den)
         total += t_round
+        inner_evals += m
+        outer_evals += outer_per_round
         rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, _norm(nxt.x - state.x),
-                             t_round, total, nxt.inner_evals, nxt.outer_evals, None))
+                             t_round, total, inner_evals, outer_evals, None))
         states.append(nxt)
         stop = not all(map(math.isfinite, (f_next, h_next, f_avg))) or (
             tol is not None
@@ -646,7 +632,7 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
         state, f_cur, h_cur = nxt, f_next, h_next
         if stop:
             break
-    return rows, states, weighted_average(state)
+    return rows, states, state.avg_num / state.avg_den
 
 
 class TestBlockBookkeeping:
@@ -667,8 +653,7 @@ class TestBlockBookkeeping:
         assert rec.final_x.tobytes() == states[-1].x.tobytes()
 
         def fields(s):
-            return (s.k, s.x.tobytes(), s.avg_num.tobytes(), repr(s.avg_den), s.inner_evals,
-                    s.outer_evals)
+            return (s.k, s.x.tobytes(), s.avg_num.tobytes(), repr(s.avg_den))
         assert list(map(fields, observed)) == list(map(fields, states))
         return rec
 

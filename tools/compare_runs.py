@@ -18,7 +18,7 @@ whether every ``.jsonl`` line (with its ``wall_clock_sec`` entry removed),
 every per-run ``.csv`` (with its ``wall_clock_sec`` column removed) and
 ``summary.csv`` (where both have one) are byte-identical, and whether every
 ``.json`` summary is identical once ``config.out_dir`` is removed, naming
-the first key path that differs. Such a difference alone does not change
+every key path that differs. Such a difference alone does not change
 the exit status.
 
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
@@ -81,25 +81,24 @@ def _same(a, b) -> bool:
 _ABSENT = object()
 
 
-def _first_key_difference(a, b, path: str = "") -> str | None:
-    """The first key path (a list item as ``[i]``) at which two parsed JSON
-    values differ, ints and floats told apart, or None when none does."""
+def _key_differences(a, b, path: str = "") -> list[str]:
+    """Every key path (a list item as ``[i]``) at which two parsed JSON values
+    differ, ints and floats told apart, in key order; a dict whose shared
+    keys come in another order adds ``<path> (key order)``. Empty when the
+    values are the same."""
     if isinstance(a, dict) and isinstance(b, dict):
         items = [(f"{path}.{key}" if path else key, a.get(key, _ABSENT), b.get(key, _ABSENT))
                  for key in dict.fromkeys([*a, *b])]
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         items = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
     elif a is _ABSENT or b is _ABSENT or not _same(a, b):
-        return path or "the top level"
+        return [path or "the top level"]
     else:
-        return None
-    for sub, x, y in items:
-        found = _first_key_difference(x, y, sub)
-        if found is not None:
-            return found
-    if isinstance(a, dict) and list(a) != list(b):
-        return f"{path or 'the top level'} (key order)"
-    return None
+        return []
+    found = [leaf for sub, x, y in items for leaf in _key_differences(x, y, sub)]
+    if isinstance(a, dict) and [k for k in a if k in b] != [k for k in b if k in a]:
+        found.append(f"{path or 'the top level'} (key order)")
+    return found
 
 
 def _without_out_dir(summary: dict) -> dict:
@@ -160,9 +159,9 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
                                       [WALL_CLOCK.sub(b"", lb) for lb in lines_b])
         if line is not None:
             byte_diffs.append(f"{run_id}.jsonl line {line}")
-        key = _first_key_difference(_without_out_dir(sa), _without_out_dir(sb))
-        if key is not None:
-            json_diffs.append(f"{run_id}.json at {key}")
+        keys = _key_differences(_without_out_dir(sa), _without_out_dir(sb))
+        if keys:
+            json_diffs.append(f"{run_id}.json at {', '.join(keys)}")
         csvs = [d / f"{run_id}.csv" for d in (a_dir, b_dir)]
         if any(path.is_file() for path in csvs):
             csv_runs += 1
@@ -218,7 +217,7 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         report.append(".jsonl lines (minus wall_clock_sec) byte-identical in every run")
     if json_diffs:
         report.append(f".json summaries (minus config.out_dir) DIFFER in {len(json_diffs)} "
-                      f"of {len(runs_a)} runs, first at:")
+                      f"of {len(runs_a)} runs, at:")
         report += [f"  {d}" for d in json_diffs]
     else:
         report.append(".json summaries (minus config.out_dir) identical in every run")
