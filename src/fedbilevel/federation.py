@@ -51,8 +51,9 @@ def partition_data(m: int, n_clients: int, strategy: str = CONTIGUOUS,
 @dataclass(frozen=True)
 class CostModel:
     """Per-update compute costs and per-client communication costs, in
-    abstract time units: ``per_update[i]`` holds one cost per inner function
-    of client i in local order, ``comm[i]`` is client i's link cost."""
+    abstract time units, each finite and nonnegative: ``per_update[i]`` holds
+    one cost per inner function of client i in local order, ``comm[i]`` is
+    client i's link cost."""
 
     per_update: tuple[np.ndarray, ...]
     comm: np.ndarray
@@ -62,10 +63,10 @@ class CostModel:
         comm = np.asarray(self.comm, dtype=float)
         if any(c.ndim != 1 for c in per) or comm.ndim != 1:
             raise ValueError("costs must be 1-d arrays")
-        if any(np.any(c < 0) for c in per):
-            raise ValueError("per-update costs must be nonnegative")
-        if np.any(comm < 0):
-            raise ValueError("communication costs must be nonnegative")
+        for kind, c in [("per-update", p) for p in per] + [("communication", comm)]:
+            bad = c[~(np.isfinite(c) & (c >= 0))]
+            if bad.size:
+                raise ValueError(f"{kind} costs must be finite and nonnegative, got {bad[0]}")
         if comm.shape[0] != len(per):
             raise ValueError(f"need one communication cost per client, "
                              f"got {comm.shape[0]} for {len(per)} clients")

@@ -22,7 +22,8 @@ from .oracles import InnerFamily, Oracle, OracleFamily, OracleObjective, OuterOb
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Per-coordinate bounds [lo, hi] defining the feasible box."""
+    """Per-coordinate bounds [lo, hi], infinite or finite but never NaN,
+    defining the feasible box."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -32,6 +33,8 @@ class BoxConstraint:
         hi = np.asarray(self.hi, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise ValueError("box bounds must be 1-d arrays of equal length")
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise ValueError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ValueError("box lower bounds must not exceed upper bounds")
         lo.setflags(write=False)
@@ -46,8 +49,8 @@ class BoxConstraint:
     @classmethod
     def symmetric(cls, dimension: int, half_width: float) -> "BoxConstraint":
         """The box [-half_width, half_width]^dimension."""
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not half_width > 0:  # NaN fails too
+            raise ValueError(f"half_width must be positive, got {half_width}")
         hw = float(half_width)
         return cls(np.full(dimension, -hw), np.full(dimension, hw))
 
@@ -92,8 +95,8 @@ class ProblemSpec:
             raise ValueError("every client needs at least one inner function")
         if sorted(i for group in clients for i in group) != list(range(len(self.inner))):
             raise ValueError("clients must hold every inner index exactly once")
-        if self.mu_H <= 0:
-            raise ValueError("outer strong-convexity modulus must be positive")
+        if not self.mu_H > 0:  # NaN fails too
+            raise ValueError(f"outer strong-convexity modulus must be positive, got {self.mu_H}")
 
     @classmethod
     def from_oracles(cls, clients: Sequence[Sequence[Oracle]], outer: Oracle,

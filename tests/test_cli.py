@@ -455,6 +455,19 @@ class TestMain:
         assert "margin must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_cost_product_fails_the_runs(self, tmp_path, capsys):
+        # Two finite settings whose product overflows: the cost model rejects
+        # the infinite cost, so no row reads an infinite round time.
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(SELECTION_CFG), "--out", str(out),
+                         "--set", "unit_cost=1e200", "--set", "client_cost_scale=1e200",
+                         "--set", "max_rounds=3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("per-update costs must be finite and nonnegative, got inf") == 2
+        assert not list(out.glob("*.json*"))
+        with open(out / "summary.csv", newline="") as f:
+            assert len(list(csv.reader(f))) == 1  # the header only
+
     def test_unwritable_out_is_data_error_before_any_run(self, tmp_path, monkeypatch):
         def run_solver(*args, **kwargs):
             raise AssertionError("a run was computed")

@@ -1,3 +1,4 @@
+import math
 from itertools import chain
 
 import numpy as np
@@ -66,6 +67,17 @@ class TestCostModel:
             CostModel((np.array([1.0, -1.0]),), np.array([0.0]))
         with pytest.raises(ValueError):
             CostModel((np.array([1.0]),), np.array([-0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_update_cost(self, bad):
+        with pytest.raises(ValueError, match=f"per-update costs must be finite .* got {bad}"):
+            CostModel((np.ones(2), np.array([1.0, bad])), np.zeros(2))
+
+    @pytest.mark.parametrize("comm", [[math.nan, 2.0], [2.0, math.nan], [1.0, math.inf]])
+    def test_rejects_non_finite_link_cost(self, comm):
+        # A NaN link cost made round_time's max depend on its position.
+        with pytest.raises(ValueError, match="communication costs must be finite"):
+            CostModel((np.ones(1), np.ones(1)), comm)
 
     def test_sizes_are_array_lengths(self):
         costs = uniform_costs((3, 1, 2), per_update=0.5, comm=2.0)

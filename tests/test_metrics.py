@@ -166,6 +166,11 @@ class TestRecordOutputs:
             lines = f.readlines()
         assert lines == [json.dumps(row._asdict()) + "\n" for row in rows]
 
+    def test_no_field_name_holds_a_respelled_token(self):
+        # The JSONL writer respells a non-finite chunk's "nan" and "inf"
+        # wherever they occur, keys included.
+        assert not [name for name in ROW_FIELDS if "nan" in name or "inf" in name]
+
     def test_columns_reject_what_they_cannot_hold(self):
         # The columns hold int64s and doubles: a value outside them is refused
         # as the record is built, before any writer sees it.
@@ -275,7 +280,7 @@ class TestColumnRows:
     def test_writes_the_bytes_of_a_list(self, tmp_path, gamma1, rounds, method):
         rec = self._run(gamma1, rounds, method)
         listed = list(rec.rows)
-        if gamma1 == 1e308:  # the inf goes through the json.dumps chunk
+        if gamma1 == 1e308:  # the inf goes through a respelled chunk
             assert rec.stop_reason == "non-finite"
             assert not all(map(math.isfinite, listed[-1]))
         write_rows_jsonl(rec, tmp_path / "run.jsonl")

@@ -23,6 +23,21 @@ class TestBoxConstraint:
         with pytest.raises(ValueError):
             BoxConstraint(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lo, hi", [([math.nan], [1.0]), ([0.0], [math.nan]),
+                                        ([0.0, math.nan], [1.0, 1.0])])
+    def test_rejects_nan_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            BoxConstraint(np.array(lo), np.array(hi))
+
+    def test_symmetric_rejects_nan_half_width(self):
+        with pytest.raises(ValueError, match="half_width must be positive, got nan"):
+            BoxConstraint.symmetric(1, math.nan)
+
+    def test_infinite_bounds_allowed(self):
+        box = BoxConstraint.symmetric(2, math.inf)
+        assert box.contains(np.array([-1e300, 1e300]))
+        assert BoxConstraint(np.array([-math.inf]), np.array([0.0])).dimension == 1
+
     def test_immutable(self):
         box = BoxConstraint.symmetric(2, 1.0)
         with pytest.raises(ValueError):
@@ -52,6 +67,12 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(inner=base.inner, outer=base.outer,
                         clients=base.clients, constraint=base.constraint, mu_H=0.0)
+
+    def test_rejects_nan_modulus(self):
+        base = selection_1d_problem()
+        with pytest.raises(ValueError, match="modulus must be positive, got nan"):
+            ProblemSpec(inner=base.inner, outer=base.outer,
+                        clients=base.clients, constraint=base.constraint, mu_H=math.nan)
 
     @pytest.mark.parametrize("clients", [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1), (2, 3))])
     def test_rejects_clients_not_covering_the_family(self, clients):
