@@ -18,7 +18,7 @@ from .oracles import (BallDistances, EvalResult, InnerFamily, L1Quad, LogisticLo
                       project_box)
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
 from .rng import PRNG_ID, make_rng
-from .solvers import RoundState, client_local_pass, run_solver, stopping_criterion
+from .solvers import RoundState, client_local_pass, run_solver
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "load_binary_digits", "location_problem", "logistic_problem",
     "make_location_instance", "make_rng", "make_synthetic_logistic", "partition_data",
     "project_box", "read_idx", "round_time", "run_solver", "selection_1d_problem",
-    "stopping_criterion", "uniform_costs", "write_rows_csv", "write_rows_jsonl",
-    "write_run_json",
+    "uniform_costs", "write_rows_csv", "write_rows_jsonl", "write_run_json",
 ]

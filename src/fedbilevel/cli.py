@@ -26,9 +26,9 @@ import csv
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import replace
-from itertools import takewhile
+from itertools import islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -82,14 +82,14 @@ def _cost_model(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> CostModel:
     return CostModel(per, np.full(len(sizes), comm[0]) if len(comm) == 1 else comm)
 
 
-def _plan(cfg: ExperimentConfig) -> list[tuple[str, str, int, int]]:
-    """Every run of the sweep as (run_id, method, S, repeat), in run order."""
-    return [(f"{cfg.problem}_{method}_S{n_clients}_rep{rep}", method, n_clients, rep)
+def _plan(cfg: ExperimentConfig) -> Iterator[tuple[str, str, int, int]]:
+    """Every run of the sweep as (run_id, method, S, repeat), lazily, in run order."""
+    return ((f"{cfg.problem}_{method}_S{n_clients}_rep{rep}", method, n_clients, rep)
             for method in cfg.methods for n_clients in cfg.s_values
-            for rep in range(cfg.repeats)]
+            for rep in range(cfg.repeats))
 
 
-def execute(cfg: ExperimentConfig, runs: list[tuple[str, str, int, int]],
+def execute(cfg: ExperimentConfig, runs: Iterable[tuple[str, str, int, int]],
             emit: Callable[[str, RunRecord], None]) -> list[tuple[str, str]]:
     """Compute ``runs``, entries of ``_plan(cfg)``, on one shared problem,
     handing each finished run to ``emit(run_id, record)`` and printing one
@@ -213,7 +213,7 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable place fails before any run
-        failures = execute(cfg, _plan(cfg) if grid else _plan(cfg)[:1], emit=emit)
+        failures = execute(cfg, islice(_plan(cfg), None if grid else 1), emit=emit)
         if grid:
             _write_atomic(write_summary, summaries, out_dir / "summary.csv")
     except (FormatError, FileNotFoundError, OSError, MemoryError) as exc:

@@ -22,10 +22,11 @@ vectorized calls: one ``inner.values`` on the new iterates and the running
 averages, one ``outer.values`` and one stack of step norms. Each of these
 gives a row the bits a one-point call gives, so the records do not depend
 on the block length. The block's rows are appended to the record's typed
-columns, one list per field. A non-finite objective value stops a run with
-``stop_reason="non-finite"``; the rounds computed after it in its block are
-discarded. With a tolerance set, a block is one round, so a run computes no
-round that it does not record.
+columns, one list per field. The run stops at the block's first row whose
+objective values are not all finite (``stop_reason="non-finite"``) or, with
+a tolerance set, that meets the composite relative-change test
+(``"tolerance"``), all rows tested at once; the rounds computed after it in
+its block are discarded.
 
 Two or more clients are stepped together as the rows of one stack (lanes),
 each row getting the bits ``client_local_pass`` gives it, and averaged in
@@ -41,7 +42,6 @@ time.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -54,8 +54,8 @@ from .metrics import RunRecord, _ColumnRows
 from .oracles import InnerFamily, project_box
 from .problem import BoxConstraint, ProblemSpec, StepSchedule
 
-# Rounds run between two metric passes when no tolerance is set. The records
-# do not depend on it; it only bounds the rounds computed past a stop.
+# Rounds run between two metric passes. The records do not depend on it; it
+# only bounds the rounds computed past a stop.
 _BLOCK = 32
 
 
@@ -183,34 +183,23 @@ def _kernel(problem: ProblemSpec, method: str) -> _Kernel:
     return lanes
 
 
-def _norm(v: np.ndarray) -> float:
-    # Bitwise what np.linalg.norm computes for a 1-d float array. Like it,
-    # copy a strided view first: a strided dot sums in another order.
-    v = np.ascontiguousarray(v)
-    return math.sqrt(float(np.dot(v, v)))
-
-
 def _step_norms(xs: np.ndarray) -> list[float]:
     # ||x_{j+1} - x_j|| for consecutive rows; vecdot rows carry np.dot's bits,
-    # so each norm is bitwise _norm of its step.
+    # so each norm is bitwise np.linalg.norm of its step.
     d = xs[1:] - xs[:-1]
     return np.sqrt(np.vecdot(d, d)).tolist()
 
 
-def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray,
-                       f_prev: float, f_next: float,
-                       h_prev: float, h_next: float, tol: float) -> bool:
-    """Composite relative-change test with denominators |previous| + 1.
-
-    Fires when each of ||dx|| / (||x_prev|| + 1), |dh| / (|h_prev| + 1) and
-    |df| / (|f_prev| + 1) is <= tol, so a NaN ratio never fires. The absolute
-    values keep every denominator at least 1 for signed objectives; for
-    nonnegative objectives they change nothing.
-    """
-    rx = _norm(x_next - x_prev) / (_norm(x_prev) + 1.0)
-    rh = abs(h_next - h_prev) / (abs(h_prev) + 1.0)
-    rf = abs(f_next - f_prev) / (abs(f_prev) + 1.0)
-    return rx <= tol and rh <= tol and rf <= tol
+def _tolerance_met(xs: np.ndarray, steps: list[float], fs: list[float], hs: list[float],
+                   tol: float) -> np.ndarray:
+    # Row j: run_solver's tolerance test of the round from state j to j + 1
+    # (iterates xs, inner values fs, outer values hs); a NaN ratio never
+    # fires. Each ratio takes a one-round test's IEEE operations, and a vecdot
+    # row carries np.dot's bits, so each row gets that test's decision.
+    fs, hs = np.array(fs), np.array(hs)
+    return ((np.asarray(steps) / (np.sqrt(np.vecdot(xs[:-1], xs[:-1])) + 1.0) <= tol)
+            & (np.abs(fs[1:] - fs[:-1]) / (np.abs(fs[:-1]) + 1.0) <= tol)
+            & (np.abs(hs[1:] - hs[:-1]) / (np.abs(hs[:-1]) + 1.0) <= tol))
 
 
 def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
@@ -220,13 +209,14 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     """Drive rounds of the chosen method and record per-round metrics.
 
     Deterministic given its arguments. The initial point is projected onto
-    the box before round 1 so every logged iterate is feasible. With ``tol``
-    set, the composite relative-change test is evaluated on the full
-    inner/outer objectives after every round; otherwise the round budget
-    alone stops the run. A non-finite inner or outer value (at the new
-    iterate or the running average) ends the run after logging that round,
-    with stop reason ``"non-finite"``; rounds already computed past it are
-    discarded, and an error raised in the block past it is dropped by
+    the box before round 1 so every logged iterate is feasible. A non-finite
+    inner or outer value (at the new iterate or the running average) ends the
+    run after logging that round, with stop reason ``"non-finite"``. With
+    ``tol`` set, so does a round whose ||dx|| / (||x_prev|| + 1), |df| /
+    (|f_prev| + 1) and |dh| / (|h_prev| + 1) on the full inner/outer
+    objectives are all <= tol, with stop reason ``"tolerance"``; otherwise
+    the round budget alone stops the run. Rounds already computed past a stop
+    are discarded, and an error raised in the block past it is dropped by
     replaying the block one round at a time. numpy's floating-point warnings
     are silenced for the whole run, which classifies a non-finite stop itself.
     A row's ``wall_clock_sec`` times that round's iterate update alone. The
@@ -260,7 +250,7 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
         h_cur = float(problem.outer.values(x[None])[0])
         cum_time = 0.0
         stop_reason = "max_rounds"
-        block = _BLOCK if tol is None else 1
+        block = _BLOCK
         while stop_reason == "max_rounds" and len(rows) < max_rounds:
             # A round is its iterate update alone; everything else is per block.
             x_next, iterates, gammas, walls = x, [x], [], []
@@ -290,31 +280,31 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
                     raise
                 block = 1
                 continue
-            # The run stops at the first round with a non-finite value; the
-            # rounds computed past it are discarded.
+            # The run stops at the first round with a non-finite value or, with
+            # tol set, one that meets it; the rounds computed past it are discarded.
             finite = np.isfinite(np.concatenate((f_all, h_all))).reshape(3, computed).all(axis=0)
-            b = computed if finite.all() else int(finite.argmin()) + 1
-            f_next, h_next = f_all[:b].tolist(), h_all[:b].tolist()
+            fs, hs = [f_cur, *f_all[:computed].tolist()], [h_cur, *h_all.tolist()]
+            steps = _step_norms(xs)
+            stop = ~finite if tol is None else ~finite | _tolerance_met(xs, steps, fs, hs, tol)
+            b = int(stop.argmax()) + 1 if stop.any() else computed
             if not finite[b - 1]:
                 stop_reason = "non-finite"
-            elif tol is not None and stopping_criterion(x, iterates[1], f_cur, f_next[0],
-                                                        h_cur, h_next[0], tol):
-                stop_reason = "tolerance"  # with a tolerance a block is one round
-            f_prev, h_prev = [f_cur, *f_next[:-1]], [h_cur, *h_next[:-1]]
+            elif stop[b - 1]:
+                stop_reason = "tolerance"
             totals = list(accumulate(repeat(t_round, b), initial=cum_time))
             # After round j, m * j inner and outer_per_round * j outer subgradients were taken.
             inner_counts = list(range(m * k, m * (k + b), m))
             outer_counts = list(range(outer_per_round * k, outer_per_round * (k + b),
                                       outer_per_round))
             # The block's b rows as columns, in RoundRow's field order.
-            rows.extend(list(range(k, k + b)), f_prev, [f / m for f in f_prev],
-                        f_all[computed:computed + b].tolist(), h_prev, _step_norms(xs[:b + 1]),
+            rows.extend(list(range(k, k + b)), fs[:b], [f / m for f in fs[:b]],
+                        f_all[computed:computed + b].tolist(), hs[:b], steps[:b],
                         [t_round] * b, totals[1:], inner_counts, outer_counts, walls[:b])
             if observe is not None:
                 for j in range(1, b + 1):
                     observe(RoundState(iterates[j], k + j, nums[j], dens[j]))
             x, k, avg_num, avg_den = iterates[b], k + b, nums[b], dens[b]
-            cum_time, f_cur, h_cur = totals[b], f_next[-1], h_next[-1]
+            cum_time, f_cur, h_cur = totals[b], fs[b], hs[b]
         # Round 1 adds gamma1 > 0 to the denominator, so it is positive here.
         final_avg_x = avg_num / avg_den
     return RunRecord(

@@ -1,10 +1,11 @@
 """Independent test oracles: closed forms, brute-force grid searches,
 per-sample reference oracles, and the test-only tools built on them.
 
-The closed forms, grid searches and per-sample oracles are written directly
-from the objective definitions (no calls into the package's oracle or solver
-code) so they can serve as an independent check of the library path. The
-rest reach into the package only through these calls:
+The closed forms, grid searches, per-sample oracles and the one-round
+stopping test are written directly from their definitions (no calls into the
+package's oracle or solver code) so they can serve as an independent check
+of the library path. The rest reach into the package only through these
+calls:
 
 - ``chained_client_passes`` builds a federated round from the scalar client
   pass, one client after another, to check the lane path against it: it
@@ -70,6 +71,25 @@ def left_to_right_sum(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def dot_norm(v: np.ndarray) -> float:
+    """Bitwise what np.linalg.norm computes for a 1-d float array. Like it,
+    copy a strided view first: a strided dot sums in another order."""
+    v = np.ascontiguousarray(v)
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def stopping_criterion(x_prev: np.ndarray, x_next: np.ndarray, f_prev: float, f_next: float,
+                       h_prev: float, h_next: float, tol: float) -> bool:
+    """The composite relative-change test of one round, denominators
+    |previous| + 1: fires when each of ||dx|| / (||x_prev|| + 1), |dh| /
+    (|h_prev| + 1) and |df| / (|f_prev| + 1) is <= tol, so a NaN ratio never
+    fires. The reference the solver's row-wise test is checked against."""
+    rx = dot_norm(x_next - x_prev) / (dot_norm(x_prev) + 1.0)
+    rh = abs(h_next - h_prev) / (abs(h_prev) + 1.0)
+    rf = abs(f_next - f_prev) / (abs(f_prev) + 1.0)
+    return rx <= tol and rh <= tol and rf <= tol
 
 
 def balls_inner(x, centers, radii) -> float:

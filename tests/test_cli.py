@@ -231,6 +231,19 @@ class TestMain:
         assert (out / "selection-1d_fism_S1_rep0.jsonl").exists()
         assert not (out / "summary.csv").exists()  # single runs skip the sweep summary
 
+    def test_run_memory_does_not_grow_with_the_sweep(self, tmp_path, capsys):
+        # run computes the sweep's first run alone: listing the whole plan
+        # held methods x s_values x repeats entries, about 70 MiB at this size.
+        argv = ["run", str(SELECTION_CFG), "--out", str(tmp_path / "out"),
+                "--set", "max_rounds=5", "--set", "repeats=200000"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
     def test_sweep_writes_summary(self, tmp_path):
         path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 100\nrepeats = 2\n")
         out = tmp_path / "out"

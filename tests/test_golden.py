@@ -56,10 +56,10 @@ def _first_difference(a: dict, b: dict) -> str | None:
     return f"{name} line {compare_runs._first_line_difference(*lines)}"
 
 
-@pytest.mark.parametrize("name", ["location", "selection-1d-overflow"])
+@pytest.mark.parametrize("name", ["location", "location-tol", "selection-1d-overflow"])
 def test_block_length_twins(name, tmp_path, monkeypatch):
-    # The overflow runs stop inside a block, so the rounds computed past the
-    # stop are discarded; with tol set a block is one round, so no tol setting.
+    # The overflow and tolerance runs stop inside a block, so the rounds
+    # computed past the stop are discarded.
     got = []
     for block in (1, 32):
         monkeypatch.setattr(solvers, "_BLOCK", block)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, ball_dist_eval, balls_inner,
-                     chained_client_passes, counting, grid_min_selection_composite,
-                     outer_quad_anchor_eval, reference_solve, zero_oracle)
+                     chained_client_passes, counting, dot_norm, grid_min_selection_composite,
+                     outer_quad_anchor_eval, reference_solve, stopping_criterion, zero_oracle)
 
 from fedbilevel import solvers
 from fedbilevel.data import make_location_instance, make_synthetic_logistic
@@ -21,8 +21,8 @@ from fedbilevel.metrics import RoundRow
 from fedbilevel.oracles import (BallDistances, EvalResult, L1Quad, LogisticLosses, OracleFamily,
                                 QuadAnchor, project_box)
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule, contiguous_clients
-from fedbilevel.solvers import (_BLOCK, RoundState, _norm, _step_norms, client_local_pass,
-                                run_solver, stopping_criterion)
+from fedbilevel.solvers import (_BLOCK, RoundState, _step_norms, _tolerance_met,
+                                client_local_pass, run_solver)
 
 
 def _schedule_1d():
@@ -300,42 +300,51 @@ class TestWeightedAverage:
         assert np.array_equal(rec.final_avg_x, [4.0])
 
 
+def _one_row_met(x_prev, x_next, f_prev, f_next, h_prev, h_next, tol):
+    # The row-wise test on a block of one round.
+    xs = np.stack((x_prev, x_next))
+    return bool(_tolerance_met(xs, _step_norms(xs), [f_prev, f_next], [h_prev, h_next], tol)[0])
+
+
 class TestStoppingCriterion:
+    """The composite relative-change test as run_solver takes it, row by
+    row over a block of rounds."""
+
     def test_no_change_fires(self):
         x = np.array([1.0, 2.0])
-        assert stopping_criterion(x, x, 1.0, 1.0, 2.0, 2.0, tol=1e-5)
+        assert _one_row_met(x, x, 1.0, 1.0, 2.0, 2.0, tol=1e-5)
 
     def test_step_ratio_exceeds(self):
         x = np.zeros(1)
         y = np.array([2e-5])  # ||dx|| / (||x|| + 1) = 2e-5 > 1e-5
-        assert not stopping_criterion(x, y, 0.0, 0.0, 0.0, 0.0, tol=1e-5)
+        assert not _one_row_met(x, y, 0.0, 0.0, 0.0, 0.0, tol=1e-5)
 
     def test_all_ratios_small(self):
         x = np.array([1.0])
         y = np.array([1.0 + 2e-6 * 1e-0])
         # crafted so each ratio is ~1e-6
-        assert stopping_criterion(x, y, 1.0, 1.0 + 2e-6, 1.0, 1.0 + 2e-6, tol=1e-5)
+        assert _one_row_met(x, y, 1.0, 1.0 + 2e-6, 1.0, 1.0 + 2e-6, tol=1e-5)
 
     def test_outer_value_minus_one(self):
         # |h| + 1 = 2, so the h-ratio is |-1 + 1e-5 - (-1)| / 2 = 5e-6 <= 1e-5,
         # while a shift of 3e-5 gives 1.5e-5 > 1e-5 (h + 1 = 0 would divide by zero)
         x = np.array([1.0])
-        assert stopping_criterion(x, x, 1.0, 1.0, -1.0, -1.0 + 1e-5, tol=1e-5)
-        assert not stopping_criterion(x, x, 1.0, 1.0, -1.0, -1.0 + 3e-5, tol=1e-5)
+        assert _one_row_met(x, x, 1.0, 1.0, -1.0, -1.0 + 1e-5, tol=1e-5)
+        assert not _one_row_met(x, x, 1.0, 1.0, -1.0, -1.0 + 3e-5, tol=1e-5)
 
     def test_outer_value_minus_three(self):
         # |5 - (-3)| / (|-3| + 1) = 8 / 4 = 2 > 1e-5 (h + 1 = -2 made it -4 and passed)
         x = np.array([1.0])
-        assert not stopping_criterion(x, x, 1.0, 1.0, -3.0, 5.0, tol=1e-5)
+        assert not _one_row_met(x, x, 1.0, 1.0, -3.0, 5.0, tol=1e-5)
         # |-3 + 2e-5 - (-3)| / 4 = 5e-6 <= 1e-5
-        assert stopping_criterion(x, x, 1.0, 1.0, -3.0, -3.0 + 2e-5, tol=1e-5)
+        assert _one_row_met(x, x, 1.0, 1.0, -3.0, -3.0 + 2e-5, tol=1e-5)
 
     def test_negative_inner_value(self):
         # |f| + 1 = 4 at f = -3: the ratio 8 / 4 = 2 keeps the test from firing
         x = np.array([1.0])
-        assert not stopping_criterion(x, x, -3.0, 5.0, 1.0, 1.0, tol=1e-5)
-        assert not stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.4)  # 1 / 2 = 0.5
-        assert stopping_criterion(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.5)
+        assert not _one_row_met(x, x, -3.0, 5.0, 1.0, 1.0, tol=1e-5)
+        assert not _one_row_met(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.4)  # 1 / 2 = 0.5
+        assert _one_row_met(x, x, -1.0, 0.0, 1.0, 1.0, tol=0.5)
 
     @pytest.mark.parametrize("where", ["x", "f", "h"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -345,19 +354,35 @@ class TestStoppingCriterion:
         vals = {"x": 1.0, "f": 1.0, "h": 1.0, where: bad}
         x = np.array([vals["x"]])
         with np.errstate(invalid="ignore"):
-            assert not stopping_criterion(x, x, vals["f"], vals["f"], vals["h"], vals["h"],
-                                          tol=1e-5)
+            assert not _one_row_met(x, x, vals["f"], vals["f"], vals["h"], vals["h"], tol=1e-5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), rows=st.integers(2, 34),
+           tol=st.sampled_from([1e-5, 1e-3, 0.5, 2.0]) | st.floats(0, 10))
+    def test_rows_decide_as_one_round_tests(self, data, n, rows, tol):
+        # Few distinct values, NaN and +-inf among them, so rows repeat and
+        # the test fires on some rows and not on others.
+        values = st.sampled_from([0.0, 1.0, 1.0 + 1e-6, -3.0, 1e300, math.nan, math.inf,
+                                  -math.inf]) | st.floats(-10, 10)
+        xs = data.draw(arrays(np.float64, (rows, n), elements=values))
+        fs = data.draw(st.lists(values, min_size=rows, max_size=rows))
+        hs = data.draw(st.lists(values, min_size=rows, max_size=rows))
+        with np.errstate(all="ignore"):
+            got = _tolerance_met(xs, _step_norms(xs), fs, hs, tol).tolist()
+            expected = [stopping_criterion(xs[j], xs[j + 1], fs[j], fs[j + 1], hs[j], hs[j + 1],
+                                           tol) for j in range(rows - 1)]
+        assert got == expected
 
     @settings(max_examples=300, deadline=None)
     @given(v=arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
            strided=st.booleans())
     def test_norm_bitwise_equals_linalg_norm(self, v, strided):
-        # stopping_criterion relies on _norm giving np.linalg.norm's bits
+        # the reference stopping_criterion relies on dot_norm giving np.linalg.norm's bits
         if strided:
             v = v[::2]
         with np.errstate(over="ignore"):  # the drawn floats overflow the dot on purpose
             expected = float(np.linalg.norm(v))
-            got = _norm(v)
+            got = dot_norm(v)
         if math.isnan(expected):
             assert math.isnan(got)
         else:
@@ -537,7 +562,18 @@ class TestBlockLength:
             assert [s.k for s in states] == list(range(1, stop_round + 2))
             assert rec.final_x.tobytes() == states[-1].x.tobytes()
 
-    def test_tolerance_run_computes_only_recorded_rounds(self, monkeypatch):
+    @pytest.mark.parametrize("method", [FISM, IRIG])
+    def test_tolerance_stop_mid_block(self, monkeypatch, method):
+        # 1383 rounds = 7 * 197 + 4 = 32 * 43 + 7: the stop falls inside a block
+        runs = self._runs(monkeypatch, selection_1d_problem(), StepSchedule(1, 0.8, 1, 0.1),
+                          method, np.array([0.9]), 100_000, tol=1e-3)
+        assert runs[0][2] == runs[1][2] == runs[2][2]
+        for rec, states, _ in runs:
+            assert (rec.stop_reason, rec.rounds) == ("tolerance", 1383)
+            assert [s.k for s in states] == list(range(1, 1385))
+            assert rec.final_x.tobytes() == states[-1].x.tobytes()
+
+    def test_tolerance_run_computes_under_a_block_past_its_stop(self, monkeypatch):
         calls = {"n": 0}
         make_kernel = solvers._kernel
 
@@ -554,14 +590,17 @@ class TestBlockLength:
         sched = StepSchedule(1, 0.8, 1, 0.1)
         rec = run_solver(prob, sched, FISM, np.array([0.9]), 100_000, tol=1e-3)
         assert rec.stop_reason == "tolerance"
-        assert calls["n"] == rec.rounds
+        assert 0 <= calls["n"] - rec.rounds < _BLOCK
 
-    @pytest.mark.parametrize("nan_below", [3.5, None])
-    def test_error_past_a_stop_is_dropped(self, monkeypatch, nan_below):
+    @pytest.mark.parametrize("nan_below, tol", [(3.5, None), (None, None), (None, 0.08)],
+                             ids=["3.5", "None", "tol"])
+    def test_error_past_a_stop_is_dropped(self, monkeypatch, nan_below, tol):
         # iterates 4, 3.7, 3.54, 3.43, 3.35. The closure raises on a NaN point
         # and below 3.4. With NaN below 3.5 the run stops at round 3: rounds
         # 4 and 5 of the block reach a NaN point and raise, and are dropped.
-        # Without it, round 4's value at 3.35 raises as it would alone.
+        # So they are at tol = 0.08, which round 3 meets first (its largest
+        # ratio, the outer one, is 0.075; round 2's is 0.106). Without
+        # either, round 4's value at 3.35 raises as it would alone.
         def inner(x):
             if math.isnan(x[0]) or x[0] < 3.4:
                 raise ArithmeticError("outside the closure's domain")
@@ -574,13 +613,14 @@ class TestBlockLength:
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
         args = (prob, _small_steps_1d(), FISM, np.array([4.0]), 100)
-        if nan_below is None:
+        if nan_below is None and tol is None:
             with pytest.raises(ArithmeticError):
                 run_solver(*args)
             return
-        runs = self._runs(monkeypatch, *args)
+        runs = self._runs(monkeypatch, *args, tol=tol)
         assert runs[0][2] == runs[1][2] == runs[2][2]
-        assert (runs[2][0].stop_reason, runs[2][0].rounds) == ("non-finite", 3)
+        stop_reason = "non-finite" if tol is None else "tolerance"
+        assert (runs[2][0].stop_reason, runs[2][0].rounds) == (stop_reason, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40) | st.sampled_from([100, 784, 1000]),
@@ -591,7 +631,7 @@ class TestBlockLength:
             xs = 10.0 * rng.standard_normal((rows, n))
         else:
             xs = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1e6, 1e6)))
-        expected = [_norm(xs[j + 1] - xs[j]) for j in range(rows - 1)]
+        expected = [dot_norm(xs[j + 1] - xs[j]) for j in range(rows - 1)]
         got = _step_norms(xs)
         assert struct.pack(f"<{rows - 1}d", *got) == struct.pack(f"<{rows - 1}d", *expected)
 
@@ -623,7 +663,7 @@ def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
         total += t_round
         inner_evals += m
         outer_evals += outer_per_round
-        rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, _norm(nxt.x - state.x),
+        rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, dot_norm(nxt.x - state.x),
                              t_round, total, inner_evals, outer_evals, None))
         states.append(nxt)
         stop = not all(map(math.isfinite, (f_next, h_next, f_avg))) or (
@@ -688,9 +728,12 @@ class TestBlockBookkeeping:
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
     def test_tolerance_stop(self, monkeypatch, method):
-        rec = self._assert_matches_reference(monkeypatch, _BLOCK, *_block_case("location"),
-                                             method, 5000, tol=1e-4)
-        assert rec.stop_reason == "tolerance" and rec.rounds < 5000
+        # FISM stops inside a block of 7 and of 32 (929 rounds), IRIG inside
+        # a block of 32 (840 rounds)
+        for block in (1, 7, 32):
+            rec = self._assert_matches_reference(monkeypatch, block, *_block_case("location"),
+                                                 method, 5000, tol=1e-4)
+            assert rec.stop_reason == "tolerance" and rec.rounds == {FISM: 929, IRIG: 840}[method]
 
 
 class TestEquivalenceProperty:
