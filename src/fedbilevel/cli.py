@@ -216,7 +216,7 @@ def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
         failures = execute(cfg, islice(_plan(cfg), None if grid else 1), emit=emit)
         if grid:
             _write_atomic(write_summary, summaries, out_dir / "summary.csv")
-    except (FormatError, FileNotFoundError, OSError, MemoryError) as exc:
+    except (FormatError, OSError, MemoryError) as exc:
         # The runs written so far stay: removal stops at the first non-empty directory.
         print(f"data error: {exc}", file=sys.stderr)
         for path in created:

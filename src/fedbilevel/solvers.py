@@ -61,10 +61,11 @@ _BLOCK = 32
 
 @dataclass
 class RoundState:
-    """Driver-owned state between rounds: the current global iterate, the
-    next round's index and the running numerator/denominator of the
-    stepsize-weighted average. The subgradient counters are ranges over k,
-    kept in the rows."""
+    """What ``observe`` is shown of a round: the global iterate, the next
+    round's index and the running numerator/denominator of the
+    stepsize-weighted average. ``run_solver`` keeps these as locals and
+    builds a ``RoundState`` only to pass it to ``observe``. The subgradient
+    counters are ranges over k, kept in the rows."""
 
     x: np.ndarray
     k: int

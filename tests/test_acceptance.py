@@ -4,9 +4,9 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines. Expected values come from independent oracles (closed forms, grid
 searches, hand computations) — never from the code paths under test.
 """
-import json
 import time
 
+import compare_runs
 import numpy as np
 
 from helpers import (SELECTION_1D_OPTIMUM, estimate_bounds, grid_bilevel_2d,
@@ -249,20 +249,14 @@ def test_c11_determinism_across_block_length(tmp_path, monkeypatch):
                 "s_values = 8\nmax_rounds = 30\ntol = none\nseed = 5\n")
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(cfg_text, encoding="utf-8")
-    streams = []
+    names = ["location_fism_S8_rep0.jsonl", "location_fism_S8_rep0.json"]
+    outputs = []
     for block in (1, 32):
         monkeypatch.setattr(solvers, "_BLOCK", block)
         out = tmp_path / f"b{block}"
         assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
-        lines = (out / "location_fism_S8_rep0.jsonl").read_text().splitlines()
-        canonical = []
-        for line in lines:
-            row = json.loads(line)
-            row.pop("wall_clock_sec")
-            canonical.append(json.dumps(row, sort_keys=True))
-        summary = json.loads((out / "location_fism_S8_rep0.json").read_text())
-        canonical.append(json.dumps(summary["final_x"]))
-        streams.append("\n".join(canonical).encode("utf-8"))
-    _check("C11 determinism across block length", streams[0] == streams[1],
-           f"{len(streams[0])} bytes of metric rows and final_x identical for "
-           f"block lengths 1 and 32")
+        outputs.append(compare_runs.read(out, names, compare_runs.IGNORED))
+    differences = compare_runs.differences(*outputs)
+    _check("C11 determinism across block length", not differences,
+           f"{sum(map(len, outputs[0].values()))} bytes of metric rows and summary "
+           f"compared for block lengths 1 and 32, differing: {differences}")

@@ -142,3 +142,28 @@ def test_number_equal_rewrite_in_a_run_csv_is_a_byte_difference(two_sweeps, caps
     assert "exact fields identical" in out
     assert "per-run .csv files (minus wall_clock_sec) DIFFER in 1 of 4 runs" in out
     assert "location_irig_S1_rep0.csv line 2" in out
+
+
+def test_a_jsonl_in_one_directory_is_a_usage_error(two_sweeps, capsys):
+    a, b = two_sweeps
+    (b / "location_fism_S1_rep0.jsonl").unlink()
+    assert compare_runs.main([str(a), str(b)]) == 2
+    assert "location_fism_S1_rep0.jsonl" in capsys.readouterr().err
+
+
+def test_a_run_csv_in_one_directory_is_reported_not_failed(two_sweeps, capsys):
+    a, b = two_sweeps
+    (b / "location_irig_S3_rep0.csv").unlink()
+    assert compare_runs.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "per-run .csv files (minus wall_clock_sec) DIFFER in 1 of 4 runs" in out
+    assert "  location_irig_S3_rep0.csv is in one directory only" in out
+
+
+def test_a_summary_csv_in_one_directory_is_reported_not_failed(two_sweeps, capsys):
+    a, b = two_sweeps
+    (b / "summary.csv").unlink()
+    assert compare_runs.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "summary.csv is in one directory only" in out.splitlines()
+    assert "summary.csv bytes" not in out

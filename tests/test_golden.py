@@ -7,10 +7,10 @@ named elsewhere.
 
 Twins check what holds on any platform: two execution shapes of one golden
 setting write byte-identical outputs after the same normalisation, and
-IRIG's S cells of one repeat write the same iterates. A failing twin names
-the first differing line or the differing key paths."""
+IRIG's S cells of one repeat write the same iterates. Every twin is one
+``compare_runs.differences`` call, which names each differing file with its
+first differing line or its differing key paths."""
 import json
-import re
 
 import compare_runs
 import pytest
@@ -41,32 +41,19 @@ def test_every_golden_file_has_a_run():
     assert recorded == sorted(record_golden.RUNS)
 
 
-def _first_difference(a: dict, b: dict) -> str | None:
-    """Where two ``outputs`` results first differ: the first name, in sorted
-    order, whose value differs, with the first differing line of a stream,
-    ``.jsonl`` or ``.csv`` file or the differing key paths of a ``.json``
-    summary; None when none does."""
-    name = next((key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)), None)
-    if name is None or name == "exit_code" or name not in a or name not in b:
-        return name
-    if name.endswith(".json"):
-        keys = compare_runs._key_differences(json.loads(a[name]), json.loads(b[name]))
-        return f"{name} at {', '.join(keys)}"
-    lines = (data.splitlines(keepends=True) for data in (a[name], b[name]))
-    return f"{name} line {compare_runs._first_line_difference(*lines)}"
-
-
 @pytest.mark.parametrize("name", ["location", "location-tol", "selection-1d-overflow"])
 def test_block_length_twins(name, tmp_path, monkeypatch):
     # The overflow and tolerance runs stop inside a block, so the rounds
     # computed past the stop are discarded.
-    got = []
+    codes, outputs = [], []
     for block in (1, 32):
         monkeypatch.setattr(solvers, "_BLOCK", block)
         code, streams, files = record_golden.outputs(name, tmp_path / f"b{block}")
-        got.append({"exit_code": code, **streams, **files})
-    difference = _first_difference(*got)
-    assert difference is None, f"{difference} differs"
+        codes.append(code)
+        outputs.append({**streams, **files})
+    assert codes[0] == codes[1]
+    found = compare_runs.differences(*outputs)
+    assert not found, found
 
 
 def test_run_is_the_sweeps_first_run(tmp_path):
@@ -76,15 +63,15 @@ def test_run_is_the_sweeps_first_run(tmp_path):
                                  "location_fism_S1_rep0.jsonl"]
     _, _, sweep_files = record_golden.outputs("location", tmp_path / "sweep")
     sweep_first = {file: sweep_files[file] for file in run_files}
-    difference = _first_difference(run_files, sweep_first)
-    assert difference is None, f"{difference} differs"
+    found = compare_runs.differences(run_files, sweep_first)
+    assert not found, found
 
 
 # IRIG sweeps all inner functions in one order whatever S is, so S changes
 # only its simulated time. unit_cost = 0.1 makes that time differ in its last
-# bits between S = 1 and S = 4, so the time columns must really be dropped.
-_TIME_COLUMNS = re.compile(rb'(, )?"(?:round_time_units|total_time_units|wall_clock_sec)": '
-                           rb'[^,}]*')
+# bits between S = 1 and S = 4, so the time fields must really be dropped.
+_IRIG_DROP = ("round_time_units", "total_time_units", "wall_clock_sec", "n_clients",
+              "config.n_clients")
 _IRIG_SETTINGS = ("methods=irig", "s_values=1,4", "repeats=2", "max_rounds=40", "unit_cost=0.1")
 
 
@@ -98,33 +85,27 @@ def irig_sweep(tmp_path_factory):
     return out
 
 
-def _irig_difference(out, rep_one: int, rep_four: int) -> str | None:
-    """Where IRIG's S=1 run of repeat ``rep_one`` and its S=4 run of repeat
-    ``rep_four`` differ, apart from the time columns of their rows and the
-    client count and total time of their summaries; None when nowhere."""
-    one, four = f"location_irig_S1_rep{rep_one}", f"location_irig_S4_rep{rep_four}"
-    lines = [_TIME_COLUMNS.sub(b"", (out / f"{run}.jsonl").read_bytes()).splitlines(keepends=True)
-             for run in (one, four)]
-    line = compare_runs._first_line_difference(*lines)
-    if line is not None:
-        return f"{one}.jsonl and {four}.jsonl at line {line}"
-    summaries = []
-    for run in (one, four):
-        summary = json.loads((out / f"{run}.json").read_text(encoding="utf-8"))
-        del summary["n_clients"], summary["total_time_units"], summary["config"]["n_clients"]
-        summaries.append(summary)
-    keys = compare_runs._key_differences(*summaries)
-    return f"{one}.json and {four}.json at {', '.join(keys)}" if keys else None
+def _irig_run(out, s: int, rep: int) -> dict:
+    """IRIG's S = ``s`` run of repeat ``rep``: its rows and summary by file
+    suffix, without the ``_IRIG_DROP`` fields."""
+    run = out / f"location_irig_S{s}_rep{rep}"
+    return {suffix: compare_runs.canonical(suffix, run.with_suffix(suffix).read_bytes(),
+                                           _IRIG_DROP)
+            for suffix in (".jsonl", ".json")}
 
 
 @pytest.mark.parametrize("rep", [0, 1])
 def test_irig_iterates_do_not_depend_on_the_client_count(irig_sweep, rep):
-    difference = _irig_difference(irig_sweep, rep, rep)
-    assert difference is None, f"{difference} differ"
+    found = compare_runs.differences(_irig_run(irig_sweep, 1, rep), _irig_run(irig_sweep, 4, rep))
+    assert not found, found
 
 
 def test_irig_twin_tells_repeats_apart(irig_sweep):
     raw = [(irig_sweep / f"location_irig_S{s}_rep0.jsonl").read_bytes() for s in (1, 4)]
     assert raw[0] != raw[1]  # the time columns differ before they are dropped
-    assert _irig_difference(irig_sweep, 0, 1) == \
-        "location_irig_S1_rep0.jsonl and location_irig_S4_rep1.jsonl at line 1"
+    # S = 1 of repeat 0 against S = 4 of repeat 1: the first row differs,
+    # and the summaries from the seed on
+    rows, summary = compare_runs.differences(_irig_run(irig_sweep, 1, 0),
+                                             _irig_run(irig_sweep, 4, 1))
+    assert rows == ".jsonl line 1"
+    assert summary.startswith(".json at seed, final_inner_value, ")

@@ -14,12 +14,17 @@ relative deviation of each field that is not equal everywhere is printed;
 
 A number-only comparison misses an integer written as ``1.0``, a number
 written in another notation or a changed string, so the report also says
-whether every ``.jsonl`` line (with its ``wall_clock_sec`` entry removed),
-every per-run ``.csv`` (with its ``wall_clock_sec`` column removed) and
-``summary.csv`` (where both have one) are byte-identical, and whether every
-``.json`` summary is identical once ``config.out_dir`` is removed, naming
-every key path that differs. Such a difference alone does not change
-the exit status.
+whether every ``.jsonl`` line, every per-run ``.csv`` and ``summary.csv``
+are byte-identical, and whether every ``.json`` summary is identical,
+naming every key path that differs, once ``wall_clock_sec`` and
+``config.out_dir`` are removed; a file found in one directory only is
+named. Such a difference alone does not change the exit status.
+
+This module is the one definition of "the same outputs": ``canonical``
+removes named key paths from an output file's bytes and ``differences``
+names where two sets of files differ. The golden digests
+(``tools/record_golden.py``), the execution-shape twins and acceptance
+criterion C11 use them too.
 
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
 when the directories do not hold the same runs or fields.
@@ -27,16 +32,20 @@ when the directories do not hold the same runs or fields.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
 import sys
+from collections.abc import Iterable
+from itertools import zip_longest
 from pathlib import Path
 
 EXACT_SUMMARY = ("final_x", "final_avg_x", "rounds", "stop_reason", "test_accuracy")
 EXACT_ROW = ("step_norm",)
-IGNORED = {"rows.wall_clock_sec", "summary.config.out_dir"}
-WALL_CLOCK = re.compile(rb'(, )?"wall_clock_sec": [^,}]*')
+# What differs between two runs of one setting: the wall clock of each row
+# and each summary's output directory.
+IGNORED = ("wall_clock_sec", "config.out_dir")
 
 
 def _numbers(value, path: str, out: list[tuple[str, float]]) -> None:
@@ -49,19 +58,17 @@ def _numbers(value, path: str, out: list[tuple[str, float]]) -> None:
         for item in value:
             _numbers(item, path, out)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        if path not in IGNORED:
-            out.append((path, float(value)))
+        out.append((path, float(value)))
 
 
-def _csv_numbers(path: Path) -> list[tuple[str, float]]:
+def _csv_numbers(data: bytes) -> list[tuple[str, float]]:
     out = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            for key, cell in row.items():
-                try:
-                    out.append((f"summary.csv.{key}", float(cell)))
-                except ValueError:
-                    continue
+    for row in csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")):
+        for key, cell in row.items():
+            try:
+                out.append((f"summary.csv.{key}", float(cell)))
+            except ValueError:
+                continue
     return out
 
 
@@ -101,89 +108,115 @@ def _key_differences(a, b, path: str = "") -> list[str]:
     return found
 
 
-def _without_out_dir(summary: dict) -> dict:
-    config = summary.get("config")
-    if isinstance(config, dict):
-        summary = dict(summary, config={k: v for k, v in config.items() if k != "out_dir"})
-    return summary
+def _kind(name: str) -> str:
+    """How output ``name`` is read: ``.jsonl`` rows, a ``.json`` summary,
+    per-run ``.csv`` columns, or "" for bytes only (``summary.csv``, streams)."""
+    if name == "summary.csv":
+        return ""
+    return next((ext for ext in (".jsonl", ".json", ".csv") if name.endswith(ext)), "")
 
 
-def _without_wall_clock_column(lines: list[bytes]) -> list[bytes]:
-    """CSV lines with the ``wall_clock_sec`` column (named in the header)
-    removed, line ends kept."""
-    header = lines[0].rstrip(b"\r\n").split(b",") if lines else []
-    if b"wall_clock_sec" not in header:
-        return lines
-    col, out = header.index(b"wall_clock_sec"), []
-    for line in lines:
-        body = line.rstrip(b"\r\n")
-        cells = body.split(b",")
-        out.append(b",".join(cells[:col] + cells[col + 1:]) + line[len(body):])
-    return out
+def canonical(name: str, data: bytes, drop: Iterable[str]) -> bytes:
+    """``data``, the contents of output ``name``, without the key paths in
+    ``drop``: the fields of every ``.jsonl`` row (a row's key paths are its
+    field names), the columns of a per-run ``.csv`` and the key paths of a
+    ``.json`` summary, which is then written as the summary writer writes it
+    (``indent=2``). Any other file, and a file holding none of them, keeps
+    its bytes."""
+    kind, drop = _kind(name), sorted(drop)
+    if kind == ".jsonl" and drop:
+        fields = b"|".join(re.escape(key.encode()) for key in drop)
+        return re.sub(rb'(, )?"(?:' + fields + rb')": [^,}]*', b"", data)
+    if kind == ".csv":
+        lines = data.splitlines(keepends=True)
+        header = lines[0].rstrip(b"\r\n").split(b",") if lines else []
+        dropped = {key.encode() for key in drop}
+        cols = {i for i, cell in enumerate(header) if cell in dropped}
+        if not cols:
+            return data
+        out = []
+        for line in lines:
+            body = line.rstrip(b"\r\n")
+            cells = [cell for i, cell in enumerate(body.split(b",")) if i not in cols]
+            out.append(b",".join(cells) + line[len(body):])
+        return b"".join(out)
+    if kind == ".json":
+        summary, removed = json.loads(data), False
+        for path in drop:
+            *parents, key = path.split(".")
+            node = summary
+            for part in parents:
+                node = node.get(part) if isinstance(node, dict) else None
+            if isinstance(node, dict) and key in node:
+                del node[key]
+                removed = True
+        if removed:
+            return json.dumps(summary, indent=2).encode()
+    return data
 
 
-def _load_run(directory: Path, run_id: str) -> tuple[dict, list[bytes]]:
-    """The run's parsed summary and its raw JSONL lines, line ends kept."""
-    summary = json.loads((directory / f"{run_id}.json").read_text(encoding="utf-8"))
-    lines = (directory / f"{run_id}.jsonl").read_bytes().splitlines(keepends=True)
-    return summary, lines
+def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
+    """Where two sets of outputs, file name -> bytes, differ: one entry per
+    differing file, in the order the names first appear, saying ``<name> is
+    in one directory only``, ``<name> at <key path>, ...`` for a ``.json``
+    summary whose parsed values differ, or else ``<name> line <n>``, its
+    first differing line. Empty when the two are the same."""
+    found = []
+    for name in dict.fromkeys([*a, *b]):
+        if name not in a or name not in b:
+            found.append(f"{name} is in one directory only")
+        elif a[name] != b[name]:
+            keys = (_key_differences(json.loads(a[name]), json.loads(b[name]))
+                    if _kind(name) == ".json" else [])
+            lines = zip_longest(*(side[name].splitlines(keepends=True) for side in (a, b)))
+            line = next(n for n, (x, y) in enumerate(lines, start=1) if x != y)
+            found.append(f"{name} at {', '.join(keys)}" if keys else f"{name} line {line}")
+    return found
 
 
-def _first_line_difference(lines_a: list[bytes], lines_b: list[bytes]) -> int | None:
-    """1-based number of the first line that differs, or None when none does."""
-    for number, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
-        if la != lb:
-            return number
-    if len(lines_a) != len(lines_b):
-        return min(len(lines_a), len(lines_b)) + 1
-    return None
+def read(directory: Path, names: Iterable[str], drop: Iterable[str]) -> dict[str, bytes]:
+    """The ``canonical`` bytes of each named file of ``directory``, by name."""
+    return {name: canonical(name, (directory / name).read_bytes(), drop) for name in names}
+
+
+def _section(label: str, found: list[str], total: int, where: str, same: str) -> list[str]:
+    if not found:
+        return [f"{label} {same}"]
+    return [f"{label} DIFFER in {len(found)} of {total} runs, {where}:",
+            *(f"  {d}" for d in found)]
 
 
 def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
     """Returns (exit status, report lines)."""
-    runs_a = sorted(p.stem for p in a_dir.glob("*.json"))
+    runs = sorted(p.stem for p in a_dir.glob("*.json"))
     runs_b = sorted(p.stem for p in b_dir.glob("*.json"))
-    if not runs_a or runs_a != runs_b:
-        return 2, [f"run sets differ: {runs_a} vs {runs_b}"]
-    differences = []
+    if not runs or runs != runs_b:
+        return 2, [f"run sets differ: {runs} vs {runs_b}"]
+    # A run's rows and summary must be in both directories; its .csv and
+    # summary.csv may be in either.
+    names = [f"{run}{ext}" for run in runs for ext in (".jsonl", ".json")]
+    optional = [*(f"{run}.csv" for run in runs), "summary.csv"]
+    files = [read(d, names + [n for n in optional if (d / n).is_file()], IGNORED)
+             for d in (a_dir, b_dir)]
+    found: dict[str, list[str]] = {".jsonl": [], ".json": [], ".csv": [], "": []}
+    for entry in differences(*files):
+        found[_kind(entry.split(" ", 1)[0])].append(entry)
+    exact = []
     worst: dict[str, float] = {}
     pairs: list[tuple[list, list]] = []
-    byte_diffs: list[str] = []
-    json_diffs: list[str] = []
-    csv_diffs: list[str] = []
-    csv_runs = 0
-    for run_id in runs_a:
-        sa, lines_a = _load_run(a_dir, run_id)
-        sb, lines_b = _load_run(b_dir, run_id)
-        line = _first_line_difference([WALL_CLOCK.sub(b"", la) for la in lines_a],
-                                      [WALL_CLOCK.sub(b"", lb) for lb in lines_b])
-        if line is not None:
-            byte_diffs.append(f"{run_id}.jsonl line {line}")
-        keys = _key_differences(_without_out_dir(sa), _without_out_dir(sb))
-        if keys:
-            json_diffs.append(f"{run_id}.json at {', '.join(keys)}")
-        csvs = [d / f"{run_id}.csv" for d in (a_dir, b_dir)]
-        if any(path.is_file() for path in csvs):
-            csv_runs += 1
-            if not all(path.is_file() for path in csvs):
-                csv_diffs.append(f"{run_id}.csv is in one directory only")
-            else:
-                ca, cb = (_without_wall_clock_column(path.read_bytes().splitlines(keepends=True))
-                          for path in csvs)
-                line = _first_line_difference(ca, cb)
-                if line is not None:
-                    csv_diffs.append(f"{run_id}.csv line {line}")
-        rows_a = [json.loads(la) for la in lines_a]
-        rows_b = [json.loads(lb) for lb in lines_b]
+    for run in runs:
+        sa, sb = (json.loads(f[f"{run}.json"]) for f in files)
+        rows_a, rows_b = ([json.loads(line) for line in f[f"{run}.jsonl"].splitlines()]
+                          for f in files)
         for key in EXACT_SUMMARY:
             if not _same(sa.get(key), sb.get(key)):
-                differences.append(f"{run_id}: {key} differs")
+                exact.append(f"{run}: {key} differs")
         if len(rows_a) != len(rows_b):
-            differences.append(f"{run_id}: {len(rows_a)} vs {len(rows_b)} rows")
+            exact.append(f"{run}: {len(rows_a)} vs {len(rows_b)} rows")
         for ra, rb in zip(rows_a, rows_b):
             for key in EXACT_ROW:
                 if not _same(ra.get(key), rb.get(key)):
-                    differences.append(f"{run_id}: {key} differs in round {ra.get('k')}")
+                    exact.append(f"{run}: {key} differs in round {ra.get('k')}")
                     break
         na, nb = [], []
         _numbers(sa, "summary", na)
@@ -191,47 +224,36 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         _numbers(rows_a, "rows", na)
         _numbers(rows_b, "rows", nb)
         pairs.append((na, nb))
-    csv_a, csv_b = a_dir / "summary.csv", b_dir / "summary.csv"
-    csv_same = None
-    if csv_a.is_file() and csv_b.is_file():
-        pairs.append((_csv_numbers(csv_a), _csv_numbers(csv_b)))
-        csv_same = csv_a.read_bytes() == csv_b.read_bytes()
+    summary_csv = [f["summary.csv"] for f in files if "summary.csv" in f]
+    if len(summary_csv) == 2:
+        pairs.append((_csv_numbers(summary_csv[0]), _csv_numbers(summary_csv[1])))
     for na, nb in pairs:
         if [f for f, _ in na] != [f for f, _ in nb]:
-            if not differences:
+            if not exact:
                 return 2, ["logged fields differ between the two directories"]
             continue
         for (field, x), (_, y) in zip(na, nb):
             worst[field] = max(worst.get(field, 0.0), _rel_dev(x, y))
-    report = [f"runs compared: {len(runs_a)}"]
-    if differences:
+    report = [f"runs compared: {len(runs)}"]
+    if exact:
         report.append("exact fields DIFFER:")
-        report += [f"  {d}" for d in differences]
+        report += [f"  {d}" for d in exact]
     else:
         report.append("exact fields identical: " + ", ".join(EXACT_SUMMARY + EXACT_ROW))
-    if byte_diffs:
-        report.append(f".jsonl lines (minus wall_clock_sec) DIFFER in {len(byte_diffs)} "
-                      f"of {len(runs_a)} runs, first at:")
-        report += [f"  {d}" for d in byte_diffs]
-    else:
-        report.append(".jsonl lines (minus wall_clock_sec) byte-identical in every run")
-    if json_diffs:
-        report.append(f".json summaries (minus config.out_dir) DIFFER in {len(json_diffs)} "
-                      f"of {len(runs_a)} runs, at:")
-        report += [f"  {d}" for d in json_diffs]
-    else:
-        report.append(".json summaries (minus config.out_dir) identical in every run")
-    if csv_diffs:
-        report.append(f"per-run .csv files (minus wall_clock_sec) DIFFER in {len(csv_diffs)} "
-                      f"of {csv_runs} runs, first at:")
-        report += [f"  {d}" for d in csv_diffs]
-    elif csv_runs:
-        report.append(f"per-run .csv files (minus wall_clock_sec) byte-identical in all "
-                      f"{csv_runs} runs")
+    report += _section(".jsonl lines (minus wall_clock_sec)", found[".jsonl"], len(runs),
+                       "first at", "byte-identical in every run")
+    report += _section(".json summaries (minus config.out_dir)", found[".json"], len(runs),
+                       "at", "identical in every run")
+    csv_runs = sum(any(f"{run}.csv" in f for f in files) for run in runs)
+    if csv_runs:
+        report += _section("per-run .csv files (minus wall_clock_sec)", found[".csv"], csv_runs,
+                           "first at", f"byte-identical in all {csv_runs} runs")
     else:
         report.append("per-run .csv files: none in either directory")
-    if csv_same is not None:
-        report.append(f"summary.csv bytes: {'identical' if csv_same else 'DIFFER'}")
+    if len(summary_csv) == 2:
+        report.append(f"summary.csv bytes: {'DIFFER' if found[''] else 'identical'}")
+    else:
+        report += found[""]  # "summary.csv is in one directory only", or nothing
     shifted = {field: dev for field, dev in worst.items() if dev > 0.0}
     report.append(f"logged numeric fields: {len(worst)}, equal in every run: "
                   f"{len(worst) - len(shifted)}")
@@ -239,7 +261,7 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         report.append("max relative deviation of the others:")
         width = max(len(f) for f in shifted)
         report += [f"  {field:<{width}}  {dev:.3g}" for field, dev in sorted(shifted.items())]
-    return (1 if differences else 0), report
+    return (1 if exact else 0), report
 
 
 def main(argv: list[str] | None = None) -> int:

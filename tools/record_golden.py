@@ -8,12 +8,12 @@ Runs each named golden run (all of them by default) in a fresh temporary
 directory through ``fedbilevel.cli.main`` in-process, and writes
 ``tests/golden/<name>.json``: the run's argv, the exit code, and SHA-256
 digests of stdout, stderr and every file the sweep wrote. Before hashing,
-every ``.jsonl`` line loses its ``wall_clock_sec`` entry (the regex of
-``tools/compare_runs.py``), every per-run ``.csv`` loses its
-``wall_clock_sec`` column, and the temporary directory's path (so
-``config.out_dir`` and the IDX paths of ``logistic-mnist``) is replaced by
-``<work>``; ``summary.csv`` and the ``.json`` summaries are hashed as
-written otherwise.
+the temporary directory's path (so ``config.out_dir`` and the IDX paths of
+``logistic-mnist``) is replaced by ``<work>``, and
+``compare_runs.canonical`` removes ``wall_clock_sec``: the entry of every
+``.jsonl`` line and the column of every per-run ``.csv``. ``summary.csv``
+and the ``.json`` summaries, which hold no wall clock, keep their bytes
+otherwise.
 
 The location and logistic bits depend on the BLAS dot kernel and on numpy's
 SIMD dispatch, so each file also records a fingerprint: the numpy version,
@@ -112,11 +112,7 @@ def _normalised(name: str, data: bytes, work: Path) -> bytes:
     """``data``, the contents of output ``name``, as it is digested."""
     for form in {str(work), json.dumps(str(work))[1:-1]}:
         data = data.replace(form.encode(), b"<work>")
-    if name.endswith(".jsonl"):
-        return compare_runs.WALL_CLOCK.sub(b"", data)
-    if name.endswith(".csv") and name != "summary.csv":
-        return b"".join(compare_runs._without_wall_clock_column(data.splitlines(keepends=True)))
-    return data
+    return compare_runs.canonical(name, data, ("wall_clock_sec",))
 
 
 def outputs(name: str, work: Path, command: str = "sweep") -> tuple[int, dict, dict]:
