@@ -34,8 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .data import (FormatError, LabeledDataset, load_binary_digits, make_location_instance,
-                   make_synthetic_logistic)
+from .data import FormatError, LabeledDataset, load_binary_digits, make_synthetic_logistic
 from .federation import CostModel, partition_data
 from .instances import location_problem, logistic_problem, selection_1d_problem
 from .metrics import RunRecord, accuracy, write_rows_csv, write_rows_jsonl, write_run_json
@@ -50,8 +49,7 @@ def _base_problem(cfg: ExperimentConfig) -> tuple[ProblemSpec, LabeledDataset | 
     if cfg.problem == "selection-1d":  # identical balls: any split gives the same bits
         return selection_1d_problem((cfg.m,)), None
     if cfg.problem == "location":
-        return location_problem(make_location_instance(cfg.n, cfg.m, seed=cfg.seed),
-                                (range(cfg.m),)), None
+        return location_problem(cfg.n, cfg.m, cfg.seed, (range(cfg.m),)), None
     heldout = None
     if cfg.problem == "logistic-synthetic":
         train, heldout = make_synthetic_logistic(cfg.n, cfg.m, cfg.margin, seed=cfg.seed,
@@ -246,28 +244,35 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
         summary = json.loads(Path(args.record).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        print(f"data error: {args.record}: {exc}", file=sys.stderr)
         return 3
-    sched = summary.get("schedule", {}) if isinstance(summary, dict) else None
+    sched = summary.get("schedule") if isinstance(summary, dict) else None
     if not isinstance(sched, dict):
         print(f"data error: {args.record} is not a run summary object with an object "
               f"schedule", file=sys.stderr)
         return 3
-    print(f"problem:  {summary.get('problem_id')}")
-    print(f"method:   {summary.get('method')} (S={summary.get('n_clients')}, "
-          f"m={summary.get('n_inner')}, n={summary.get('dimension')})")
-    print(f"schedule: gamma1={sched.get('gamma1')} a={sched.get('a')} lambda1="
-          f"{sched.get('lambda1')} b={sched.get('b')} feasible={sched.get('feasible')}")
-    print(f"seed:     {summary.get('seed')} (prng {summary.get('prng')})")
-    print(f"rounds:   {summary.get('rounds')} (stop: {summary.get('stop_reason')})")
-    print(f"final:    inner={summary.get('final_inner_value')} "
-          f"outer={summary.get('final_outer_value')}")
-    print(f"time:     {summary.get('total_time_units')} units; "
-          f"evals inner={summary.get('inner_subgrad_evals')} "
-          f"outer={summary.get('outer_subgrad_evals')}")
+    try:  # every line is formatted before any is printed
+        lines = [
+            f"problem:  {summary['problem_id']}",
+            f"method:   {summary['method']} (S={summary['n_clients']}, "
+            f"m={summary['n_inner']}, n={summary['dimension']})",
+            f"schedule: gamma1={sched['gamma1']} a={sched['a']} lambda1={sched['lambda1']} "
+            f"b={sched['b']} feasible={sched['feasible']}",
+            f"seed:     {summary['seed']} (prng {summary['prng']})",
+            f"rounds:   {summary['rounds']} (stop: {summary['stop_reason']})",
+            f"final:    inner={summary['final_inner_value']} "
+            f"outer={summary['final_outer_value']}",
+            f"time:     {summary['total_time_units']} units; "
+            f"evals inner={summary['inner_subgrad_evals']} "
+            f"outer={summary['outer_subgrad_evals']}",
+        ]
+    except KeyError as exc:
+        print(f"data error: {args.record}: not a run summary, no key {exc}", file=sys.stderr)
+        return 3
     if summary.get("test_accuracy") is not None:
-        print(f"accuracy: {summary['test_accuracy']}")
+        lines.append(f"accuracy: {summary['test_accuracy']}")
+    print("\n".join(lines))
     return 0
 
 

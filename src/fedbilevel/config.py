@@ -223,7 +223,7 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse a config file, apply ``--set key=value`` overrides, resolve."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     cfg = parse_config_text(text)
     for item in overrides or []:

@@ -1,4 +1,4 @@
-"""Dataset ingestion (IDX) and seeded synthetic instance generators."""
+"""Datasets: IDX ingestion and the seeded synthetic logistic generator."""
 from __future__ import annotations
 
 import math
@@ -8,8 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import BoxConstraint
-from .rng import STREAM_DATA, make_rng, open_uniform
+from .rng import STREAM_DATA, make_rng
 
 
 class FormatError(ValueError):
@@ -162,34 +161,3 @@ def make_synthetic_logistic(n: int, m: int, margin: float, seed: int,
     name = f"synthetic-logistic-{n}d"
     return (LabeledDataset(feats, labels, name=name, separator=w),
             LabeledDataset(held_feats, held_labels, name=name + "-heldout", separator=w))
-
-
-@dataclass(frozen=True)
-class LocationInstance:
-    """Target balls plus anchor for the location experiment family."""
-
-    centers: np.ndarray  # (m, n)
-    radii: np.ndarray    # (m,)
-    anchor: np.ndarray   # (n,)
-    box: BoxConstraint
-
-    def __post_init__(self):
-        if np.any(self.radii <= 0):
-            raise ValueError("radii must be positive")
-        if self.centers.shape[0] != self.radii.shape[0]:
-            raise ValueError("centers and radii must have equal length")
-        for name, points in (("centers", self.centers), ("anchor", self.anchor)):
-            if np.any(points < self.box.lo) or np.any(points > self.box.hi):
-                raise ValueError(f"{name} must lie inside the box")
-
-
-def make_location_instance(n: int, m: int, seed: int) -> LocationInstance:
-    """Seeded instance: centers and anchor uniform in (-10, 10)^n, radii
-    uniform in (0, 1), box [-10, 10]^n."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    rng = make_rng(seed, STREAM_DATA)
-    centers = open_uniform(rng, -10.0, 10.0, (m, n))
-    radii = open_uniform(rng, 0.0, 1.0, m)
-    anchor = open_uniform(rng, -10.0, 10.0, n)
-    return LocationInstance(centers, radii, anchor, BoxConstraint.symmetric(n, 10.0))

@@ -1,7 +1,8 @@
 """Ready-made problem builders for the shipped experiment families.
 
-Each builder wraps the instance's arrays in one inner family (no per-sample
+Each builder wraps its data's arrays in one inner family (no per-sample
 objects) and takes the clients' index tuples, as ``partition_data`` gives them.
+``location_problem`` draws its own data from the seed it is given.
 """
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LabeledDataset, LocationInstance
+from .data import LabeledDataset
 from .oracles import BallDistances, L1Quad, LogisticLosses, QuadAnchor
 from .problem import BoxConstraint, ProblemSpec, contiguous_clients
+from .rng import STREAM_DATA, make_rng, open_uniform
 
 
 def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
@@ -35,15 +37,23 @@ def selection_1d_problem(sizes: Sequence[int] = (1,)) -> ProblemSpec:
     )
 
 
-def location_problem(instance: LocationInstance,
+def location_problem(n: int, m: int, seed: int,
                      clients: Sequence[Sequence[int]]) -> ProblemSpec:
-    """Sum-of-ball-distances inner objective with an anchored quadratic
-    selector; client c holds the balls ``clients[c]``."""
+    """Seeded location instance on the box [-10, 10]^n: m ball centers uniform
+    in (-10, 10)^n, their radii in (0, 1), then an anchor in (-10, 10)^n, drawn
+    in that order. Sum-of-ball-distances inner objective with an anchored
+    quadratic selector; client c holds the balls ``clients[c]``."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive")
+    rng = make_rng(seed, STREAM_DATA)
+    centers = open_uniform(rng, -10.0, 10.0, (m, n))
+    radii = open_uniform(rng, 0.0, 1.0, m)
+    anchor = open_uniform(rng, -10.0, 10.0, n)
     return ProblemSpec(
-        inner=BallDistances(instance.centers, instance.radii),
-        outer=QuadAnchor(instance.anchor),
+        inner=BallDistances(centers, radii),
+        outer=QuadAnchor(anchor),
         clients=clients,
-        constraint=instance.box,
+        constraint=BoxConstraint.symmetric(n, 10.0),
         mu_H=1.0,
         name="location",
     )

@@ -15,7 +15,6 @@ from helpers import (SELECTION_1D_OPTIMUM, estimate_bounds, grid_bilevel_2d,
 
 from fedbilevel import cli, solvers
 from fedbilevel.config import ExperimentConfig
-from fedbilevel.data import make_location_instance
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, CostModel, partition_data,
                                    round_time, uniform_costs)
 from fedbilevel.instances import location_problem, selection_1d_problem
@@ -118,8 +117,7 @@ def test_c05_equivalence_oracle():
 
 
 def test_c06_drift_bound():
-    inst = make_location_instance(5, 50, seed=3)
-    prob = location_problem(inst, partition_data(50, 5, CONTIGUOUS, seed=3))
+    prob = location_problem(5, 50, 3, partition_data(50, 5, CONTIGUOUS, seed=3))
     cf, ch = estimate_bounds(prob, samples=1000, seed=3)
     sched = StepSchedule(1, 0.8, 1, 0.1)
     x0 = make_rng(3, 2).uniform(-10.0, 10.0, 5)

@@ -259,6 +259,16 @@ class TestMain:
         path = _config(tmp_path, "problem = selection-1d\nbogus = 1\n")
         assert cli.main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_undecodable_config_file_is_config_error(self, tmp_path, capsys, command):
+        # \xff is no UTF-8 text: a traceback and exit 1 ("partial run failures") before
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"problem = selection-1d\n\xff\n")
+        out = tmp_path / "out"
+        assert cli.main([command, str(path), "--out", str(out)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schedule_preset_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["sweep", str(SELECTION_CFG), "--out", str(out),
@@ -617,6 +627,38 @@ class TestMain:
         record.write_text("[1, 2]", encoding="utf-8")
         assert cli.main(["inspect", str(record)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [b'{"rounds": 3}\xff', b"\xff\xfe{}", b"{"])
+    def test_inspect_unreadable_file_is_data_error_naming_it(self, tmp_path, capsys, data):
+        # bytes that are not UTF-8 (a traceback and exit 1 before) or not JSON
+        record = tmp_path / "summary.json"
+        record.write_bytes(data)
+        assert cli.main(["inspect", str(record)]) == 3
+        captured = capsys.readouterr()
+        assert f"data error: {record}" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("drop, lacking", [
+        (None, "schedule"), ("method", "'method'"), ("stop_reason", "'stop_reason'"),
+        ("schedule.feasible", "'feasible'")])
+    def test_inspect_non_summary_object_is_data_error(self, tmp_path, capsys, drop, lacking):
+        # {} printed seven lines of None and exited 0 before
+        path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        record = out / "selection-1d_fism_S1_rep0.json"
+        summary = json.loads(record.read_text(encoding="utf-8"))
+        if drop is None:
+            summary = {}
+        else:
+            *parents, key = drop.split(".")
+            del (summary[parents[0]] if parents else summary)[key]
+        record.write_text(json.dumps(summary), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["inspect", str(record)]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "data error" in captured.err and str(record) in captured.err
+        assert lacking in captured.err
 
     @pytest.mark.parametrize("schedule", ["1", "[0.5]", '"fixed"', "null"])
     def test_inspect_non_object_schedule_is_data_error(self, tmp_path, capsys, schedule):

@@ -75,6 +75,18 @@ def test_different_run_sets_are_a_usage_error(two_sweeps):
     assert compare_runs.main([str(a), str(b)]) == 2
 
 
+@pytest.mark.parametrize("name", ["location_fism_S1_rep0.json",
+                                  "location_irig_S3_rep0.jsonl", "summary.csv"])
+def test_undecodable_output_is_a_read_error(two_sweeps, capsys, name):
+    # an output that is not UTF-8 gave a traceback and exit 1 ("exact fields differ")
+    a, b = two_sweeps
+    with open(b / name, "ab") as f:
+        f.write(b"\xff")
+    assert compare_runs.main([str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot read run outputs: ") and not captured.out
+
+
 def test_number_equal_rewrites_are_byte_differences(two_sweeps, capsys):
     a, b = two_sweeps
     # an integer counter written as a float, in the third row of one run

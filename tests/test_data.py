@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbilevel.data import (MAX_SYNTHETIC_DRAWS, FormatError, LabeledDataset,
-                             check_synthetic_margin, load_binary_digits, make_location_instance,
-                             make_synthetic_logistic, read_idx)
+                             check_synthetic_margin, load_binary_digits, make_synthetic_logistic,
+                             read_idx)
+from fedbilevel.instances import location_problem
 from fedbilevel.rng import STREAM_DATA, make_rng
 
 
@@ -185,21 +186,24 @@ class TestSyntheticLogistic:
 
 class TestLocationInstance:
     def test_sampling_ranges_strict(self):
-        inst = make_location_instance(4, 50, seed=0)
-        assert np.all(inst.centers > -10.0) and np.all(inst.centers < 10.0)
-        assert np.all(inst.anchor > -10.0) and np.all(inst.anchor < 10.0)
-        assert np.all(inst.radii > 0.0) and np.all(inst.radii < 1.0)
-        assert inst.box.dimension == 4
+        prob = location_problem(4, 50, 0, (range(50),))
+        centers, radii, anchor = prob.inner.centers, prob.inner.radii, prob.outer.anchor
+        assert np.all(centers > -10.0) and np.all(centers < 10.0)
+        assert np.all(anchor > -10.0) and np.all(anchor < 10.0)
+        assert np.all(radii > 0.0) and np.all(radii < 1.0)
+        assert prob.constraint.dimension == 4
+        assert np.all(prob.constraint.lo == -10.0) and np.all(prob.constraint.hi == 10.0)
 
     def test_deterministic(self):
-        a = make_location_instance(3, 7, seed=11)
-        b = make_location_instance(3, 7, seed=11)
-        assert np.array_equal(a.centers, b.centers)
-        assert np.array_equal(a.radii, b.radii)
-        assert np.array_equal(a.anchor, b.anchor)
+        a = location_problem(3, 7, 11, (range(7),))
+        b = location_problem(3, 7, 11, (range(7),))
+        assert np.array_equal(a.inner.centers, b.inner.centers)
+        assert np.array_equal(a.inner.radii, b.inner.radii)
+        assert np.array_equal(a.outer.anchor, b.outer.anchor)
 
     def test_minimal_instance(self):
-        inst = make_location_instance(1, 1, seed=0)
-        assert inst.centers.shape == (1, 1)
-        assert inst.radii.shape == (1,)
-
+        prob = location_problem(1, 1, 0, (range(1),))
+        assert prob.inner.centers.shape == (1, 1)
+        assert prob.inner.radii.shape == (1,)
+        with pytest.raises(ValueError, match="positive"):
+            location_problem(1, 0, 0, ())

@@ -11,7 +11,7 @@ from helpers import (RateDiagnosticUnavailable, ball_dist_eval, outer_quad_ancho
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedbilevel.data import LabeledDataset, make_location_instance, make_synthetic_logistic
+from fedbilevel.data import LabeledDataset, make_synthetic_logistic
 from fedbilevel.federation import METHODS, partition_data, round_time, uniform_costs
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
 from fedbilevel.metrics import (_CHUNK, ROW_FIELDS, RoundRow, accuracy, write_rows_csv,
@@ -228,8 +228,8 @@ class TestRowTypes:
     def _problems():
         ds, _ = make_synthetic_logistic(4, 40, margin=0.3, seed=2)
         yield selection_1d_problem(), (1.0, 0.55, 1.0, 0.4), None
-        yield (location_problem(make_location_instance(3, 12, seed=4),
-                                partition_data(12, 3, seed=4)), (1.0, 0.8, 1.0, 0.1), 1e-5)
+        yield (location_problem(3, 12, 4, partition_data(12, 3, seed=4)),
+               (1.0, 0.8, 1.0, 0.1), 1e-5)
         yield logistic_problem(ds, partition_data(40, 2, seed=1)), (10.0, 0.8, 1.0, 0.1), None
         yield _non_finite_problem(), (0.1, 0.55, 1.0, 0.4), None
 

@@ -6,7 +6,6 @@ from helpers import ball_dist_eval, estimate_bounds, outer_quad_anchor_eval
 
 from fedbilevel.federation import CONTIGUOUS, FISM, partition_data
 from fedbilevel.instances import location_problem, selection_1d_problem
-from fedbilevel.data import make_location_instance
 from fedbilevel.problem import BoxConstraint, ProblemSpec, StepSchedule
 from fedbilevel.rng import make_rng
 from fedbilevel.solvers import run_solver
@@ -231,15 +230,13 @@ class TestBoundEstimates:
     def test_location_bounds(self):
         # ball-distance subgradients are unit vectors or zero, so Cf ~ 1;
         # CH covers the outer value which dominates its gradient norm here
-        inst = make_location_instance(3, 10, seed=0)
-        prob = location_problem(inst, partition_data(10, 2, CONTIGUOUS))
+        prob = location_problem(3, 10, 0, partition_data(10, 2, CONTIGUOUS))
         cf, ch = estimate_bounds(prob, samples=200, seed=0)
         assert cf == pytest.approx(1.0, abs=1e-9)
         assert ch > 10.0
 
     def test_deterministic(self):
-        inst = make_location_instance(3, 5, seed=1)
-        prob = location_problem(inst, partition_data(5, 1, CONTIGUOUS))
+        prob = location_problem(3, 5, 1, partition_data(5, 1, CONTIGUOUS))
         a = estimate_bounds(prob, samples=100, seed=4)
         b = estimate_bounds(prob, samples=100, seed=4)
         assert a == b

@@ -77,6 +77,23 @@ def test_location_metrics_stay_finite_across_slices(tmp_path):
             assert all(math.isfinite(v) for v in row.values() if isinstance(v, (int, float)))
 
 
+def test_tolerance_sweep_stops_by_tolerance(tmp_path, capsys):
+    # CI's tolerance sweep: every run stops by the composite relative-change
+    # test, inside a block of rounds, and inspect reports that stop.
+    code, out = _sweep(tmp_path, "location", "m=200", "s_values=1,4", "repeats=1",
+                       "tol=1e-3")
+    assert code == 0
+    summaries = sorted(out.glob("*.json"))
+    assert len(summaries) == 4
+    for path in summaries:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        assert summary["stop_reason"] == "tolerance"
+        assert summary["rounds"] < summary["config"]["max_rounds"]
+        capsys.readouterr()
+        assert cli.main(["inspect", str(path)]) == 0
+        assert "(stop: tolerance)" in capsys.readouterr().out
+
+
 def test_no_heldout_set_leaves_accuracy_empty(tmp_path):
     code, out = _sweep(tmp_path, "logistic-synthetic", "max_rounds=5", "test_size=0")
     assert code == 0

@@ -13,7 +13,7 @@ from helpers import (SELECTION_1D_OPTIMUM, abs_oracle, ball_dist_eval, balls_inn
                      outer_quad_anchor_eval, reference_solve, stopping_criterion, zero_oracle)
 
 from fedbilevel import solvers
-from fedbilevel.data import make_location_instance, make_synthetic_logistic
+from fedbilevel.data import make_synthetic_logistic
 from fedbilevel.federation import (CONTIGUOUS, FISM, IRIG, SHUFFLED, partition_data,
                                    round_time, uniform_costs)
 from fedbilevel.instances import location_problem, logistic_problem, selection_1d_problem
@@ -404,8 +404,7 @@ class TestRunSolver:
             assert abs(rec.final_x[0] - SELECTION_1D_OPTIMUM) <= 1e-2
 
     def test_bit_identical_repeats(self):
-        inst = make_location_instance(3, 12, seed=4)
-        prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=4))
+        prob = location_problem(3, 12, 4, partition_data(12, 3, CONTIGUOUS, seed=4))
         sched = StepSchedule(1, 0.8, 1, 0.1)
         x0 = np.array([1.0, -2.0, 3.0])
         a = _observed_iterates(prob, sched, "fism", x0, 50)
@@ -417,8 +416,7 @@ class TestRunSolver:
         assert [r.inner_value for r in rows_a] == [r.inner_value for r in rows_b]
 
     def test_iterates_feasible_from_round_two(self):
-        inst = make_location_instance(3, 9, seed=6)
-        prob = location_problem(inst, partition_data(9, 3, CONTIGUOUS))
+        prob = location_problem(3, 9, 6, partition_data(9, 3, CONTIGUOUS))
         sched = StepSchedule(5, 0.6, 1, 0.2)
         xs = _observed_iterates(prob, sched, "fism", np.array([40.0, -40.0, 0.0]), 30)
         assert len(xs) == 31
@@ -437,8 +435,8 @@ class TestRunSolver:
 
     @pytest.mark.parametrize("method", ["fism", "irig"])
     def test_logged_values_match_independent_objectives(self, method):
-        inst = make_location_instance(3, 12, seed=5)
-        prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
+        prob = location_problem(3, 12, 5, partition_data(12, 3, CONTIGUOUS, seed=5))
+        centers, radii, anchor = prob.inner.centers, prob.inner.radii, prob.outer.anchor
         sched = StepSchedule(1, 0.8, 1, 0.1)
         states = []
         rec = run_solver(prob, sched, method, np.array([4.0, -3.0, 2.0]), 30,
@@ -446,12 +444,12 @@ class TestRunSolver:
         for row, start, end in zip(rec.rows, states, states[1:]):
             avg = end.avg_num / end.avg_den
             assert row.inner_value == pytest.approx(
-                balls_inner(start.x, inst.centers, inst.radii), rel=1e-12)
+                balls_inner(start.x, centers, radii), rel=1e-12)
             assert row.inner_value_mean == row.inner_value / 12
             assert row.inner_value_avg_iterate == pytest.approx(
-                balls_inner(avg, inst.centers, inst.radii), rel=1e-12)
+                balls_inner(avg, centers, radii), rel=1e-12)
             assert row.outer_value == pytest.approx(
-                0.5 * float(np.sum((start.x - inst.anchor) ** 2)), rel=1e-12)
+                0.5 * float(np.sum((start.x - anchor) ** 2)), rel=1e-12)
             assert row.step_norm == float(np.linalg.norm(end.x - start.x))
 
     def test_tolerance_stop_records_reason(self):
@@ -511,8 +509,7 @@ def _block_case(name):
     if name == "selection-1d":
         return selection_1d_problem(), _schedule_1d(), np.array([4.0])
     if name == "location":
-        inst = make_location_instance(3, 12, seed=5)
-        prob = location_problem(inst, partition_data(12, 3, CONTIGUOUS, seed=5))
+        prob = location_problem(3, 12, 5, partition_data(12, 3, CONTIGUOUS, seed=5))
         return prob, StepSchedule(1, 0.8, 1, 0.1), np.array([4.0, -3.0, 2.0])
     ds, _ = make_synthetic_logistic(5, 40, margin=0.3, seed=8)
     prob = logistic_problem(ds, partition_data(40, 4, SHUFFLED, seed=8))

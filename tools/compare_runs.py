@@ -27,7 +27,8 @@ names where two sets of files differ. The golden digests
 criterion C11 use them too.
 
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
-when the directories do not hold the same runs or fields.
+when the directories do not hold the same runs or fields, or an output
+cannot be read, is not UTF-8 or is not JSON.
 """
 from __future__ import annotations
 
@@ -276,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         status, report = compare(a_dir, b_dir)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"cannot read run outputs: {exc}", file=sys.stderr)
         return 2
     print("\n".join(report))
