@@ -190,11 +190,9 @@ def write_summary(summaries: list[dict], path: Path) -> None:
 
 def _cmd_run(args: argparse.Namespace, grid: bool) -> int:
     try:
-        cfg = load_config(args.config, args.set)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
+        flags = [f"{key}={value}" for key, value in (("seed", args.seed), ("out_dir", args.out))
+                 if value is not None]  # after every --set, so the flags win
+        cfg = load_config(args.config, args.set + flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

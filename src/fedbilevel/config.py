@@ -29,7 +29,7 @@ _PROBLEM_DEFAULTS = {
     "location": {"n": 10, "m": 500, "max_rounds": 100_000, "tol": 1e-5,
                  "gamma1": 1.0, "a": 0.8, "lambda1": 1.0, "b": 0.1},
     "logistic-synthetic": {"n": 20, "m": 400, **_CLASSIFICATION},
-    "logistic-mnist": {"n": 784, "m": 11_000, **_CLASSIFICATION},
+    "logistic-mnist": _CLASSIFICATION,  # n and m come from the images
 }
 PROBLEMS = tuple(_PROBLEM_DEFAULTS)
 
@@ -127,6 +127,8 @@ class ExperimentConfig:
         for key in ("methods", "s_values"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise ConfigError(f"{key} must not repeat an entry", key=key)
+        if not self.out_dir:  # an empty directory name would write into the cwd
+            raise ConfigError("out_dir must not be empty", key="out_dir")
         if self.problem == "selection-1d" and self.n != 1:
             raise ConfigError(f"selection-1d has dimension 1, got n = {self.n}", key="n")
         for key in ("n", "m"):

@@ -259,6 +259,24 @@ class TestMain:
         path = _config(tmp_path, "problem = selection-1d\nbogus = 1\n")
         assert cli.main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("flags", [["--set", "out_dir="], ["--out", ""]],
+                             ids=["set", "out"])
+    def test_empty_out_dir_is_config_error(self, tmp_path, monkeypatch, capsys, flags):
+        # an empty out_dir wrote the run's files into the current directory
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", str(SELECTION_CFG), "--set", "max_rounds=3", *flags]) == 2
+        assert "out_dir must not be empty" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_seed_and_out_flags_win_over_set(self, tmp_path):
+        out, other = tmp_path / "out", tmp_path / "other"
+        assert cli.main(["run", str(SELECTION_CFG), "--seed", "3", "--out", str(out),
+                         "--set", "max_rounds=3", "--set", "seed=7",
+                         "--set", f"out_dir={other}"]) == 0
+        summary = json.loads((out / "selection-1d_fism_S1_rep0.json").read_text())
+        assert summary["seed"] == 3 and summary["config"]["out_dir"] == str(out)
+        assert not other.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_undecodable_config_file_is_config_error(self, tmp_path, capsys, command):
         # \xff is no UTF-8 text: a traceback and exit 1 ("partial run failures") before
@@ -440,7 +458,7 @@ class TestMain:
         assert not (tmp_path / "a").exists()
 
     def test_mnist_summary_echoes_the_image_shape(self, tmp_path):
-        # n and m come from the images, not from the problem's defaults 784 and 11000
+        # n and m come from the images; logistic-mnist has no default for either
         rng = np.random.default_rng(0)
         write_idx(rng.integers(0, 256, (40, 4, 5)), tmp_path / "images.idx")
         write_idx(np.arange(40) % 3, tmp_path / "labels.idx")

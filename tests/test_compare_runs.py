@@ -78,13 +78,46 @@ def test_different_run_sets_are_a_usage_error(two_sweeps):
 @pytest.mark.parametrize("name", ["location_fism_S1_rep0.json",
                                   "location_irig_S3_rep0.jsonl", "summary.csv"])
 def test_undecodable_output_is_a_read_error(two_sweeps, capsys, name):
-    # an output that is not UTF-8 gave a traceback and exit 1 ("exact fields differ")
+    # an output that is not UTF-8 gave a traceback and exit 1 ("exact fields differ"),
+    # and then a message that named no file
     a, b = two_sweeps
     with open(b / name, "ab") as f:
         f.write(b"\xff")
     assert compare_runs.main([str(a), str(b)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("cannot read run outputs: ") and not captured.out
+    assert captured.err.startswith(f"cannot read run outputs: {b / name}: 'utf-8' codec ")
+    assert not captured.out
+
+
+def test_jsonl_line_that_is_not_json_is_a_read_error(two_sweeps, capsys):
+    a, b = two_sweeps
+    with open(b / "location_irig_S3_rep0.jsonl", "a", encoding="utf-8") as f:
+        f.write("{not json\n")
+    assert compare_runs.main([str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot read run outputs: {b / 'location_irig_S3_rep0.jsonl'}"
+                                   ": Expecting property name")
+    assert not captured.out
+
+
+def test_unparsed_number_names_the_run_and_field(two_sweeps, capsys):
+    # a number written as a string leaves it out of one side's logged fields
+    a, b = two_sweeps
+    _edit_summary(b / "location_fism_S3_rep0.json", "n_inner", str)
+    assert compare_runs.main([str(a), str(b)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "logged fields differ between the two directories: location_fism_S3_rep0 has "
+        f"summary.n_inner in {a} where {b} has summary.dimension"]
+
+
+def test_unparsed_summary_csv_number_names_the_file(two_sweeps, capsys):
+    a, b = two_sweeps
+    path = b / "summary.csv"
+    path.write_bytes(path.read_bytes().replace(b",20.0,", b",twenty,", 1))
+    assert compare_runs.main([str(a), str(b)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("logged fields differ between the two directories: summary.csv has "
+                          "summary.csv.rounds_mean in ")
 
 
 def test_number_equal_rewrites_are_byte_differences(two_sweeps, capsys):

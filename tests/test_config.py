@@ -69,7 +69,7 @@ _KEY_CASES = [
     ("unit_cost", "2", 2.0, "cheap", ()),
     ("comm_cost", "1, 2", (1.0, 2.0), "1,x", ()),
     ("client_cost_scale", "1, 2", (1.0, 2.0), "1,x", ()),
-    ("out_dir", "runs/x", "runs/x", None, ()),  # any text names a directory
+    ("out_dir", "runs/x", "runs/x", "", ()),  # any text but "" names a directory
     ("write_csv", "yes", True, "maybe", ()),
 ]
 
@@ -206,7 +206,7 @@ class TestResolve:
         assert err.value.key == "n"
 
     def test_mnist_client_counts_not_checked_against_m(self):
-        # logistic-mnist takes m from the data, not from its default 11000
+        # logistic-mnist takes m from the data and has no default for it
         cfg = ExperimentConfig()
         for key, value in [("problem", "logistic-mnist"), ("s_values", "20000"),
                            ("images_path", "images.idx"), ("labels_path", "labels.idx")]:

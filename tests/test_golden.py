@@ -2,8 +2,10 @@
 their bytes. ``tools/record_golden.py`` records the digests in
 ``tests/golden/`` and says what is digested. A digest is compared only on a
 platform with the fingerprint it was recorded on (numpy version, BLAS name,
-the CPU features numpy dispatches on), and skipped with the difference
-named elsewhere.
+the CPU features numpy dispatches on). Elsewhere the run is still digested
+and then skipped, with a reason that names the fingerprint differences and
+says either ``every digest matches`` or which outputs differ, so a
+``pytest -rs`` log shows whether the digests hold on that platform.
 
 Twins check what holds on any platform: two execution shapes of one golden
 setting write byte-identical outputs after the same normalisation, and
@@ -24,16 +26,39 @@ def test_golden_run(name):
     golden = json.loads((record_golden.GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
     # A changed run definition needs new digests, wherever they were recorded.
     assert golden["argv"] == record_golden.argv(name), "re-record with tools/record_golden.py"
+    got = record_golden.digest(name)
+    changed = [key for key in ("exit_code", "stdout", "stderr") if got[key] != golden[key]]
+    changed += [f for f in dict.fromkeys([*golden["files"], *got["files"]])
+                if got["files"].get(f) != golden["files"].get(f)]
     here = record_golden.fingerprint()
     if golden["fingerprint"] != here:
         differ = {key: (golden["fingerprint"].get(key), value) for key, value in here.items()
                   if golden["fingerprint"].get(key) != value}
-        pytest.skip(f"digests recorded on another platform, (recorded, here): {differ}")
-    got = record_golden.digest(name)
-    assert sorted(got["files"]) == sorted(golden["files"])
-    changed = [key for key in ("exit_code", "stdout", "stderr") if got[key] != golden[key]]
-    changed += [f for f, sha in golden["files"].items() if got["files"][f] != sha]
+        pytest.skip(f"digests recorded on another platform, (recorded, here): {differ}; "
+                    + (f"outputs differ from the golden digests: {changed}" if changed
+                       else "every digest matches"))
     assert not changed, f"outputs differ from the golden digests: {changed}"
+
+
+def test_golden_run_elsewhere_says_whether_the_digests_match(tmp_path, monkeypatch):
+    # On another fingerprint the run is still digested, and the skip reason
+    # says whether every digest matches or which outputs differ.
+    name, edited = "selection-1d", "selection-1d_irig_S1_rep1.jsonl"
+    record = record_golden.digest(name)  # this platform's digests
+    monkeypatch.setattr(record_golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(record_golden, "fingerprint", lambda: dict(record["fingerprint"],
+                                                                   numpy="0.0"))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(pytest.skip.Exception) as skipped:
+        test_golden_run(name)
+    assert str(skipped.value).endswith("every digest matches")
+    assert f"'numpy': ('{record['fingerprint']['numpy']}', '0.0')" in str(skipped.value)
+    record["files"][edited] = "0" * 64
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(pytest.skip.Exception) as skipped:
+        test_golden_run(name)
+    assert str(skipped.value).endswith(f"outputs differ from the golden digests: ['{edited}']")
 
 
 def test_every_golden_file_has_a_run():

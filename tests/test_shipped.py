@@ -3,11 +3,15 @@ settings that take a shipped config to an edge (overflow, sliced metrics,
 no held-out set), and one pass of each benchmark workload under the
 benchmark's own output checks. Each test calls ``cli.main`` in-process;
 pytest turns a RuntimeWarning into an error, so a run that warns does not
-exit 0."""
+exit 0. One test runs the ``python -m fedbilevel.cli`` process entry point
+itself, with RuntimeWarnings as errors, and reads its exit statuses."""
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +67,32 @@ def test_overflow_fails_as_non_finite_without_a_warning(tmp_path, capsys):
         assert re.fullmatch(r"failed: .*non-finite objective value in round \d+", line)
 
 
+def test_entry_point_exits_with_the_commands_status(tmp_path):
+    # python -m runs script_main, whose sys.exit carries main's status out of
+    # the process: 0 done, 1 a run failed, 2 a config error, 3 a data error.
+    def fedbilevel(*args):
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fedbilevel.cli", *args],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120)
+
+    selection = str(CONFIGS / "selection-1d.cfg")
+    assert fedbilevel("selftest").returncode == 0
+    assert fedbilevel("sweep", selection, "--out", "ok", "--set", "max_rounds=5").returncode == 0
+    assert (tmp_path / "ok" / "summary.csv").stat().st_size > 0
+    shown = fedbilevel("inspect", "ok/selection-1d_fism_S1_rep0.json")
+    assert shown.returncode == 0 and "feasible=True" in shown.stdout
+    assert fedbilevel("sweep", selection, "--out", "bad", "--set", "gamma1=1e308").returncode == 1
+    # the non-finite rows take the JSONL writer's respelled path
+    lines = [line for path in sorted((tmp_path / "bad").glob("*.jsonl"))
+             for line in path.read_text(encoding="utf-8").splitlines(keepends=True)]
+    assert lines and all(json.dumps(json.loads(line)) + "\n" == line for line in lines)
+    assert any("NaN" in line or "Infinity" in line for line in lines)
+    assert fedbilevel("sweep", selection, "--set", "bogus=1").returncode == 2
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert fedbilevel("sweep", selection, "--out", "file/out").returncode == 3
+
+
 def test_location_metrics_stay_finite_across_slices(tmp_path):
     # 64-round metric blocks on 5000 balls span several slices of BallDistances.values
     code, out = _sweep(tmp_path, "location", "m=5000", "tol=none", "max_rounds=64",
@@ -78,7 +108,7 @@ def test_location_metrics_stay_finite_across_slices(tmp_path):
 
 
 def test_tolerance_sweep_stops_by_tolerance(tmp_path, capsys):
-    # CI's tolerance sweep: every run stops by the composite relative-change
+    # A tolerance sweep: every run stops by the composite relative-change
     # test, inside a block of rounds, and inspect reports that stop.
     code, out = _sweep(tmp_path, "location", "m=200", "s_values=1,4", "repeats=1",
                        "tol=1e-3")

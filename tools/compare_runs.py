@@ -28,7 +28,10 @@ criterion C11 use them too.
 
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
 when the directories do not hold the same runs or fields, or an output
-cannot be read, is not UTF-8 or is not JSON.
+cannot be read, is not UTF-8 or is not JSON. A status 2 names what it
+found: the file it could not read (``cannot read run outputs: <path>:
+<reason>``), or the run (or ``summary.csv``) and the first field path at
+which the two directories' logged fields part.
 """
 from __future__ import annotations
 
@@ -62,9 +65,9 @@ def _numbers(value, path: str, out: list[tuple[str, float]]) -> None:
         out.append((path, float(value)))
 
 
-def _csv_numbers(data: bytes) -> list[tuple[str, float]]:
+def _csv_numbers(path: Path, data: bytes) -> list[tuple[str, float]]:
     out = []
-    for row in csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")):
+    for row in _parsed(path, data):
         for key, cell in row.items():
             try:
                 out.append((f"summary.csv.{key}", float(cell)))
@@ -110,15 +113,32 @@ def _key_differences(a, b, path: str = "") -> list[str]:
 
 
 def _kind(name: str) -> str:
-    """How output ``name`` is read: ``.jsonl`` rows, a ``.json`` summary,
-    per-run ``.csv`` columns, or "" for bytes only (``summary.csv``, streams)."""
-    if name == "summary.csv":
+    """How output ``name`` (a file name or path) is read: ``.jsonl`` rows, a
+    ``.json`` summary, per-run ``.csv`` columns, or "" for bytes only
+    (``summary.csv``, streams)."""
+    if Path(name).name == "summary.csv":
         return ""
     return next((ext for ext in (".jsonl", ".json", ".csv") if name.endswith(ext)), "")
 
 
+def _parsed(where, data: bytes):
+    """Output ``where`` (a file name or path) decoded as UTF-8 and parsed: a
+    ``.json`` summary's value, a ``.jsonl``'s rows, or a ``.csv``'s rows as
+    dicts. A ValueError (not UTF-8, or not JSON) names ``where``."""
+    kind = _kind(str(where))
+    try:
+        if kind == ".jsonl":
+            return [json.loads(line.decode("utf-8")) for line in data.splitlines()]
+        if kind == ".json":
+            return json.loads(data.decode("utf-8"))
+        return list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def canonical(name: str, data: bytes, drop: Iterable[str]) -> bytes:
-    """``data``, the contents of output ``name``, without the key paths in
+    """``data``, the contents of output ``name`` (a file name or path, which
+    names the file if it cannot be parsed), without the key paths in
     ``drop``: the fields of every ``.jsonl`` row (a row's key paths are its
     field names), the columns of a per-run ``.csv`` and the key paths of a
     ``.json`` summary, which is then written as the summary writer writes it
@@ -142,7 +162,7 @@ def canonical(name: str, data: bytes, drop: Iterable[str]) -> bytes:
             out.append(b",".join(cells) + line[len(body):])
         return b"".join(out)
     if kind == ".json":
-        summary, removed = json.loads(data), False
+        summary, removed = _parsed(name, data), False
         for path in drop:
             *parents, key = path.split(".")
             node = summary
@@ -167,7 +187,7 @@ def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
         if name not in a or name not in b:
             found.append(f"{name} is in one directory only")
         elif a[name] != b[name]:
-            keys = (_key_differences(json.loads(a[name]), json.loads(b[name]))
+            keys = (_key_differences(_parsed(name, a[name]), _parsed(name, b[name]))
                     if _kind(name) == ".json" else [])
             lines = zip_longest(*(side[name].splitlines(keepends=True) for side in (a, b)))
             line = next(n for n, (x, y) in enumerate(lines, start=1) if x != y)
@@ -176,8 +196,10 @@ def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
 
 
 def read(directory: Path, names: Iterable[str], drop: Iterable[str]) -> dict[str, bytes]:
-    """The ``canonical`` bytes of each named file of ``directory``, by name."""
-    return {name: canonical(name, (directory / name).read_bytes(), drop) for name in names}
+    """The ``canonical`` bytes of each named file of ``directory``, by name;
+    a file that cannot be parsed is named by its path."""
+    return {name: canonical(str(directory / name), (directory / name).read_bytes(), drop)
+            for name in names}
 
 
 def _section(label: str, found: list[str], total: int, where: str, same: str) -> list[str]:
@@ -197,18 +219,19 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
     # summary.csv may be in either.
     names = [f"{run}{ext}" for run in runs for ext in (".jsonl", ".json")]
     optional = [*(f"{run}.csv" for run in runs), "summary.csv"]
+    dirs = (a_dir, b_dir)
     files = [read(d, names + [n for n in optional if (d / n).is_file()], IGNORED)
-             for d in (a_dir, b_dir)]
+             for d in dirs]
     found: dict[str, list[str]] = {".jsonl": [], ".json": [], ".csv": [], "": []}
     for entry in differences(*files):
         found[_kind(entry.split(" ", 1)[0])].append(entry)
     exact = []
     worst: dict[str, float] = {}
-    pairs: list[tuple[list, list]] = []
+    pairs: list[tuple[str, list, list]] = []  # (run or summary.csv, numbers of a, of b)
     for run in runs:
-        sa, sb = (json.loads(f[f"{run}.json"]) for f in files)
-        rows_a, rows_b = ([json.loads(line) for line in f[f"{run}.jsonl"].splitlines()]
-                          for f in files)
+        sa, sb = (_parsed(d / f"{run}.json", f[f"{run}.json"]) for d, f in zip(dirs, files))
+        rows_a, rows_b = (_parsed(d / f"{run}.jsonl", f[f"{run}.jsonl"])
+                          for d, f in zip(dirs, files))
         for key in EXACT_SUMMARY:
             if not _same(sa.get(key), sb.get(key)):
                 exact.append(f"{run}: {key} differs")
@@ -224,14 +247,19 @@ def compare(a_dir: Path, b_dir: Path) -> tuple[int, list[str]]:
         _numbers(sb, "summary", nb)
         _numbers(rows_a, "rows", na)
         _numbers(rows_b, "rows", nb)
-        pairs.append((na, nb))
-    summary_csv = [f["summary.csv"] for f in files if "summary.csv" in f]
+        pairs.append((run, na, nb))
+    summary_csv = [(d / "summary.csv", f["summary.csv"]) for d, f in zip(dirs, files)
+                   if "summary.csv" in f]
     if len(summary_csv) == 2:
-        pairs.append((_csv_numbers(summary_csv[0]), _csv_numbers(summary_csv[1])))
-    for na, nb in pairs:
-        if [f for f, _ in na] != [f for f, _ in nb]:
-            if not exact:
-                return 2, ["logged fields differ between the two directories"]
+        pairs.append(("summary.csv", *(_csv_numbers(*side) for side in summary_csv)))
+    for label, na, nb in pairs:
+        fields = [[f for f, _ in side] for side in (na, nb)]
+        if fields[0] != fields[1]:
+            if not exact:  # name the first field at which the two lists part
+                x, y = next(pair for pair in zip_longest(*fields) if pair[0] != pair[1])
+                return 2, [f"logged fields differ between the two directories: {label} "
+                           f"has {x or 'no field'} in {a_dir} where {b_dir} has "
+                           f"{y or 'no field'}"]
             continue
         for (field, x), (_, y) in zip(na, nb):
             worst[field] = max(worst.get(field, 0.0), _rel_dev(x, y))

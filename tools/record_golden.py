@@ -19,7 +19,8 @@ The location and logistic bits depend on the BLAS dot kernel and on numpy's
 SIMD dispatch, so each file also records a fingerprint: the numpy version,
 the BLAS name and the CPU features numpy dispatches on.
 ``tests/test_golden.py`` reruns every golden run and compares the digests
-where the fingerprint matches; elsewhere it skips, naming the difference.
+where the fingerprint matches; elsewhere it skips, naming the difference
+and saying whether every digest matches all the same.
 
 A change that means to alter outputs re-records the digests with this tool
 and says why, with ``tools/compare_runs.py``'s maximum deviation.
