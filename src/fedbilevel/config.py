@@ -224,7 +224,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse a config file, apply ``--set key=value`` overrides, resolve."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a byte-order mark is not text
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     cfg = parse_config_text(text)

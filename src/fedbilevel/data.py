@@ -50,16 +50,11 @@ def read_idx(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Binary-labeled feature vectors; labels are strictly -1 or +1.
-
-    ``separator`` carries the generating direction for synthetic data (used
-    by tests; absent for file-loaded datasets).
-    """
+    """Binary-labeled feature vectors; labels are strictly -1 or +1."""
 
     features: np.ndarray
     labels: np.ndarray
     name: str = ""
-    separator: np.ndarray | None = None
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -125,8 +120,7 @@ def make_synthetic_logistic(n: int, m: int, margin: float, seed: int,
     and its next test_size/2 are held out; each part keeps draw order. Each
     draw is written into the next free training row (into the next free
     held-out row once the training set is full) and is copied to the
-    held-out set if it turns out to belong there. Both parts carry w as
-    their separator.
+    held-out set if it turns out to belong there.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
@@ -159,5 +153,5 @@ def make_synthetic_logistic(n: int, m: int, margin: float, seed: int,
             held_labels[h] = lab
             h += 1
     name = f"synthetic-logistic-{n}d"
-    return (LabeledDataset(feats, labels, name=name, separator=w),
-            LabeledDataset(held_feats, held_labels, name=name + "-heldout", separator=w))
+    return (LabeledDataset(feats, labels, name=name),
+            LabeledDataset(held_feats, held_labels, name=name + "-heldout"))

@@ -33,7 +33,7 @@ import numpy as np
 
 from fedbilevel.metrics import ROW_FIELDS, RunRecord, _ColumnRows
 from fedbilevel.oracles import EvalResult, project_box
-from fedbilevel.rng import STREAM_BOUNDS, STREAM_INIT, make_rng, open_uniform
+from fedbilevel.rng import STREAM_BOUNDS, STREAM_DATA, STREAM_INIT, make_rng, open_uniform
 
 # Closed-form solution of the 1-d selection instance: the inner solution set
 # is the interval [0, 1]; the anchored outer objective 0.5 (y - 2)^2 picks
@@ -346,6 +346,12 @@ def reference_synthetic_logistic(n, m, margin, rng):
             feats.append(a)
             labels.append(lab)
     return np.array(feats), np.array(labels), w
+
+
+def synthetic_separator(n, m, margin, seed):
+    """The direction w that labels ``make_synthetic_logistic(n, m, margin,
+    seed)``, taken from the reference generator."""
+    return reference_synthetic_logistic(n, m, margin, make_rng(seed, STREAM_DATA))[2]
 
 
 def reference_split(features, labels, train_size):

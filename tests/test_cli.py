@@ -32,6 +32,23 @@ def _config(tmp_path, text):
     return path
 
 
+def _mnist_cfg(tmp_path):
+    """A logistic-mnist config whose image and label files do not exist."""
+    return _config(tmp_path, "problem = logistic-mnist\n"
+                             "images_path = missing.idx\nlabels_path = missing.idx\n")
+
+
+def _config_error(tmp_path, capsys, argv, named):
+    """``cli.main(argv)``, with ``--out`` two levels below ``tmp_path``, exits
+    2 before it makes a directory, and its ``config error:`` line on stderr
+    holds ``named``."""
+    out = tmp_path / "a" / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err, err
+    assert not (tmp_path / "a").exists()
+
+
 def _make_cfg(pairs):
     cfg = ExperimentConfig()
     for key, value in pairs:
@@ -202,8 +219,6 @@ class TestSyntheticSplit:
         for part, ref in zip(got, want):
             assert part.dtype == ref.dtype and part.shape == ref.shape
             assert part.tobytes() == ref.tobytes()
-        assert train.separator.tobytes() == pool.separator.tobytes()
-        assert test.separator is train.separator
         assert (train.name, test.name) == (pool.name, pool.name + "-heldout")
 
     def test_base_problem_holds_the_pool_once(self):
@@ -255,9 +270,11 @@ class TestMain:
         assert len(rows) == 3  # header + fism + irig
         assert (out / "selection-1d_fism_S1_rep1.csv").exists()
 
-    def test_config_error_exit_code(self, tmp_path):
-        path = _config(tmp_path, "problem = selection-1d\nbogus = 1\n")
-        assert cli.main(["run", str(path)]) == 2
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        for line, named in [("bogus = 1", "line 2: unknown key 'bogus'"),
+                            ("max_rounds", "line 2: expected 'key = value'")]:
+            path = _config(tmp_path, f"problem = selection-1d\n{line}\n")
+            _config_error(tmp_path, capsys, ["run", str(path)], named)
 
     @pytest.mark.parametrize("flags", [["--set", "out_dir="], ["--out", ""]],
                              ids=["set", "out"])
@@ -282,60 +299,41 @@ class TestMain:
         # \xff is no UTF-8 text: a traceback and exit 1 ("partial run failures") before
         path = tmp_path / "bad.cfg"
         path.write_bytes(b"problem = selection-1d\n\xff\n")
-        out = tmp_path / "out"
-        assert cli.main([command, str(path), "--out", str(out)]) == 2
-        assert f"cannot read config file {path}" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, [command, str(path)], f"cannot read config file {path}")
 
     def test_schedule_preset_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert cli.main(["sweep", str(SELECTION_CFG), "--out", str(out),
-                         "--set", "schedule_preset=selection"]) == 2
-        assert "unknown key 'schedule_preset'" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, ["sweep", str(SELECTION_CFG),
+                                         "--set", "schedule_preset=selection"],
+                      "unknown key 'schedule_preset'")
 
     @pytest.mark.parametrize("setting", ["s_values=1,1", "methods=fism,irig,fism"])
-    def test_repeated_grid_entry_is_config_error(self, tmp_path, setting):
-        path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 5\n")
-        out = tmp_path / "out"
-        assert cli.main(["sweep", str(path), "--out", str(out), "--set", setting]) == 2
-        assert not out.exists()
+    def test_repeated_grid_entry_is_config_error(self, tmp_path, capsys, setting):
+        _config_error(tmp_path, capsys, ["sweep", str(SELECTION_CFG), "--set", setting],
+                      f"{setting.partition('=')[0]} must not repeat")
 
     @pytest.mark.parametrize("key", ["test_images_path", "test_labels_path"])
-    def test_half_set_heldout_pair_is_config_error(self, tmp_path, key):
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        write_idx(np.zeros((4, 2, 2), dtype=np.uint8), images)
-        write_idx(np.array([0, 1, 0, 1], dtype=np.uint8), labels)
-        path = _config(tmp_path, f"problem = logistic-mnist\nimages_path = {images}\n"
-                                 f"labels_path = {labels}\n{key} = missing.idx\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_half_set_heldout_pair_is_config_error(self, tmp_path, capsys, key):
+        _config_error(tmp_path, capsys, ["run", str(_mnist_cfg(tmp_path)),
+                                         "--set", f"{key}=missing.idx"],
+                      "test_images_path and test_labels_path must be set together")
 
     @pytest.mark.parametrize("setting", ["test_size=1", "margin=9"])
-    def test_synthetic_data_config_error_exit_code(self, tmp_path, setting):
-        out = tmp_path / "out"
-        code = cli.main(["run", str(SYNTHETIC_CFG), "--out", str(out),
-                         "--set", setting])
-        assert code == 2
-        assert not out.exists()  # rejected before any data is drawn
+    def test_synthetic_data_config_error_exit_code(self, tmp_path, capsys, setting):
+        # rejected before any data is drawn
+        _config_error(tmp_path, capsys, ["run", str(SYNTHETIC_CFG), "--set", setting],
+                      setting.partition("=")[0])
 
     @pytest.mark.parametrize("paths", ["", "images_path = images.idx\n",
                                        "labels_path = labels.idx\n"])
     def test_mnist_without_data_paths_is_config_error(self, tmp_path, capsys, paths):
         path = _config(tmp_path, f"problem = logistic-mnist\n{paths}")
-        out = tmp_path / "a" / "out"
-        assert cli.main(["sweep", str(path), "--out", str(out)]) == 2
-        assert "config error: logistic-mnist needs" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists()
+        _config_error(tmp_path, capsys, ["sweep", str(path)], "config error: logistic-mnist needs")
 
     @pytest.mark.parametrize("setting", ["pos_digit=12", "neg_digit=-1"])
-    def test_mnist_digit_outside_0_to_9_is_config_error(self, tmp_path, setting):
-        path = _config(tmp_path, "problem = logistic-mnist\n"
-                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out), "--set", setting]) == 2
-        assert not out.exists()
+    def test_mnist_digit_outside_0_to_9_is_config_error(self, tmp_path, capsys, setting):
+        key, _, value = setting.partition("=")
+        _config_error(tmp_path, capsys, ["run", str(_mnist_cfg(tmp_path)), "--set", setting],
+                      f"{key} must be a digit from 0 to 9, got {value}")
 
     def test_mnist_digit_absent_from_the_labels_is_data_error(self, tmp_path, capsys):
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
@@ -349,13 +347,10 @@ class TestMain:
         assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
-        path = _config(tmp_path, "problem = logistic-mnist\n"
-                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert cli.main(["run", str(_mnist_cfg(tmp_path)), "--out", str(tmp_path / "out")]) == 3
 
     def test_data_error_removes_the_directories_it_made(self, tmp_path):
-        path = _config(tmp_path, "problem = logistic-mnist\n"
-                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
+        path = _mnist_cfg(tmp_path)
         assert cli.main(["sweep", str(path), "--out", str(tmp_path / "a" / "b")]) == 3
         assert not (tmp_path / "a").exists()
 
@@ -382,8 +377,7 @@ class TestMain:
         assert not (tmp_path / "a").exists()
 
     def test_data_error_keeps_directories_that_existed(self, tmp_path):
-        path = _config(tmp_path, "problem = logistic-mnist\n"
-                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
+        path = _mnist_cfg(tmp_path)
         keep, empty = tmp_path / "keep", tmp_path / "empty"
         keep.mkdir()
         empty.mkdir()
@@ -409,35 +403,22 @@ class TestMain:
         assert f"ConfigError: {key}" in capsys.readouterr().err
 
     def test_empty_comm_cost_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert cli.main(["sweep", str(SYNTHETIC_CFG), "--out", str(out),
-                         "--set", "comm_cost="]) == 2
-        assert "comm_cost" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, ["sweep", str(SYNTHETIC_CFG), "--set", "comm_cost="],
+                      "comm_cost must not be empty")
 
     def test_empty_client_cost_scale_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert cli.main(["sweep", str(SYNTHETIC_CFG), "--out", str(out),
-                         "--set", "client_cost_scale="]) == 2
-        assert "client_cost_scale" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, ["sweep", str(SYNTHETIC_CFG),
+                                         "--set", "client_cost_scale="],
+                      "client_cost_scale must not be empty")
 
     def test_selection_dimension_other_than_1_is_config_error(self, tmp_path, capsys):
-        path = _config(tmp_path, "problem = selection-1d\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out), "--set", "n=5"]) == 2
-        assert "n = 5" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, ["run", str(SELECTION_CFG), "--set", "n=5"], "n = 5")
 
     def test_mnist_dimension_key_is_config_error(self, tmp_path, capsys):
         # n and m come from the images; a set n or m was ignored
-        path = _config(tmp_path, "problem = logistic-mnist\n"
-                                 "images_path = missing.idx\nlabels_path = missing.idx\n")
-        out = tmp_path / "a" / "out"
         for key in ("n", "m"):
-            assert cli.main(["run", str(path), "--out", str(out), "--set", f"{key}=5"]) == 2
-            assert f"{key} must not be set" in capsys.readouterr().err
-            assert not (tmp_path / "a").exists()
+            _config_error(tmp_path, capsys, ["run", str(_mnist_cfg(tmp_path)),
+                                             "--set", f"{key}=5"], f"{key} must not be set")
 
     def test_heldout_image_size_mismatch_is_data_error(self, tmp_path, capsys):
         # caught before any run, where it failed every run at its accuracy
@@ -471,30 +452,22 @@ class TestMain:
         assert summary["config"]["n"] == summary["dimension"] == 20
         assert summary["config"]["m"] == summary["n_inner"] == 27
 
-    def test_s_values_above_m_is_config_error(self, tmp_path):
-        path = _config(tmp_path, "problem = selection-1d\n")
-        out = tmp_path / "out"
-        assert cli.main(["sweep", str(path), "--out", str(out), "--set", "s_values=1,2"]) == 2
-        assert not out.exists()  # rejected before any run
+    def test_s_values_above_m_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, ["sweep", str(SELECTION_CFG), "--set", "s_values=1,2"],
+                      "s_values must not exceed m = 1")
 
     @pytest.mark.parametrize("setting", [
         "gamma1=nan", "a=inf", "lambda1=nan", "b=-inf", "tol=nan", "unit_cost=nan",
         "comm_cost=nan", "client_cost_scale=inf"])
     def test_non_finite_float_is_config_error(self, tmp_path, capsys, setting):
-        path = _config(tmp_path, "problem = selection-1d\nmax_rounds = 5\n")
-        out = tmp_path / "out"
-        assert cli.main(["sweep", str(path), "--out", str(out), "--set", setting]) == 2
-        assert f"{setting.partition('=')[0]} must be finite" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, ["sweep", str(SELECTION_CFG), "--set", setting],
+                      f"{setting.partition('=')[0]} must be finite")
 
     def test_non_finite_margin_is_config_error(self, tmp_path, capsys):
         # margin was missing from a hand-kept list of float keys, so the NaN
         # reached the run summary, which strict JSON parsers then rejected
-        cfg = Path(__file__).resolve().parents[1] / "configs" / "location.cfg"
-        out = tmp_path / "out"
-        assert cli.main(["run", str(cfg), "--out", str(out), "--set", "margin=nan"]) == 2
-        assert "margin must be finite" in capsys.readouterr().err
-        assert not out.exists()
+        _config_error(tmp_path, capsys, ["run", str(SYNTHETIC_CFG.with_name("location.cfg")),
+                                         "--set", "margin=nan"], "margin must be finite")
 
     def test_infinite_cost_product_fails_the_runs(self, tmp_path, capsys):
         # Two finite settings whose product overflows: the cost model rejects
@@ -577,15 +550,10 @@ class TestMain:
             cli.main(["run", str(path), "--threads", "2"])
         assert exc.value.code == 2
 
-    def test_equal_digits_is_config_error(self, tmp_path):
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        write_idx(np.zeros((4, 28, 28), dtype=np.uint8), images)
-        write_idx(np.array([0, 1, 0, 1], dtype=np.uint8), labels)
-        path = _config(tmp_path, f"problem = logistic-mnist\nimages_path = {images}\n"
-                                 f"labels_path = {labels}\npos_digit = 1\nneg_digit = 1\n")
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_equal_digits_is_config_error(self, tmp_path, capsys):
+        _config_error(tmp_path, capsys, ["run", str(_mnist_cfg(tmp_path)),
+                                         "--set", "pos_digit=1", "--set", "neg_digit=1"],
+                      "pos_digit and neg_digit must differ")
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest", "--points", "20", "--pairs", "20"]) == 0

@@ -100,6 +100,21 @@ def test_jsonl_line_that_is_not_json_is_a_read_error(two_sweeps, capsys):
     assert not captured.out
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("location_fism_S1_rep0.json", "[]", ""),
+    ("location_irig_S3_rep0.jsonl", "[1]\n", "line 1 "),
+], ids=["summary", "row"])
+def test_json_that_is_not_an_object_is_a_read_error(two_sweeps, capsys, name, text, where):
+    # a list gave a traceback and exit 1: 'list' object has no attribute 'get'
+    a, b = two_sweeps
+    (b / name).write_text(text, encoding="utf-8")
+    assert compare_runs.main([str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"cannot read run outputs: {b / name}: {where}is not a JSON object: "
+                            f"{text.strip()}\n")
+    assert not captured.out
+
+
 def test_unparsed_number_names_the_run_and_field(two_sweeps, capsys):
     # a number written as a string leaves it out of one side's logged fields
     a, b = two_sweeps

@@ -358,11 +358,15 @@ class TestResolve:
 
 class TestLoadConfig:
     def test_file_with_overrides(self, tmp_path):
+        # utf-8-sig starts the file with a byte-order mark, as Windows Notepad
+        # saves it; it was read as part of the first key
         path = tmp_path / "exp.cfg"
-        path.write_text("problem = selection-1d\nmax_rounds = 50\n", encoding="utf-8")
-        cfg = load_config(path, overrides=["max_rounds=75", "seed=9"])
-        assert cfg.max_rounds == 75
-        assert cfg.seed == 9
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text("problem = selection-1d\nmax_rounds = 50\n", encoding=encoding)
+            cfg = load_config(path, overrides=["max_rounds=75", "seed=9"])
+            assert cfg.problem == "selection-1d"
+            assert cfg.max_rounds == 75
+            assert cfg.seed == 9
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_synthetic_logistic, write_idx
+from helpers import reference_synthetic_logistic, synthetic_separator, write_idx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,11 +134,11 @@ class TestSyntheticLogistic:
         b, _ = make_synthetic_logistic(2, 4, margin=0.5, seed=5)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.separator, b.separator)
 
     def test_margin_enforced(self):
         ds, _ = make_synthetic_logistic(3, 40, margin=1.0, seed=2)
-        w = ds.separator / np.linalg.norm(ds.separator)
+        w = synthetic_separator(3, 40, 1.0, seed=2)
+        w /= np.linalg.norm(w)
         assert np.all(np.abs(ds.features @ w) >= 1.0)
 
     def test_balanced(self):
@@ -148,7 +148,8 @@ class TestSyntheticLogistic:
 
     def test_labels_match_separator(self):
         ds, _ = make_synthetic_logistic(4, 30, margin=0.2, seed=3)
-        assert np.array_equal(np.sign(ds.features @ ds.separator), ds.labels)
+        w = synthetic_separator(4, 30, 0.2, seed=3)
+        assert np.array_equal(np.sign(ds.features @ w), ds.labels)
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
@@ -162,7 +163,7 @@ class TestSyntheticLogistic:
     def test_bitwise_equal_to_list_reference(self, n, half, margin, seed):
         ds, heldout = make_synthetic_logistic(n, 2 * half, margin, seed=seed)
         want = reference_synthetic_logistic(n, 2 * half, margin, make_rng(seed, STREAM_DATA))
-        for got, ref in zip((ds.features, ds.labels, ds.separator), want):
+        for got, ref in zip((ds.features, ds.labels), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
         assert heldout.features.shape == (0, n) and len(heldout) == 0

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (RateDiagnosticUnavailable, ball_dist_eval, outer_quad_anchor_eval,
-                     rate_diagnostic, record_of_rows)
+                     rate_diagnostic, record_of_rows, synthetic_separator)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -54,11 +54,11 @@ def _row_lists(draw):
 class TestAccuracy:
     def test_separator_is_perfect(self):
         ds, _ = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
-        assert accuracy(ds.separator, ds) == 1.0
+        assert accuracy(synthetic_separator(5, 30, 0.3, seed=8), ds) == 1.0
 
     def test_anti_separator_is_zero(self):
         ds, _ = make_synthetic_logistic(5, 30, margin=0.3, seed=8)
-        assert accuracy(-ds.separator, ds) == 0.0
+        assert accuracy(-synthetic_separator(5, 30, 0.3, seed=8), ds) == 0.0
 
     def test_zero_vector_ties_to_half(self):
         ds, _ = make_synthetic_logistic(5, 30, margin=0.3, seed=8)

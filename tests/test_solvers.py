@@ -157,19 +157,6 @@ class TestFismRound:
 
 
 class TestIrigRound:
-    def test_matches_fism_for_single_function(self):
-        prob = selection_1d_problem()
-        sched = _schedule_1d()
-        x0 = np.array([4.0])
-        gamma, lam = sched.at(1)
-        a = solvers._kernel(prob, FISM)(x0, gamma, lam)
-        b = solvers._kernel(prob, IRIG)(x0, gamma, lam)
-        assert a.tobytes() == b.tobytes()
-        observed = []
-        rec = run_solver(prob, sched, IRIG, x0, 1, observe=observed.append)
-        assert observed[1].x.tobytes() == b.tobytes()
-        assert (rec.rows[0].inner_subgrad_evals, rec.rows[0].outer_subgrad_evals) == (1, 1)
-
     def test_zero_stepsize_is_identity(self):
         # The kernel alone: a run's weighted average is undefined at gamma = 0.
         prob = selection_1d_problem((3,))
@@ -516,59 +503,96 @@ def _block_case(name):
     return prob, StepSchedule(10, 0.8, 1, 0.1), np.full(5, 0.5)
 
 
+def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
+    """(rows without wall_clock_sec, states, final_avg_x, (final inner value,
+    final outer value, stop reason)) from one kernel call per round, each
+    state advanced one round at a time, and the metrics from one-row values
+    calls: what run_solver records, without its block bookkeeping."""
+    step = solvers._kernel(problem, method)
+    m = problem.n_inner
+    outer_per_round = 1 if method == FISM else m
+    t_round = round_time(uniform_costs(problem.client_sizes), method)
+    x = project_box(np.asarray(x_init, dtype=float), problem.constraint)
+    state = RoundState(x, 1, np.zeros_like(x), 0.0)
+    states, rows, inner_evals, outer_evals = [state], [], 0, 0
+    stop_reason = "max_rounds"
+
+    def one_row(objective, x):
+        return float(objective.values(x[None])[0])
+
+    f_cur, h_cur = one_row(problem.inner, state.x), one_row(problem.outer, state.x)
+    total = 0.0
+    for _ in range(max_rounds):
+        gamma, lam = sched.at(state.k)
+        nxt = RoundState(step(state.x, gamma, lam), state.k + 1, state.avg_num + gamma * state.x,
+                         state.avg_den + gamma)
+        f_next, h_next = one_row(problem.inner, nxt.x), one_row(problem.outer, nxt.x)
+        f_avg = one_row(problem.inner, nxt.avg_num / nxt.avg_den)
+        total += t_round
+        inner_evals += m
+        outer_evals += outer_per_round
+        rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, dot_norm(nxt.x - state.x),
+                             t_round, total, inner_evals, outer_evals, None))
+        states.append(nxt)
+        if not all(map(math.isfinite, (f_next, h_next, f_avg))):
+            stop_reason = "non-finite"
+        elif tol is not None and stopping_criterion(state.x, nxt.x, f_cur, f_next, h_cur,
+                                                    h_next, tol):
+            stop_reason = "tolerance"
+        state, f_cur, h_cur = nxt, f_next, h_next
+        if stop_reason != "max_rounds":
+            break
+    return rows, states, state.avg_num / state.avg_den, (f_cur, h_cur, stop_reason)
+
+
+def _assert_matches_reference(monkeypatch, block, problem, sched, x0, method, rounds, tol=None):
+    """run_solver at block length ``block`` records, bitwise, what
+    ``_reference_run`` does; returns the record."""
+    monkeypatch.setattr(solvers, "_BLOCK", block)
+    observed = []
+    rec = run_solver(problem, sched, method, x0, rounds, tol=tol, observe=observed.append)
+    rows, states, final_avg, final = _reference_run(problem, sched, method, x0, rounds, tol)
+    assert [repr(row._replace(wall_clock_sec=None)) for row in rec.rows] == list(map(repr, rows))
+    assert all(type(row.wall_clock_sec) is float for row in rec.rows)
+    assert rec.final_avg_x.tobytes() == final_avg.tobytes()
+    assert rec.final_x.tobytes() == states[-1].x.tobytes()
+    assert repr((rec.final_inner_value, rec.final_outer_value, rec.stop_reason)) == repr(final)
+
+    def fields(s):
+        return (s.k, s.x.tobytes(), s.avg_num.tobytes(), repr(s.avg_den))
+    assert list(map(fields, observed)) == list(map(fields, states))
+    return rec
+
+
 class TestBlockLength:
     """Rounds run in blocks between metric passes; the block length must not
-    show in anything a run returns or reports."""
-
-    @staticmethod
-    def _runs(monkeypatch, *args, **kwargs):
-        # (record, observed states, canonical bytes) per block length 1, 7, 32
-        out = []
-        for block in (1, 7, 32):
-            monkeypatch.setattr(solvers, "_BLOCK", block)
-            states = []
-            rec = run_solver(*args, observe=states.append, **kwargs)
-            canonical = (repr([row._replace(wall_clock_sec=None) for row in rec.rows]),
-                         rec.final_x.tobytes(), rec.final_avg_x.tobytes(),
-                         repr((rec.final_inner_value, rec.final_outer_value)),
-                         rec.stop_reason,
-                         [(s.k, s.x.tobytes(), s.avg_num.tobytes(), s.avg_den)
-                          for s in states])
-            out.append((rec, states, canonical))
-        return out
+    show in anything a run returns or reports: each block length gives the
+    record of one round at a time (``_reference_run``)."""
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
     @pytest.mark.parametrize("name", ["selection-1d", "location", "logistic-synthetic"])
     def test_fixed_rounds(self, monkeypatch, method, name):
-        prob, sched, x0 = _block_case(name)
-        runs = self._runs(monkeypatch, prob, sched, method, x0, 75)  # 75 = 7*10 + 5 = 32*2 + 11
-        assert runs[0][2] == runs[1][2] == runs[2][2]
-        rec, states, _ = runs[2]
-        assert rec.rounds == 75 and rec.stop_reason == "max_rounds"
-        assert [s.k for s in states] == list(range(1, 77))
+        # lengths TestBlockBookkeeping does not take: 2, the whole run, past it
+        for block in (2, 75, 100):
+            rec = _assert_matches_reference(monkeypatch, block, *_block_case(name), method, 75)
+            assert rec.rounds == 75 and rec.stop_reason == "max_rounds"
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
     @pytest.mark.parametrize("threshold, stop_round", [(3.5, 3), (2.2, 55)])
     def test_non_finite_stop_mid_block(self, monkeypatch, method, threshold, stop_round):
-        runs = self._runs(monkeypatch, _nan_below(threshold), _small_steps_1d(), method,
-                          np.array([4.0]), 500)
-        assert runs[0][2] == runs[1][2] == runs[2][2]
-        for rec, states, _ in runs:
-            assert rec.stop_reason == "non-finite" and rec.rounds == stop_round
-            # observe saw the recorded rounds only; the run returns the last one
-            assert [s.k for s in states] == list(range(1, stop_round + 2))
-            assert rec.final_x.tobytes() == states[-1].x.tobytes()
+        for block in (1, 7, 32):
+            rec = _assert_matches_reference(monkeypatch, block, _nan_below(threshold),
+                                            _small_steps_1d(), np.array([4.0]), method, 500)
+            assert (rec.stop_reason, rec.rounds) == ("non-finite", stop_round)
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
     def test_tolerance_stop_mid_block(self, monkeypatch, method):
         # 1383 rounds = 7 * 197 + 4 = 32 * 43 + 7: the stop falls inside a block
-        runs = self._runs(monkeypatch, selection_1d_problem(), StepSchedule(1, 0.8, 1, 0.1),
-                          method, np.array([0.9]), 100_000, tol=1e-3)
-        assert runs[0][2] == runs[1][2] == runs[2][2]
-        for rec, states, _ in runs:
+        for block in (1, 7, 32):
+            rec = _assert_matches_reference(monkeypatch, block, selection_1d_problem(),
+                                            StepSchedule(1, 0.8, 1, 0.1), np.array([0.9]),
+                                            method, 100_000, tol=1e-3)
             assert (rec.stop_reason, rec.rounds) == ("tolerance", 1383)
-            assert [s.k for s in states] == list(range(1, 1385))
-            assert rec.final_x.tobytes() == states[-1].x.tobytes()
 
     def test_tolerance_run_computes_under_a_block_past_its_stop(self, monkeypatch):
         calls = {"n": 0}
@@ -609,15 +633,15 @@ class TestBlockLength:
             clients=[[inner]],
             outer=lambda x: outer_quad_anchor_eval(x, np.array([2.0])),
             constraint=BoxConstraint.symmetric(1, 10.0), mu_H=1.0)
-        args = (prob, _small_steps_1d(), FISM, np.array([4.0]), 100)
+        args = (prob, _small_steps_1d(), np.array([4.0]), FISM, 100)
         if nan_below is None and tol is None:
             with pytest.raises(ArithmeticError):
-                run_solver(*args)
+                run_solver(prob, _small_steps_1d(), FISM, np.array([4.0]), 100)
             return
-        runs = self._runs(monkeypatch, *args, tol=tol)
-        assert runs[0][2] == runs[1][2] == runs[2][2]
         stop_reason = "non-finite" if tol is None else "tolerance"
-        assert (runs[2][0].stop_reason, runs[2][0].rounds) == (stop_reason, 3)
+        for block in (1, 7, 32):
+            rec = _assert_matches_reference(monkeypatch, block, *args, tol=tol)
+            assert (rec.stop_reason, rec.rounds) == (stop_reason, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40) | st.sampled_from([100, 784, 1000]),
@@ -633,79 +657,24 @@ class TestBlockLength:
         assert struct.pack(f"<{rows - 1}d", *got) == struct.pack(f"<{rows - 1}d", *expected)
 
 
-def _reference_run(problem, sched, method, x_init, max_rounds, tol=None):
-    """(rows without wall_clock_sec, states, final_avg_x) from one kernel call
-    per round, each state advanced one round at a time, and the metrics from
-    one-row values calls: what run_solver records, without its block
-    bookkeeping."""
-    step = solvers._kernel(problem, method)
-    m = problem.n_inner
-    outer_per_round = 1 if method == FISM else m
-    t_round = round_time(uniform_costs(problem.client_sizes), method)
-    x = project_box(np.asarray(x_init, dtype=float), problem.constraint)
-    state = RoundState(x, 1, np.zeros_like(x), 0.0)
-    states, rows, inner_evals, outer_evals = [state], [], 0, 0
-
-    def one_row(objective, x):
-        return float(objective.values(x[None])[0])
-
-    f_cur, h_cur = one_row(problem.inner, state.x), one_row(problem.outer, state.x)
-    total = 0.0
-    for _ in range(max_rounds):
-        gamma, lam = sched.at(state.k)
-        nxt = RoundState(step(state.x, gamma, lam), state.k + 1, state.avg_num + gamma * state.x,
-                         state.avg_den + gamma)
-        f_next, h_next = one_row(problem.inner, nxt.x), one_row(problem.outer, nxt.x)
-        f_avg = one_row(problem.inner, nxt.avg_num / nxt.avg_den)
-        total += t_round
-        inner_evals += m
-        outer_evals += outer_per_round
-        rows.append(RoundRow(state.k, f_cur, f_cur / m, f_avg, h_cur, dot_norm(nxt.x - state.x),
-                             t_round, total, inner_evals, outer_evals, None))
-        states.append(nxt)
-        stop = not all(map(math.isfinite, (f_next, h_next, f_avg))) or (
-            tol is not None
-            and stopping_criterion(state.x, nxt.x, f_cur, f_next, h_cur, h_next, tol))
-        state, f_cur, h_cur = nxt, f_next, h_next
-        if stop:
-            break
-    return rows, states, state.avg_num / state.avg_den
-
-
 class TestBlockBookkeeping:
     """run_solver takes the running averages, counters, stop row and rows
     of a block of rounds at once. Every record must carry the bits of a
     loop of single rounds."""
 
-    @staticmethod
-    def _assert_matches_reference(monkeypatch, block, problem, sched, x0, method, rounds,
-                                  tol=None):
-        monkeypatch.setattr(solvers, "_BLOCK", block)
-        observed = []
-        rec = run_solver(problem, sched, method, x0, rounds, tol=tol, observe=observed.append)
-        rows, states, final_avg = _reference_run(problem, sched, method, x0, rounds, tol)
-        assert [repr(row._replace(wall_clock_sec=None)) for row in rec.rows] == list(map(repr, rows))
-        assert all(type(row.wall_clock_sec) is float for row in rec.rows)
-        assert rec.final_avg_x.tobytes() == final_avg.tobytes()
-        assert rec.final_x.tobytes() == states[-1].x.tobytes()
-
-        def fields(s):
-            return (s.k, s.x.tobytes(), s.avg_num.tobytes(), repr(s.avg_den))
-        assert list(map(fields, observed)) == list(map(fields, states))
-        return rec
-
     @pytest.mark.parametrize("block", [1, 7, 32])
     @pytest.mark.parametrize("method", [FISM, IRIG])
     @pytest.mark.parametrize("name", ["selection-1d", "location", "logistic-synthetic"])
     def test_fixed_rounds(self, monkeypatch, block, method, name):
-        rec = self._assert_matches_reference(monkeypatch, block, *_block_case(name), method, 75)
+        # 75 = 7*10 + 5 = 32*2 + 11: the last block is a short one
+        rec = _assert_matches_reference(monkeypatch, block, *_block_case(name), method, 75)
         assert rec.rounds == 75
 
     @pytest.mark.parametrize("block", [1, 7, 32])
     @pytest.mark.parametrize("method", [FISM, IRIG])
     def test_non_finite_stop_mid_block(self, monkeypatch, block, method):
-        rec = self._assert_matches_reference(monkeypatch, block, _nan_below(2.2),
-                                             _small_steps_1d(), np.array([4.0]), method, 500)
+        rec = _assert_matches_reference(monkeypatch, block, _nan_below(2.2), _small_steps_1d(),
+                                        np.array([4.0]), method, 500)
         assert (rec.stop_reason, rec.rounds) == ("non-finite", 55)
 
     @pytest.mark.parametrize("method", [FISM, IRIG])
@@ -715,7 +684,7 @@ class TestBlockBookkeeping:
         args = (selection_1d_problem(), StepSchedule(1e308, 0.55, 1, 0.4),
                 method, np.array([3.0]), 40)
         with np.errstate(all="ignore"):
-            rows, _, _ = _reference_run(*args)
+            rows, _, _, _ = _reference_run(*args)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rec = run_solver(*args)
@@ -728,13 +697,15 @@ class TestBlockBookkeeping:
         # FISM stops inside a block of 7 and of 32 (929 rounds), IRIG inside
         # a block of 32 (840 rounds)
         for block in (1, 7, 32):
-            rec = self._assert_matches_reference(monkeypatch, block, *_block_case("location"),
-                                                 method, 5000, tol=1e-4)
+            rec = _assert_matches_reference(monkeypatch, block, *_block_case("location"),
+                                            method, 5000, tol=1e-4)
             assert rec.stop_reason == "tolerance" and rec.rounds == {FISM: 929, IRIG: 840}[method]
 
 
 class TestEquivalenceProperty:
-    """C5 on random instances: at S = m = 1 the two methods coincide bitwise."""
+    """C5 on random instances: at S = m = 1 the two methods coincide bitwise,
+    and so do their records: rows (counters included), final values and
+    stop reason."""
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]),
@@ -749,10 +720,15 @@ class TestEquivalenceProperty:
                            outer=QuadAnchor(anchor), clients=((0,),),
                            constraint=BoxConstraint.symmetric(dim, 10.0), mu_H=1.0)
         sched = StepSchedule(gamma1, a, lambda1, b)
-        fism = _observed_iterates(prob, sched, FISM, x0, 50)
-        irig = _observed_iterates(prob, sched, IRIG, x0, 50)
-        assert len(fism) == len(irig) == 51
-        assert [x.tobytes() for x in fism] == [x.tobytes() for x in irig]
+        runs = []
+        for method in (FISM, IRIG):
+            states = []
+            rec = run_solver(prob, sched, method, x0, 50, observe=states.append)
+            runs.append(([s.x.tobytes() for s in states], rec.final_avg_x.tobytes(),
+                         [repr(row._replace(wall_clock_sec=None)) for row in rec.rows],
+                         repr((rec.final_inner_value, rec.final_outer_value, rec.stop_reason))))
+        assert len(runs[0][0]) == 51
+        assert runs[0] == runs[1]
 
 
 class TestReferenceSolve:

@@ -28,10 +28,11 @@ criterion C11 use them too.
 
 Exit status: 0 when the exact fields match, 1 when any of them differs, 2
 when the directories do not hold the same runs or fields, or an output
-cannot be read, is not UTF-8 or is not JSON. A status 2 names what it
-found: the file it could not read (``cannot read run outputs: <path>:
-<reason>``), or the run (or ``summary.csv``) and the first field path at
-which the two directories' logged fields part.
+cannot be read, is not UTF-8, is not JSON or holds a summary or row that is
+not a JSON object. A status 2 names what it found: the file it could not
+read (``cannot read run outputs: <path>: <reason>``), or the run (or
+``summary.csv``) and the first field path at which the two directories'
+logged fields part.
 """
 from __future__ import annotations
 
@@ -123,17 +124,22 @@ def _kind(name: str) -> str:
 
 def _parsed(where, data: bytes):
     """Output ``where`` (a file name or path) decoded as UTF-8 and parsed: a
-    ``.json`` summary's value, a ``.jsonl``'s rows, or a ``.csv``'s rows as
-    dicts. A ValueError (not UTF-8, or not JSON) names ``where``."""
+    ``.json`` summary's object, a ``.jsonl``'s row objects, or a ``.csv``'s
+    rows as dicts. A ValueError (not UTF-8, not JSON, or a summary or row
+    that is not a JSON object) names ``where``."""
     kind = _kind(str(where))
     try:
-        if kind == ".jsonl":
-            return [json.loads(line.decode("utf-8")) for line in data.splitlines()]
-        if kind == ".json":
-            return json.loads(data.decode("utf-8"))
-        return list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+        if kind not in (".json", ".jsonl"):
+            return list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+        lines = data.splitlines() if kind == ".jsonl" else [data]
+        values = [json.loads(line.decode("utf-8")) for line in lines]
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    for n, value in enumerate(values, start=1):
+        if not isinstance(value, dict):
+            line = f"line {n} " if kind == ".jsonl" else ""
+            raise ValueError(f"{where}: {line}is not a JSON object: {json.dumps(value)[:40]}")
+    return values if kind == ".jsonl" else values[0]
 
 
 def canonical(name: str, data: bytes, drop: Iterable[str]) -> bytes:
