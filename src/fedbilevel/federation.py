@@ -9,6 +9,7 @@ Wall-clock time is measured separately and never enters acceptance checks.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -91,11 +92,17 @@ def round_time(costs: CostModel, method: str) -> float:
     Each client's update costs are summed left to right in local order, and
     the baseline adds the client sums left to right in client order; neither
     numpy's pairwise summation nor the compensated builtin ``sum`` of Python
-    3.12+ is used, so simulated times do not depend on either.
+    3.12+ is used, so simulated times do not depend on either. Raises
+    ``ValueError`` when the round time overflows to infinity, though every
+    cost is finite.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     sums = [reduce(operator.add, c.tolist(), 0.0) for c in costs.per_update]
     if method == IRIG:
-        return float(reduce(operator.add, sums, 0.0))
-    return float(max(sums) + max(costs.comm.tolist()))
+        t = float(reduce(operator.add, sums, 0.0))
+    else:
+        t = float(max(sums) + max(costs.comm.tolist()))
+    if not math.isfinite(t):
+        raise ValueError(f"the {method} round time overflows: its costs sum to {t}")
+    return t

@@ -42,6 +42,7 @@ time.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -223,7 +224,9 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
     A row's ``wall_clock_sec`` times that round's iterate update alone. The
     record's ``feasible`` is gamma1 * lambda1 * mu_H <= 2m. ``costs`` must
     price exactly ``problem.client_sizes`` updates (default: unit costs, no
-    communication). ``observe``, when given, is called with the projected
+    communication). A round time or a recorded ``total_time_units`` that
+    overflows to infinity raises ``ValueError``, the latter naming its
+    round. ``observe``, when given, is called with the projected
     initial state and then with the state after every recorded round, in
     round order, once that round's metrics are taken.
     """
@@ -293,6 +296,10 @@ def run_solver(problem: ProblemSpec, sched: StepSchedule, method: str,
             elif stop[b - 1]:
                 stop_reason = "tolerance"
             totals = list(accumulate(repeat(t_round, b), initial=cum_time))
+            if not math.isfinite(totals[-1]):  # the totals never decrease
+                j = next(j for j, t in enumerate(totals) if not math.isfinite(t))
+                raise ValueError(f"simulated time overflows: total_time_units of round "
+                                 f"{k + j - 1} is {totals[j]}")
             # After round j, m * j inner and outer_per_round * j outer subgradients were taken.
             inner_counts = list(range(m * k, m * (k + b), m))
             outer_counts = list(range(outer_per_round * k, outer_per_round * (k + b),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from helpers import (SELECTION_1D_OPTIMUM, ball_dist_eval, outer_quad_anchor_eval,
                      reference_split, write_idx)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedbilevel import cli
@@ -718,6 +718,8 @@ class TestCliProperty:
     @given(base=st.sampled_from(PROBLEMS), command=st.sampled_from(["run", "sweep"]),
            settings_=st.lists(_SETTING, max_size=6),
            seed=st.none() | st.integers(-2**70, 2**70))
+    # m = 12 updates of 1e308 overflow every round time: written as Infinity with exit 0
+    @example(base="location", command="sweep", settings_=["unit_cost=1e308"], seed=None)
     def test_main_exits_0_to_3_and_leaves_clean_outputs(self, base, command, settings_, seed):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -742,6 +744,17 @@ class TestCliProperty:
             code = cli.main(argv)
             assert code in (0, 1, 2, 3)
             assert not list(tmp.rglob("*.tmp"))
+            if code == 0:  # every number written is finite
+                def refuse(constant):
+                    raise ValueError(f"{constant} written with exit 0")
+                for path in out.glob("*.json*"):
+                    text = path.read_text(encoding="utf-8")
+                    for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                        json.loads(doc, parse_constant=refuse)
+                for path in out.glob("*.csv"):
+                    with open(path, newline="", encoding="utf-8") as f:
+                        cells = {cell.lower() for row in csv.reader(f) for cell in row}
+                    assert not cells & {"inf", "-inf", "nan"}, path
             if code == 2:
                 assert not (tmp / "a").exists()  # rejected before anything is written
             if code == 3:

@@ -106,8 +106,8 @@ write_csv = true
         assert "line 1" in str(err.value)
 
     def test_missing_equals_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("just a line\n")
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config_text("problem = location\njust a line\n")
 
     def test_tol_none(self):
         cfg = parse_config_text("problem = location\ntol = none\n").resolve()
@@ -167,43 +167,23 @@ class TestResolve:
         assert cfg.a == 0.8  # the problem's other defaults still apply
 
     def test_rejects_unknown_problem(self):
-        cfg = ExperimentConfig()
-        cfg.set_key("problem", "mystery")
-        with pytest.raises(ConfigError):
-            cfg.resolve()
+        assert _resolve_error("mystery").key == "problem"
 
     def test_rejects_bad_method(self):
-        cfg = ExperimentConfig()
-        cfg.set_key("methods", "fism,sgd")
-        with pytest.raises(ConfigError):
-            cfg.resolve()
+        assert _resolve_error("selection-1d", ("methods", "fism,sgd")).key == "methods"
 
     @pytest.mark.parametrize("key, raw", [("methods", "fism,fism"), ("s_values", "1,2,1")])
     def test_rejects_repeated_grid_entry(self, key, raw):
-        cfg = ExperimentConfig()
-        for k, value in [("problem", "location"), (key, raw)]:
-            cfg.set_key(k, value)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == key
+        assert _resolve_error("location", (key, raw)).key == key
 
     @pytest.mark.parametrize("problem", ["selection-1d", "location", "logistic-synthetic"])
     def test_rejects_s_values_above_m(self, problem):
-        cfg = ExperimentConfig()
-        for key, value in [("problem", problem), ("m", "4"), ("s_values", "1,5")]:
-            cfg.set_key(key, value)
-        with pytest.raises(ConfigError) as info:
-            cfg.resolve()
-        assert info.value.key == "s_values"
+        assert _resolve_error(problem, ("m", "4"), ("s_values", "1,5")).key == "s_values"
 
     @pytest.mark.parametrize("n", ["2", "5"])
     def test_rejects_selection_dimension_other_than_1(self, n):
         # the selection problem is one-dimensional; another n was ignored
-        cfg = ExperimentConfig()
-        cfg.set_key("n", n)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "n"
+        assert _resolve_error("selection-1d", ("n", n)).key == "n"
 
     def test_mnist_client_counts_not_checked_against_m(self):
         # logistic-mnist takes m from the data and has no default for it
@@ -217,37 +197,17 @@ class TestResolve:
     def test_rejects_mnist_dimension_key(self, value):
         # logistic-mnist takes n and m from the images; a set n or m was ignored
         for key in ("n", "m"):
-            cfg = ExperimentConfig()
-            for k, v in [("problem", "logistic-mnist"), ("images_path", "images.idx"),
-                         ("labels_path", "labels.idx"), (key, value)]:
-                cfg.set_key(k, v)
-            with pytest.raises(ConfigError) as err:
-                cfg.resolve()
-            assert err.value.key == key
+            assert _resolve_error("logistic-mnist", (key, value)).key == key
 
     def test_rejects_odd_synthetic_m(self):
-        cfg = ExperimentConfig()
-        cfg.set_key("problem", "logistic-synthetic")
-        cfg.set_key("m", "401")
-        with pytest.raises(ConfigError):
-            cfg.resolve()
+        assert _resolve_error("logistic-synthetic", ("m", "401")).key == "m"
 
     def test_rejects_odd_synthetic_test_size(self):
-        cfg = ExperimentConfig()
-        cfg.set_key("problem", "logistic-synthetic")
-        cfg.set_key("test_size", "1")
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "test_size"
+        assert _resolve_error("logistic-synthetic", ("test_size", "1")).key == "test_size"
 
     @pytest.mark.parametrize("margin", ["nan", "inf", "-0.1", "9"])
     def test_rejects_bad_synthetic_margin(self, margin):
-        cfg = ExperimentConfig()
-        cfg.set_key("problem", "logistic-synthetic")
-        cfg.set_key("margin", margin)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "margin"
+        assert _resolve_error("logistic-synthetic", ("margin", margin)).key == "margin"
 
     @pytest.mark.parametrize("key, raw", _FLOAT_CASES)
     def test_rejects_non_finite_float(self, key, raw):
@@ -277,49 +237,22 @@ class TestResolve:
     @pytest.mark.parametrize("key", [key for key, hint in _HINTS.items()
                                      if tuple in map(typing.get_origin, _types(hint))])
     def test_rejects_empty_list(self, key):
-        assert _resolve_error("location", (key, "")).key == key
+        # an empty comm_cost or client_cost_scale would fail every run pricing its clients
+        for problem in PROBLEMS:
+            assert _resolve_error(problem, (key, "")).key == key, problem
 
     def test_rule_tables_name_fields(self):
         # a misspelt key would drop its rule without a word
         assert {*_POSITIVE, *_NONNEGATIVE, *_CHOICES} <= set(_HINTS)
 
-    def test_rejects_empty_comm_cost(self):
-        # every run would fail pricing its clients
-        cfg = ExperimentConfig()
-        cfg.set_key("problem", "logistic-synthetic")
-        cfg.set_key("comm_cost", "")
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "comm_cost"
-
-    def test_rejects_empty_client_cost_scale(self):
-        # no client count matches a zero length, so every run would fail
-        cfg = ExperimentConfig()
-        cfg.set_key("problem", "logistic-synthetic")
-        cfg.set_key("client_cost_scale", "")
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "client_cost_scale"
-
     def test_rejects_equal_mnist_digits(self):
-        cfg = ExperimentConfig()
-        for key, value in [("problem", "logistic-mnist"), ("pos_digit", "3"),
-                           ("neg_digit", "3")]:
-            cfg.set_key(key, value)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == "pos_digit"
+        assert _resolve_error("logistic-mnist", ("pos_digit", "3"),
+                              ("neg_digit", "3")).key == "pos_digit"
 
     @pytest.mark.parametrize("key, raw", [("pos_digit", "12"), ("neg_digit", "-1"),
                                           ("pos_digit", "10")])
     def test_rejects_mnist_digit_outside_0_to_9(self, key, raw):
-        cfg = ExperimentConfig()
-        for k, value in [("problem", "logistic-mnist"), ("images_path", "images.idx"),
-                         ("labels_path", "labels.idx"), (key, raw)]:
-            cfg.set_key(k, value)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == key
+        assert _resolve_error("logistic-mnist", (key, raw)).key == key
 
     @pytest.mark.parametrize("unset", [("images_path",), ("labels_path",),
                                        ("images_path", "labels_path")])
@@ -342,12 +275,7 @@ class TestResolve:
                                               ("test_labels_path", "test_images_path")])
     def test_rejects_half_set_heldout_pair(self, key, missing):
         # checked before any file is read: the named file does not exist
-        cfg = ExperimentConfig()
-        for k, value in [("problem", "logistic-mnist"), (key, "missing.idx")]:
-            cfg.set_key(k, value)
-        with pytest.raises(ConfigError) as err:
-            cfg.resolve()
-        assert err.value.key == missing
+        assert _resolve_error("logistic-mnist", (key, "missing.idx")).key == missing
 
     @pytest.mark.parametrize("name", ["location", "logistic-mnist", "logistic-synthetic",
                                       "selection-1d"])
@@ -371,6 +299,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
+
+    def test_undecodable_file(self, tmp_path):
+        # \xff is no UTF-8 text: a UnicodeDecodeError escaped as a traceback
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"problem = selection-1d\n\xff\n")
+        with pytest.raises(ConfigError, match=f"cannot read config file {path}"):
+            load_config(path)
 
     def test_bad_override(self, tmp_path):
         path = tmp_path / "exp.cfg"

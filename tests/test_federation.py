@@ -111,6 +111,15 @@ class TestSimulateRoundTime:
         with pytest.raises(ValueError):
             round_time(uniform_costs((2, 2)), "sgd")
 
+    @pytest.mark.parametrize("sizes, comm, method", [((2,), 0.0, FISM), ((1, 1), 0.0, IRIG),
+                                                     ((1,), 1e308, FISM)],
+                             ids=["client-sum", "client-sums", "link"])
+    def test_overflowing_round_time_raises(self, sizes, comm, method):
+        # every cost is finite but their sum is not; runs recorded it as Infinity
+        costs = uniform_costs(sizes, per_update=1e308, comm=comm)
+        with pytest.raises(ValueError, match=f"the {method} round time overflows"):
+            round_time(costs, method)
+
     def test_left_to_right_summation(self):
         # 0.1 + 0.1 + ... (ten terms, left to right) = 0.9999999999999999;
         # pairwise or compensated summation would give 1.0

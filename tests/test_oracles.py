@@ -14,21 +14,7 @@ from fedbilevel.selfcheck import (finite_difference_failures, lane_subgrad_failu
 
 
 class TestProjectBox:
-    def test_clamps_exterior(self):
-        box = BoxConstraint.symmetric(2, 1.0)
-        out = project_box(np.array([2.0, -3.0]), box)
-        assert np.array_equal(out, [1.0, -1.0])
-
-    def test_identity_on_interior(self):
-        box = BoxConstraint.symmetric(2, 1.0)
-        x = np.array([0.5, 0.5])
-        assert np.array_equal(project_box(x, box), x)
-
-    def test_wide_box(self):
-        box = BoxConstraint.symmetric(2, 100.0)
-        out = project_box(np.array([150.0, -150.0]), box)
-        assert np.array_equal(out, [100.0, -100.0])
-
+    # Clamping is test_families.TestProjectBoxProperties, against np.clip.
     def test_dimension_mismatch(self):
         box = BoxConstraint.symmetric(2, 1.0)
         with pytest.raises(ValueError):

@@ -305,6 +305,7 @@ class TestStoppingCriterion:
         x = np.zeros(1)
         y = np.array([2e-5])  # ||dx|| / (||x|| + 1) = 2e-5 > 1e-5
         assert not _one_row_met(x, y, 0.0, 0.0, 0.0, 0.0, tol=1e-5)
+        assert _one_row_met(x, np.array([0.5]), 0.0, 0.0, 0.0, 0.0, tol=0.5)  # a ratio at tol
 
     def test_all_ratios_small(self):
         x = np.array([1.0])
@@ -481,6 +482,23 @@ class TestRunSolver:
         assert rec.rounds == 3
         assert all(math.isfinite(row.inner_value) for row in rec.rows)
         assert math.isnan(rec.final_inner_value) and math.isnan(rec.final_outer_value)
+
+    @pytest.mark.parametrize("block", [1, 7, 32])
+    def test_overflowing_total_time_raises_naming_its_round(self, monkeypatch, block):
+        # 1e307 a round: the total after round 18 overflows, and a run recorded it
+        # as Infinity. The recorded totals decide, so a 100-round run that stops
+        # at round 3 passes.
+        monkeypatch.setattr(solvers, "_BLOCK", block)
+        costs = uniform_costs((1,), per_update=1e307)
+        rec = run_solver(selection_1d_problem(), _schedule_1d(), FISM, np.array([4.0]), 17,
+                         costs=costs)
+        assert rec.rounds == 17 and math.isfinite(rec.rows[-1].total_time_units)
+        rec = run_solver(_nan_below(3.5), _small_steps_1d(), FISM, np.array([4.0]), 100,
+                         costs=costs)
+        assert (rec.stop_reason, rec.rounds) == ("non-finite", 3)
+        with pytest.raises(ValueError, match="total_time_units of round 18 is inf"):
+            run_solver(selection_1d_problem(), _schedule_1d(), FISM, np.array([4.0]), 20,
+                       costs=costs)
 
     def test_rejects_costs_for_other_client_sizes(self):
         prob = selection_1d_problem((2, 2))
