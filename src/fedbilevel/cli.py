@@ -165,6 +165,19 @@ def write_outputs(run_id: str, record: RunRecord, out_dir: Path, write_csv: bool
     _write_atomic(write_run_json, record, out_dir / f"{run_id}.json")
 
 
+def _mean(values: list[float]) -> float:
+    """``np.mean`` of ``values``, except where the sum of finite values
+    overflows: their mean is then taken after scaling them by the largest
+    magnitude, so a mean of finite values is finite."""
+    v = np.array(values, dtype=float)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(v))
+    if np.isinf(mean) and np.isfinite(v).all():
+        scale = np.abs(v).max()
+        mean = float(scale * np.mean(v / scale))
+    return mean
+
+
 def write_summary(summaries: list[dict], path: Path) -> None:
     """Write ``summary.csv``: per-(method, S) means of run summaries, which
     need only the ``SUMMARY_FIELDS``."""
@@ -181,9 +194,9 @@ def write_summary(summaries: list[dict], path: Path) -> None:
             writer.writerow([
                 runs[0]["problem_id"], method, n_clients, len(runs),
                 float(np.mean([r["rounds"] for r in runs])),
-                float(np.mean([r["total_time_units"] for r in runs])),
-                float(np.mean([r["final_inner_value"] for r in runs])),
-                float(np.mean([r["final_outer_value"] for r in runs])),
+                _mean([r["total_time_units"] for r in runs]),
+                _mean([r["final_inner_value"] for r in runs]),
+                _mean([r["final_outer_value"] for r in runs]),
                 float(np.mean(accs)) if accs else "",
             ])
 

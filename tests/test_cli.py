@@ -103,6 +103,21 @@ class TestExecute:
             assert {record.config["repeat"] for _, record in records} == {0, 1, 2}
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
+    def test_summary_mean_of_finite_values_is_finite(self, tmp_path):
+        # Three runs at the largest double sum past it, and their means are
+        # still that double. A cell whose sum does not overflow keeps
+        # np.mean's bits: 1.55, where the scaled mean reads 1.5500000000000003.
+        big = 1.7976931348623157e308
+        runs = [{"problem_id": "location", "method": "fism", "n_clients": s, "rounds": 1,
+                 "total_time_units": t, "final_inner_value": t, "final_outer_value": -t,
+                 "test_accuracy": None} for s, t in [(1, big)] * 3 + [(2, 3.0), (2, 0.1)]]
+        cli.write_summary(runs, tmp_path / "summary.csv")
+        with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        means = ("sim_time_mean", "final_inner_mean", "final_outer_mean")
+        assert [[row[key] for key in means] for row in rows] == [
+            [repr(big), repr(big), repr(-big)], ["1.55", "1.55", "-1.55"]]
+
     def test_failed_run_is_isolated(self):
         # two cost multipliers price the S=2 run only; the S=4 run fails alone
         cfg = _make_cfg([("problem", "selection-1d"), ("m", "4"),
@@ -720,6 +735,10 @@ class TestCliProperty:
            seed=st.none() | st.integers(-2**70, 2**70))
     # m = 12 updates of 1e308 overflow every round time: written as Infinity with exit 0
     @example(base="location", command="sweep", settings_=["unit_cost=1e308"], seed=None)
+    # two runs of m = 500 at 5e305 a unit each total 1.25e308: their sum overflows
+    @example(base="location", command="sweep", seed=None,
+             settings_=["m=500", "s_values=2", "repeats=2", "max_rounds=1", "unit_cost=5e305",
+                        "methods=fism"])
     def test_main_exits_0_to_3_and_leaves_clean_outputs(self, base, command, settings_, seed):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)

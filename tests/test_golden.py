@@ -2,10 +2,11 @@
 their bytes. ``tools/record_golden.py`` records the digests in
 ``tests/golden/`` and says what is digested. A digest is compared only on a
 platform with the fingerprint it was recorded on (numpy version, BLAS name,
-the CPU features numpy dispatches on). Elsewhere the run is still digested
-and then skipped, with a reason that names the fingerprint differences and
-says either ``every digest matches`` or which outputs differ, so a
-``pytest -rs`` log shows whether the digests hold on that platform.
+OpenBLAS kernel, the CPU features numpy dispatches on). Elsewhere the run
+is still digested and then skipped, with a reason that names the
+fingerprint differences and says either ``every digest matches`` or which
+outputs differ, so a ``pytest -rs`` log shows whether the digests hold on
+that platform.
 
 Twins check what holds on any platform: two execution shapes of one golden
 setting write byte-identical outputs after the same normalisation, and
@@ -13,6 +14,9 @@ IRIG's S cells of one repeat write the same iterates. Every twin is one
 ``compare_runs.differences`` call, which names each differing file with its
 first differing line or its differing key paths."""
 import json
+import os
+import subprocess
+import sys
 
 import compare_runs
 import pytest
@@ -59,6 +63,22 @@ def test_golden_run_elsewhere_says_whether_the_digests_match(tmp_path, monkeypat
     with pytest.raises(pytest.skip.Exception) as skipped:
         test_golden_run(name)
     assert str(skipped.value).endswith(f"outputs differ from the golden digests: ['{edited}']")
+
+
+def test_golden_run_under_another_blas_kernel_skips():
+    # OpenBLAS's kernels sum a dot product in different orders, so the
+    # location digests hold under one kernel only. Under another the run
+    # must skip and name blas_core, not fail.
+    recorded = json.loads((record_golden.GOLDEN_DIR / "location.json").read_text(
+        encoding="utf-8"))["fingerprint"].get("blas_core")
+    forced = "Prescott" if recorded == "Haswell" else "Haswell"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+         f"{__file__}::test_golden_run[location]"],
+        cwd=record_golden.ROOT, env=dict(os.environ, OPENBLAS_CORETYPE=forced),
+        capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "1 skipped" in result.stdout and "'blas_core': (" in result.stdout, result.stdout
 
 
 def test_every_golden_file_has_a_run():

@@ -13,6 +13,19 @@ def test_public_names_resolve_once():
     assert [n for n in names if not hasattr(fedbilevel, n)] == []
 
 
+def test_exports_are_the_names_library_use_documents():
+    # "Library use" is the package's one list of supported names: each
+    # exported name appears in its code (a python block or an inline span),
+    # and each fb.<name> it uses is exported.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    block = re.compile(r"^```python\n(.*?)^```$", flags=re.DOTALL | re.MULTILINE)
+    code = block.findall(section) + re.findall(r"`([^`]+)`", block.sub("", section))
+    named = set(re.findall(r"\w+", " ".join(code)))
+    assert [n for n in fedbilevel.__all__ if n not in named] == []
+    assert sorted(set(re.findall(r"\bfb\.(\w+)", section)) - set(fedbilevel.__all__)) == []
+
+
 def test_readme_python_blocks_run():
     # The README's library examples build on each other, so they run in
     # order in one namespace.

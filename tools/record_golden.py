@@ -17,7 +17,8 @@ otherwise.
 
 The location and logistic bits depend on the BLAS dot kernel and on numpy's
 SIMD dispatch, so each file also records a fingerprint: the numpy version,
-the BLAS name and the CPU features numpy dispatches on.
+the BLAS name, the kernel OpenBLAS picked for the CPU and the CPU features
+numpy dispatches on.
 ``tests/test_golden.py`` reruns every golden run and compares the digests
 where the fingerprint matches; elsewhere it skips, naming the difference
 and saying whether every digest matches all the same.
@@ -28,6 +29,7 @@ and says why, with ``tools/compare_runs.py``'s maximum deviation.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -61,14 +63,30 @@ RUNS = {
 }
 
 
+def _blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked for the CPU, such as
+    ``SkylakeX`` (``OPENBLAS_CORETYPE`` overrides the choice), or None where
+    numpy carries no such library: its dot products sum in that kernel's
+    order."""
+    try:
+        from numpy._core import _multiarray_umath
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def fingerprint() -> dict:
-    """The numpy version, the BLAS name and the CPU features numpy
-    dispatches on (its SIMD baseline and the extensions found on this CPU)."""
+    """The numpy version, the BLAS name, the OpenBLAS kernel and the CPU
+    features numpy dispatches on (its SIMD baseline and the extensions
+    found on this CPU)."""
     config = np.show_config(mode="dicts")
     simd = config.get("SIMD Extensions", {})
     return {
         "numpy": np.__version__,
         "blas": config.get("Build Dependencies", {}).get("blas", {}).get("name"),
+        "blas_core": _blas_core(),
         "simd_baseline": list(simd.get("baseline", [])),
         "simd_found": list(simd.get("found", [])),
     }
